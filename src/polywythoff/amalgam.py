@@ -17,7 +17,6 @@ facets are copies of P and Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .groups import FiniteGroup, closure, coset_partition, extend_homomorphism
 from .ttgroup import is_string_c_group
@@ -68,13 +67,13 @@ def _nested_towers(gens):
     for j in range(n - 2, -1, -1):
         G = closure(list(gens[j:]))
         H = closure(list(gens[j:-1]))
-        _, rep_of = coset_partition(G, H)
-        classes = {}
-        for e in G.elements:
-            classes.setdefault(rep_of[e], []).append(e)
+        reps, cid = coset_partition(G, H)
+        classes = [[] for _ in reps]
+        for e, c in zip(G.elements, cid):
+            classes[c].append(e)
         prev = set(towers[j + 1])
         chosen = []
-        for members in classes.values():
+        for members in classes:
             hits = [e for e in members if e in prev]
             assert len(hits) <= 1, "transversal nesting broken"
             chosen.append(hits[0] if hits else min(members, key=lambda e: e.key))
@@ -116,7 +115,7 @@ class AmalgamContext:
         self.KQ = closure(list(q_gens[:-1]))
         if self.K.order != self.KQ.order:
             raise FacetMismatch("facet subgroups have different orders")
-        phi = extend_homomorphism(self.K, q_gens[:-1])
+        phi = extend_homomorphism(self.K, q_gens[:-1], target=self.KQ)
         if phi is None or len(set(phi.values())) != self.K.order:
             raise FacetMismatch("shared generators do not give an isomorphism")
         self._phi = phi
@@ -145,6 +144,11 @@ class AmalgamContext:
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
         self.identity_word = AmalgamWord(self.K.identity, ())
+        # inverses of <a_0..a_{j-1}> as words, per j
+        self._head_words = tuple(
+            tuple(self.inject("P", a.inverse()) for a in sorted(head, key=lambda e: e.key))
+            for head in self._head_k
+        )
 
     # -------------------------------------------------------- normal forms
 
@@ -231,12 +235,6 @@ class AmalgamContext:
             return False
         return all(t in self._tower_sets[s][j + 1] for s, t in w.taus)
 
-    @lru_cache(maxsize=None)
-    def _head_words(self, j):
-        return tuple(
-            self.inject("P", a.inverse()) for a in sorted(self._head_k[j], key=lambda e: e.key)
-        )
-
     def in_gamma(self, w: AmalgamWord, j: int) -> bool:
         """Membership in the j-face subgroup Gamma_j (all generators but a_j
         for j <= n-2; Gamma_{n-1} = K)."""
@@ -245,7 +243,7 @@ class AmalgamContext:
         if not 0 <= j <= self.n - 2:
             raise ValueError(f"invalid rank {j}")
         # Gamma_j = <a_0..a_{j-1}> x Pi_j+, the factors commute
-        return any(self.in_pi_plus(self.multiply(w, ai), j) for ai in self._head_words(j))
+        return any(self.in_pi_plus(self.multiply(w, ai), j) for ai in self._head_words[j])
 
     def in_facet(self, w: AmalgamWord, kind: str) -> bool:
         if kind not in ("P", "Q"):
@@ -263,7 +261,7 @@ class AmalgamContext:
             scan = (self.inject("P", g.inverse()) for g in self.K.elements)
         else:
             # Gamma_j * Gamma_k = Gamma_j * <a_0..a_{k-1}> since Pi_k+ <= Gamma_j
-            scan = self._head_words(high_rank)
+            scan = self._head_words[high_rank]
         return any(self.in_gamma(self.multiply(z, g), low_rank) for g in scan)
 
     # -------------------------------------------------------------- balls
@@ -417,7 +415,7 @@ def universal_is_regular(ctx: AmalgamContext) -> UniversalClass:
     """The universal polytope is regular iff the factors are isomorphic by a
     map fixing the shared facet group and swapping the last generators."""
     images = list(ctx.Q.generators)
-    phi = extend_homomorphism(ctx.P, images, target_identity=ctx.Q.identity)
+    phi = extend_homomorphism(ctx.P, images, target=ctx.Q)
     if phi is not None and len(set(phi.values())) == ctx.P.order == ctx.Q.order:
         return UniversalClass("Regular", "Pi x| C2 (amalgam extended by the swap)")
     return UniversalClass("TwoOrbit", "Pi (the amalgam itself)")

@@ -2,7 +2,11 @@
 
 Everything here is exact and deterministic. Groups remember the BFS
 production of each element, which later powers homomorphism extension and
-word recovery without any extra group theory.
+word recovery without any extra group theory. Once a group is enumerated,
+its right-multiplication table (``FiniteGroup.right_table``) turns cosets
+and homomorphism checks into integer lookups on element indices: the
+coset-table view of Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, ch. 5.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class FiniteGroup:
         self.identity = identity_like(self.generators[0])
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._words: tuple | None = None
+        self._right: tuple | None = None
+        self._tree_checked = False
 
     @property
     def order(self) -> int:
@@ -60,14 +66,62 @@ class FiniteGroup:
             raise ValueError("subgroup generators not in parent group")
         return closure(gens, cap=cap) if gens else trivial_group(self.identity)
 
+    def tree(self) -> tuple:
+        """The productions, checked to form a BFS tree: element 0 is the
+        root and every other element has an earlier parent and a valid
+        generator index. Raises ValueError otherwise (``intersect`` results
+        carry no productions)."""
+        if not self._tree_checked:
+            ngens = len(self.generators)
+            if self.prods[0] != (-1, -1) or not all(
+                0 <= parent < i and 0 <= gi < ngens
+                for i, (parent, gi) in enumerate(self.prods[1:], 1)
+            ):
+                raise ValueError("production record is not a BFS tree")
+            self._tree_checked = True
+        return self.prods
+
     def words(self) -> tuple[tuple[int, ...], ...]:
         """For each element, a generator-index word reaching it from 1."""
         if self._words is None:
             words: list[tuple[int, ...]] = [()]
-            for parent, gi in self.prods[1:]:
+            for parent, gi in self.tree()[1:]:
                 words.append(words[parent] + (gi,))
             self._words = tuple(words)
         return self._words
+
+    def right_table(self) -> tuple[tuple[int, ...], ...]:
+        """R[gi][i] = index of elements[i] * generators[gi].
+
+        Built once, with at most one product per element and generator;
+        after it the group's right action on itself is integer lookups. The
+        productions give one entry per element for free, and an involution
+        g gives R[g][j] = i along with R[g][i] = j.
+        """
+        if self._right is None:
+            rows = [[-1] * self.order for _ in self.generators]
+            for i, (parent, gi) in enumerate(self.tree()[1:], 1):
+                rows[gi][parent] = i
+            index = self._index
+            for row, g in zip(rows, self.generators):
+                involution = (g * g).is_identity()
+                for i, e in enumerate(self.elements):
+                    if row[i] < 0:
+                        j = row[i] = index[e * g]
+                        if involution:
+                            row[j] = i
+            self._right = tuple(tuple(row) for row in rows)
+        return self._right
+
+    def right_multiplier(self, y) -> list[int] | range:
+        """The index map i -> index of elements[i] * y, walked through the
+        right table along y's word."""
+        R = self.right_table()
+        table: list[int] | range = range(self.order)
+        for gi in self.words()[self.index_of(y)]:
+            row = R[gi]
+            table = [row[i] for i in table]
+        return table
 
 
 def trivial_group(identity) -> FiniteGroup:
@@ -105,25 +159,43 @@ def subgroup(parent: FiniteGroup, gens, cap: int | None = None) -> FiniteGroup:
 
 
 def coset_partition(G: FiniteGroup, H: FiniteGroup):
-    """Right cosets Hg of H in G.
+    """Right cosets Hx of H in G, on element indices.
 
-    Returns (reps, rep_of): canonical (minimal) representative per coset in
-    a deterministic order, and the element -> representative map.
+    Returns (reps, cid): the canonical (key-minimal) representative of each
+    coset, sorted by key, and ``cid[i]``, the position in ``reps`` of the
+    coset holding ``G.elements[i]``.
+
+    Elements are visited in BFS order. The first element x of a new coset
+    has production (parent, g) with the parent earlier, so already placed,
+    and Hx = (H parent) g: the coset is the parent's coset moved by one row
+    of the right table. Walking the BFS word of x from H's indices gives the
+    same coset; sharing the parent's coset does it in |H| lookups.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    rep_of: dict = {}
-    reps = []
-    for g in G.elements:
-        if g in rep_of:
+    prods = G.tree()
+    R = G.right_table()
+    cid = [-1] * G.order
+    members: list[list[int]] = []
+    for x in range(G.order):
+        if cid[x] >= 0:
             continue
-        coset = [h * g for h in H.elements]
-        rep = min(coset, key=lambda e: e.key)
-        for e in coset:
-            rep_of[e] = rep
-        reps.append(rep)
-    reps.sort(key=lambda e: e.key)
-    return reps, rep_of
+        if x == 0:
+            coset = [G.index_of(h) for h in H.elements]
+        else:
+            parent, gi = prods[x]
+            row = R[gi]
+            coset = [row[i] for i in members[cid[parent]]]
+        for i in coset:
+            cid[i] = len(members)
+        members.append(coset)
+    keys = [e.key for e in G.elements]
+    mins = [min(coset, key=keys.__getitem__) for coset in members]
+    order = sorted(range(len(members)), key=lambda c: keys[mins[c]])
+    renumber = [0] * len(order)
+    for pos, c in enumerate(order):
+        renumber[c] = pos
+    return [G.elements[mins[c]] for c in order], [renumber[c] for c in cid]
 
 
 def right_cosets(G: FiniteGroup, H: FiniteGroup) -> list:
@@ -131,7 +203,11 @@ def right_cosets(G: FiniteGroup, H: FiniteGroup) -> list:
 
 
 def intersect(H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
-    """Set intersection of two subgroups of a common parent, as a group."""
+    """Set intersection of two subgroups of a common parent, as a group.
+
+    The result carries no productions, so ``words``, ``coset_partition`` and
+    ``extend_homomorphism`` raise ValueError on it; use its elements only.
+    """
     if not same_kind(H.identity, K.identity):
         raise KindMismatch("intersecting groups of different kinds")
     small, big = (H, K) if H.order <= K.order else (K, H)
@@ -156,28 +232,27 @@ def element_order(g, cap: int | None = None) -> int:
     return m
 
 
-def extend_homomorphism(G: FiniteGroup, images, target_identity=None):
+def extend_homomorphism(G: FiniteGroup, images, target: FiniteGroup):
     """Try to extend generator assignments to a homomorphism on all of G.
 
-    ``images[i]`` is the desired image of ``G.generators[i]``. Returns the
-    full element -> image dict, or None when the assignment violates some
-    relation of G (detected as an inconsistency in the Cayley graph).
+    ``images[i]`` is the desired image of ``G.generators[i]``, an element of
+    the enumerated group ``target``. Returns the full element -> image
+    dict, or None when the assignment violates some relation of G (detected
+    as an inconsistency in the Cayley graph). Both groups are handled as
+    element indices and right tables.
     """
     images = tuple(images)
     if len(images) != len(G.generators):
         raise ValueError("one image per generator required")
-    if target_identity is None:
-        target_identity = identity_like(images[0])
-    phi: list = [None] * G.order
-    phi[0] = target_identity
+    mult = [target.right_multiplier(y) for y in images]
+    phi = [0] * G.order  # target element index per element of G
     # productions are topologically ordered, so parents are always filled in
+    prods = G.tree()
     for i in range(1, G.order):
-        parent, gi = G.prods[i]
-        phi[i] = phi[parent] * images[gi]
+        parent, gi = prods[i]
+        phi[i] = mult[gi][phi[parent]]
     # verify the full multiplication action of each generator
-    for i, e in enumerate(G.elements):
-        for gi, g in enumerate(G.generators):
-            j = G.index_of(e * g)
-            if phi[j] != phi[i] * images[gi]:
-                return None
-    return {e: phi[i] for i, e in enumerate(G.elements)}
+    for row, m in zip(G.right_table(), mult):
+        if any(phi[j] != m[phi[i]] for i, j in enumerate(row)):
+            return None
+    return {e: target.elements[phi[i]] for i, e in enumerate(G.elements)}

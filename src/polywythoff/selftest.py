@@ -236,10 +236,9 @@ def _rows8(quick):
     inter = len(meet) == ctx.K.order and all(w.taus == () for w in meet)
     dihedral = dihedral_order_unbounded(ctx, 50)
 
-    radii = (0, 1) if not quick else (0, 1)
     nested = True
     balls = {r: enumerate_ball(ctx, r) for r in (0, 1, 2)}
-    for r in radii:
+    for r in (0, 1):
         small, big = balls[r], balls[r + 1]
         for rank in range(ctx.n + 1):
             for f in small.poset.faces(rank):

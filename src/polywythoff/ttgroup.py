@@ -317,18 +317,12 @@ def schlafli_type(gens, cap=None) -> list:
     ]
 
 
-def check_intersection_reduced(
-    G: TailTriangleGroup, n3_shortcut: bool = False
-) -> IntersectionResult:
+def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
     """Reduced criterion: 2n-1 intersections, given C-group facet subgroups.
 
     Preconditions (checked recursively, reported distinctly from genuine
     intersection failures): <alphas> and <alphas minus last, beta> are string
     C-groups and Gamma_0 = <a1..a_{n-1},b> is a tail-triangle C-group.
-
-    With ``n3_shortcut`` and n = 3, only the three mutual intersections of
-    the 3-generator distinguished subgroups are tested (an empirical fast
-    path; the equivalence with the full list is exercised in the test suite).
     """
     n = G.n
     names = lambda S: tuple(gen_name(i, n) for i in sorted(S))
@@ -358,19 +352,6 @@ def check_intersection_reduced(
         return IntersectionResult(False, "reduced", checked, (names(I), names(J), bad))
 
     checked = 0
-    if n3_shortcut and n == 3:
-        pairs = [
-            (frozenset(range(n)), frozenset([0, 1, n])),  # P vs Q
-            (frozenset([1, 2, n]), frozenset(range(n))),  # Gamma_0 vs P
-            (frozenset([1, 2, n]), frozenset([0, 1, n])),  # Gamma_0 vs Q
-        ]
-        for I, J in pairs:
-            checked += 1
-            r = expect((G.sub(I), G.sub(J)), G.sub(I & J), I, J)
-            if r is not None:
-                return r
-        return IntersectionResult(True, "reduced", checked)
-
     # condition 1: Gamma_n^P cap Gamma_n^Q = <a0..a_{n-2}>
     P_idx = frozenset(range(n))
     Q_idx = frozenset(list(range(n - 1)) + [n])

@@ -42,7 +42,7 @@ class Face:
 class FacePoset:
     """Ranked face set with covering incidences (rank j to j+1 only)."""
 
-    def __init__(self, faces_by_rank: dict, covers, rep_maps=None):
+    def __init__(self, faces_by_rank: dict, covers, action=None):
         self.faces_by_rank = {
             r: tuple(sorted(fs, key=Face.sort_key)) for r, fs in faces_by_rank.items()
         }
@@ -57,9 +57,9 @@ class FacePoset:
             self.up[f] = tuple(sorted(self.up[f], key=Face.sort_key))
             self.down[f] = tuple(sorted(self.down[f], key=Face.sort_key))
         self.down_sets = {f: frozenset(v) for f, v in self.down.items()}
-        # canonical-representative maps per kind (element -> coset rep),
+        # action[f][gi] = image of face f under generator gi of the group,
         # present only for group-built posets; powers the flag action
-        self.rep_maps = rep_maps or {}
+        self.action = action or {}
         self._flags: list | None = None
         self._flag_index: dict | None = None
         self._adj: list | None = None
@@ -207,56 +207,52 @@ class FacePoset:
 
     # ---- group action ------------------------------------------------------
 
-    def face_image(self, f: Face, g) -> Face:
-        rep = self.rep_maps[f.kind][f.rep * g]
-        return Face(f.rank, f.kind, rep)
+    def face_image(self, f: Face, gi: int) -> Face:
+        """The image of face f under generator gi of the building group."""
+        return self.action[f][gi]
 
 
 # ---- builders --------------------------------------------------------------
 
 
-def _coset_level(G: FiniteGroup, kind: str, H: FiniteGroup, rank: int):
-    reps, rep_of = coset_partition(G, H)
-    faces = [Face(rank, kind, r) for r in reps]
-    return faces, rep_of
-
-
 def _assemble(G: FiniteGroup, levels):
     """levels: list per proper rank of [(kind, subgroup)], bottom first.
 
-    Covering incidence between consecutive ranks is computed by walking each
-    higher coset H_k*mu once: the lower faces meeting it are exactly the
-    cosets of the elements y*mu, y in H_k.
+    Faces of a kind are the cosets of ``coset_partition``, numbered by
+    ``cid``. Two cosets are incident exactly when they share an element, so
+    the covers between consecutive ranks are the pairs (cid_low[e],
+    cid_high[e]) over all elements e. A generator g moves the coset Hx to
+    Hxg, the coset of its representative's right-table image.
     """
     nprop = len(levels)
-    faces_by_rank: dict[int, list] = {-1: [Face(-1, "bot", None)], nprop: [Face(nprop, "top", None)]}
-    rep_maps: dict[str, dict] = {}
-    subgroup_of_kind: dict[str, FiniteGroup] = {}
+    bot, top = Face(-1, "bot", None), Face(nprop, "top", None)
+    faces_by_rank: dict[int, list] = {-1: [bot], nprop: [top]}
+    parts = []  # per proper rank: [(faces, cid)] per kind
     for rank, kinds in enumerate(levels):
-        faces_by_rank[rank] = []
+        part = []
         for kind, H in kinds:
-            faces, rep_of = _coset_level(G, kind, H, rank)
-            faces_by_rank[rank].extend(faces)
-            rep_maps[kind] = rep_of
-            subgroup_of_kind[kind] = H
+            reps, cid = coset_partition(G, H)
+            part.append(([Face(rank, kind, r) for r in reps], cid))
+        parts.append(part)
+        faces_by_rank[rank] = [f for faces, _ in part for f in faces]
 
-    covers = []
-    bot = faces_by_rank[-1][0]
-    top = faces_by_rank[nprop][0]
-    covers += [(bot, v) for v in faces_by_rank[0]]
+    covers = [(bot, v) for v in faces_by_rank[0]]
     covers += [(f, top) for f in faces_by_rank[nprop - 1]]
-    for rank in range(1, nprop):
-        lower_kinds = [k for k, _ in levels[rank - 1]]
-        for high in faces_by_rank[rank]:
-            H = subgroup_of_kind[high.kind]
-            hits = set()
-            for y in H.elements:
-                w = y * high.rep
-                for lk in lower_kinds:
-                    hits.add((lk, rep_maps[lk][w]))
-            for lk, rep in sorted(hits, key=lambda t: (t[0], t[1].key)):
-                covers.append((Face(rank - 1, lk, rep), high))
-    return FacePoset(faces_by_rank, covers, rep_maps)
+    for lows, highs in zip(parts, parts[1:]):
+        for low_faces, low_cid in lows:
+            for high_faces, high_cid in highs:
+                covers += [
+                    (low_faces[a], high_faces[b]) for a, b in set(zip(low_cid, high_cid))
+                ]
+
+    R = G.right_table()
+    action = {}
+    for part in parts:
+        for faces, cid in part:
+            for f in faces:
+                x = G.index_of(f.rep)
+                action[f] = tuple(faces[cid[row[x]]] for row in R)
+    return FacePoset(faces_by_rank, covers, action)
 
 
 def build_polytope(
@@ -400,10 +396,15 @@ def two_sections(P: FacePoset) -> list[TwoSection]:
 
 
 def flag_orbits(P: FacePoset, G: TailTriangleGroup):
-    """(orbit count, flag count, action is free) under the right Gamma-action."""
-    flags = P.flags()
+    """(orbit count, flag count, action is free) under the right Gamma-action.
+
+    Faces and flags are numbered, and each generator acts on a flag face by
+    face through ``P.action``.
+    """
+    fid = {f: i for i, f in enumerate(P.action)}
+    moves = [[fid[imgs[gi]] for imgs in P.action.values()] for gi in range(len(G.gens))]
+    flags = [tuple(fid[f] for f in fl) for fl in P.flags()]
     index = {fl: i for i, fl in enumerate(flags)}
-    gens = G.gens
     seen = [False] * len(flags)
     orbits = 0
     orbit_sizes = []
@@ -419,9 +420,8 @@ def flag_orbits(P: FacePoset, G: TailTriangleGroup):
             for i in frontier:
                 size += 1
                 fl = flags[i]
-                for g in gens:
-                    img = tuple(P.face_image(f, g) for f in fl)
-                    j = index[img]
+                for move in moves:
+                    j = index[tuple([move[f] for f in fl])]
                     if not seen[j]:
                         seen[j] = True
                         nxt.append(j)
@@ -444,7 +444,7 @@ class Classification:
 def classify(P: FacePoset, G: TailTriangleGroup) -> Classification:
     """Regular iff the diagram symmetry swapping a_{n-1} and b extends to Gamma."""
     images = list(G.alphas[:-1]) + [G.beta, G.alphas[-1]]
-    phi = extend_homomorphism(G.group, images)
+    phi = extend_homomorphism(G.group, images, target=G.group)
     if phi is not None:
         schlafli = G.diagram.schlafli_tail() + [2 * G.diagram.k]
         return Classification("Regular", 2 * G.group.order, schlafli)
@@ -487,9 +487,19 @@ def verify_facet_sections(P: FacePoset, G: TailTriangleGroup) -> bool:
 
 
 def vertex_transitive(P: FacePoset, G: TailTriangleGroup) -> bool:
+    """The orbit of one vertex, a BFS under the generators, is every vertex."""
     verts = P.faces(0)
-    base = verts[0]
-    orbit = {P.face_image(base, g) for g in G.group.elements}
+    orbit = {verts[0]}
+    frontier = [verts[0]]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for gi in range(len(G.gens)):
+                img = P.face_image(f, gi)
+                if img not in orbit:
+                    orbit.add(img)
+                    nxt.append(img)
+        frontier = nxt
     return orbit == set(verts)
 
 

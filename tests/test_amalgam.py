@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -220,3 +222,12 @@ def test_universal_classification(tetoct):
 def test_word_str_and_key(tetoct):
     w = tetoct.normalize(["a0", "a2", "b"])
     assert isinstance(str(w), str) and w.key < tetoct.normalize(["a2", "b", "a2", "b"]).key
+
+
+def test_dropped_context_is_collected():
+    ctx = AmalgamContext(gens("tet.sg"), gens("oct.sg"))
+    assert ctx.in_gamma(ctx.normalize(["a0", "a1"]), 0) is False
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None

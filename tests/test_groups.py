@@ -88,12 +88,14 @@ def test_coset_partition_properties():
     rho = tomotope_gens()
     G = closure(rho)
     H = G.subgroup(rho[:2])
-    reps, rep_of = coset_partition(G, H)
-    assert len(set(rep_of.values())) == len(reps) == G.order // H.order
-    assert set(rep_of) == G.element_set
-    for g in G.elements:
+    reps, cid = coset_partition(G, H)
+    # every element gets a coset number, and every number is used
+    assert len(cid) == G.order
+    assert set(cid) == set(range(len(reps))) and len(reps) == G.order // H.order
+    assert reps == sorted(reps, key=lambda e: e.key)
+    for i, g in enumerate(G.elements):
         # canonical rep is minimal within its own coset
-        assert min((h * g for h in H.elements), key=lambda e: e.key) == rep_of[g]
+        assert min((h * g for h in H.elements), key=lambda e: e.key) == reps[cid[i]]
 
 
 def test_right_cosets_requires_subgroup():
@@ -119,6 +121,35 @@ def test_intersect():
     assert intersect(a, b).order == 1
 
 
+def test_intersect_result_has_no_words():
+    # intersect() keeps no productions, so nothing may walk its words
+    rho = tomotope_gens()
+    G = closure(rho)
+    meet = intersect(G.subgroup(rho[:3]), G.subgroup([rho[0], rho[1], rho[3]]))
+    with pytest.raises(ValueError, match="BFS tree"):
+        meet.words()
+    with pytest.raises(ValueError, match="BFS tree"):
+        coset_partition(meet, trivial_group(meet.identity))
+    with pytest.raises(ValueError, match="BFS tree"):
+        extend_homomorphism(meet, meet.generators, target=meet)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [tomotope_gens(), [parse_perm("(1,2,3,4,5)", 5), parse_perm("(1,2)", 5)]],
+    ids=["involutions", "5-cycle"],
+)
+def test_right_table_and_multiplier(gens):
+    G = closure(gens)
+    R = G.right_table()
+    assert R is G.right_table()  # built once
+    for gi, g in enumerate(G.generators):
+        assert list(R[gi]) == [G.index_of(e * g) for e in G.elements]
+    y = random.Random(5).choice(G.elements)
+    assert list(G.right_multiplier(y)) == [G.index_of(e * y) for e in G.elements]
+    assert list(G.right_multiplier(G.identity)) == list(range(G.order))
+
+
 def test_element_order():
     rho = tomotope_gens()
     assert element_order(Perm.identity(12)) == 1
@@ -131,14 +162,21 @@ def test_element_order():
 def test_extend_homomorphism_detects_relations():
     s3 = closure([parse_perm("(1,2)", 3), parse_perm("(2,3)", 3)])
     # swapping the two generators is an automorphism of S3
-    phi = extend_homomorphism(s3, [s3.generators[1], s3.generators[0]])
+    phi = extend_homomorphism(s3, [s3.generators[1], s3.generators[0]], s3)
     assert phi is not None
     assert len(set(phi.values())) == s3.order
+    assert all(phi[a * b] == phi[a] * phi[b] for a in s3.elements for b in s3.elements)
     # collapsing both generators onto one involution is a map onto C2
-    fold = extend_homomorphism(s3, [s3.generators[0], s3.generators[0]])
+    fold = extend_homomorphism(s3, [s3.generators[0], s3.generators[0]], s3)
     assert fold is not None and len(set(fold.values())) == 2
     # a non-involution image breaks the b^2 = 1 relation
-    assert extend_homomorphism(s3, [s3.generators[0], parse_perm("(1,2,3)", 3)]) is None
+    assert extend_homomorphism(s3, [s3.generators[0], parse_perm("(1,2,3)", 3)], s3) is None
+    # images need not be generators of the target: S3 onto the C2 of (1,2)(3,4)
+    s4 = closure([parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4)])
+    s3_in_s4 = closure([parse_perm("(1,2)", 4), parse_perm("(2,3)", 4)])
+    swap = parse_perm("(1,2)(3,4)", 4)
+    sign = extend_homomorphism(s3_in_s4, [swap, swap], s4)
+    assert sign is not None and set(sign.values()) == {s4.identity, swap}
 
 
 def test_trivial_group():

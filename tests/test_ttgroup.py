@@ -94,15 +94,6 @@ def test_reduced_equals_full(name):
     assert check_intersection_reduced(G).ok == check_intersection_full(G).ok
 
 
-@pytest.mark.parametrize("name", ["tomotope.tt", "d4.tt"])
-def test_n3_shortcut_agrees(name):
-    G = load_tt(name)
-    assert (
-        check_intersection_reduced(G, n3_shortcut=True).ok
-        == check_intersection_full(G).ok
-    )
-
-
 def test_distinguished_subgroups_pairwise_distinct():
     # when SC2 holds, distinct generator subsets generate distinct subgroups
     for name in ["tomotope.tt", "d4.tt", "b3_digon.tt"]:

@@ -106,15 +106,25 @@ def test_facet_kinds_never_equal_or_incident(tomotope):
 
 
 def test_common_representative_exists_on_flags(tomotope):
-    # constructive check: each flag's cosets share a common group element
+    # constructive check: each flag's cosets share a common group element.
+    # The coset H_f of face f contains e iff f = H e, the image of the base
+    # face of f's kind (the coset holding 1) under e; images under e are
+    # found by walking P.action along e's word.
     G, P = tomotope
+    subgroup = {"P": G.gamma_P(), "Q": G.gamma_Q()}
+    subgroup.update({f"G_{j}": G.gamma(j) for j in range(G.n)})
+    base = {f.kind: f for f in P.action if f.rep in subgroup[f.kind]}
+    assert len(base) == len(subgroup)
+    images = []
+    for word in G.group.words():
+        moved = dict(base)
+        for gi in word:
+            moved = {k: P.action[f][gi] for k, f in moved.items()}
+        images.append(moved)
     rng = random.Random(3)
     flags = P.flags()
     for fl in rng.sample(flags, 20):
-        assert any(
-            all(P.rep_maps[f.kind][e] == f.rep for f in fl)
-            for e in G.group.elements
-        )
+        assert any(all(moved[f.kind] == f for f in fl) for moved in images)
 
 
 def test_ridge_covers_exactly_p_and_q(tomotope):
