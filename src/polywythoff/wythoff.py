@@ -143,21 +143,17 @@ class FacePoset:
     # ---- flags -----------------------------------------------------------
 
     def flags(self) -> list[tuple]:
-        """All maximal proper chains, one face per proper rank."""
+        """All maximal proper chains, one face per proper rank.
+
+        Chains grow one rank at a time, each in the order of ``up``, so the
+        flags come in lexicographic order.
+        """
         if self._flags is None:
-            out: list[tuple] = []
-
-            def extend(chain, face):
-                if face.rank == self.top_rank - 1:
-                    out.append(tuple(chain + [face]))
-                    return
-                for nxt in self.up[face]:
-                    extend(chain + [face], nxt)
-
-            for v in self.up[self.bottom()]:
-                extend([], v)
-            self._flags = out
-            self._flag_index = {fl: i for i, fl in enumerate(out)}
+            chains = [(v,) for v in self.up[self.bottom()]]
+            for _ in range(self.top_rank - self.bottom_rank - 2):
+                chains = [c + (h,) for c in chains for h in self.up[c[-1]]]
+            self._flags = [c for c in chains if c[-1].rank == self.top_rank - 1]
+            self._flag_index = {fl: i for i, fl in enumerate(self._flags)}
         return self._flags
 
     def flag_adjacency(self) -> list[tuple]:

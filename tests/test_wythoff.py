@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -284,3 +285,13 @@ def test_export_hasse(tomotope):
     assert lines[-1].startswith("fvec = ")
     # deterministic output
     assert text == export_hasse(P, summary=lines[-1])
+
+
+def test_dropped_poset_is_freed_without_gc(tomotope):
+    # flags() must leave no reference cycle that keeps a poset alive
+    G, _ = tomotope
+    P = build_polytope(G)
+    assert len(P.flags()) == 192
+    ref = weakref.ref(P)
+    del P  # freed by its reference count: nothing allocates in between
+    assert ref() is None
