@@ -14,7 +14,6 @@ from .groups import (
     FiniteGroup,
     closure,
     element_order,
-    intersect,
     right_cosets,
     subgroup,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "FiniteGroup",
     "closure",
     "element_order",
-    "intersect",
     "right_cosets",
     "subgroup",
     "__version__",

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, closure, coset_partition, extend_homomorphism
+from .groups import FiniteGroup, coset_partition, extend_homomorphism
+from .groups import closure  # noqa: F401  kept for perfbench/tracing.py, which spans it
 from .ttgroup import is_string_c_group
 from .wythoff import Face, FacePoset
 
@@ -57,19 +58,19 @@ class AmalgamWord:
         return " . ".join(parts)
 
 
-def _nested_towers(gens):
+def _nested_towers(G: FiniteGroup):
     """T_j = transversal of <g_j..g_{n-2}> in <g_j..g_{n-1}>, nested so that
-    T_{n-1} = {1, g_{n-1}} and each T_j extends T_{j+1}."""
-    n = len(gens)
-    last = gens[n - 1]
+    T_{n-1} = {1, g_{n-1}} and each T_j extends T_{j+1}; the g_i are the
+    generators of G."""
+    n = len(G.generators)
+    last = G.generators[n - 1]
     towers = [None] * n
     towers[n - 1] = (last.inverse() * last, last)  # (identity, g_{n-1})
     for j in range(n - 2, -1, -1):
-        G = closure(list(gens[j:]))
-        H = closure(list(gens[j:-1]))
-        reps, cid = coset_partition(G, H)
+        Gj = G.sub(range(j, n))
+        reps, cid = coset_partition(Gj, G.sub(range(j, n - 1)))
         classes = [[] for _ in reps]
-        for e, c in zip(G.elements, cid):
+        for e, c in zip(Gj.elements, cid):
             classes[c].append(e)
         prev = set(towers[j + 1])
         chosen = []
@@ -105,14 +106,16 @@ class AmalgamContext:
             shared = n - 1
         if shared != n - 1:
             raise ValueError("factors must share all but the last generator")
+        factors = []
         for side, gens in (("P", p_gens), ("Q", q_gens)):
-            if not is_string_c_group(gens):
+            res = is_string_c_group(gens)
+            if not res:
                 raise NotCGroup(f"factor {side} is not a string C-group")
+            factors.append(res.group)
         self.n = n
-        self.P = closure(list(p_gens))
-        self.Q = closure(list(q_gens))
-        self.K = closure(list(p_gens[:-1]))
-        self.KQ = closure(list(q_gens[:-1]))
+        self.P, self.Q = factors
+        self.K = self.P.sub(range(n - 1))
+        self.KQ = self.Q.sub(range(n - 1))
         if self.K.order != self.KQ.order:
             raise FacetMismatch("facet subgroups have different orders")
         phi = extend_homomorphism(self.K, q_gens[:-1], target=self.KQ)
@@ -121,7 +124,7 @@ class AmalgamContext:
         self._phi = phi
         self._phi_inv = {v: k for k, v in phi.items()}
 
-        self.towers = {"P": _nested_towers(p_gens), "Q": _nested_towers(q_gens)}
+        self.towers = {"P": _nested_towers(self.P), "Q": _nested_towers(self.Q)}
         self.table = {
             "P": _decomposition_table(self.K, self.towers["P"][0]),
             "Q": _decomposition_table(self.KQ, self.towers["Q"][0]),
@@ -132,15 +135,8 @@ class AmalgamContext:
             s: [frozenset(t) for t in self.towers[s]] for s in ("P", "Q")
         }
         # K-side generator chains: <a_j..a_{n-2}> and <a_0..a_{j-1}>
-        triv = frozenset({self.K.identity})
-        self._tail_k = [
-            frozenset(closure(list(p_gens[j:-1])).elements) if j <= n - 2 else triv
-            for j in range(n)
-        ]
-        self._head_k = [
-            frozenset(closure(list(p_gens[:j])).elements) if j >= 1 else triv
-            for j in range(n)
-        ]
+        self._tail_k = [self.P.sub(range(j, n - 1)).element_set for j in range(n)]
+        self._head_k = [self.P.sub(range(j)).element_set for j in range(n)]
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
         self.identity_word = AmalgamWord(self.K.identity, ())

@@ -1,12 +1,13 @@
-"""Finite group arithmetic: closures, subgroups, cosets, intersections.
+"""Finite group arithmetic: closures, subgroups, cosets, homomorphisms.
 
 Everything here is exact and deterministic. Groups remember the BFS
 production of each element, which later powers homomorphism extension and
-word recovery without any extra group theory. Once a group is enumerated,
-its right-multiplication table (``FiniteGroup.right_table``) turns cosets
-and homomorphism checks into integer lookups on element indices: the
-coset-table view of Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, ch. 5.
+word recovery without any extra group theory, and cache the subgroups
+generated by subsets of their generators (``FiniteGroup.sub``). Once a
+group is enumerated, its right-multiplication table
+(``FiniteGroup.right_table``) turns cosets and homomorphism checks into
+integer lookups on element indices: the coset-table view of Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 5.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class FiniteGroup:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._words: tuple | None = None
         self._right: tuple | None = None
+        self._subs: dict[tuple, FiniteGroup] = {}
         self._tree_checked = False
 
     @property
@@ -66,11 +68,33 @@ class FiniteGroup:
             raise ValueError("subgroup generators not in parent group")
         return closure(gens, cap=cap) if gens else trivial_group(self.identity)
 
+    def sub(self, indices) -> "FiniteGroup":
+        """The subgroup generated by the generators at ``indices``, cached.
+
+        It closes ``[generators[i] for i in sorted(indices)]``, so its
+        element order does not depend on how the indices are given. All
+        the indices give the group itself and none the trivial group. No
+        subgroup outgrows the group, so the group's order caps the closure.
+        The cache never holds the group itself: a group that referenced
+        itself would stay alive until a full garbage collection.
+        """
+        key = tuple(sorted(set(indices)))
+        if key == tuple(range(len(self.generators))):
+            return self
+        got = self._subs.get(key)
+        if got is None:
+            got = self._subs[key] = (
+                closure([self.generators[i] for i in key], cap=self.order)
+                if key
+                else trivial_group(self.identity)
+            )
+        return got
+
     def tree(self) -> tuple:
         """The productions, checked to form a BFS tree: element 0 is the
         root and every other element has an earlier parent and a valid
-        generator index. Raises ValueError otherwise (``intersect`` results
-        carry no productions)."""
+        generator index. Raises ValueError otherwise, for a group built by
+        hand with productions that no closure made."""
         if not self._tree_checked:
             ngens = len(self.generators)
             if self.prods[0] != (-1, -1) or not all(
@@ -200,23 +224,6 @@ def coset_partition(G: FiniteGroup, H: FiniteGroup):
 
 def right_cosets(G: FiniteGroup, H: FiniteGroup) -> list:
     return coset_partition(G, H)[0]
-
-
-def intersect(H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
-    """Set intersection of two subgroups of a common parent, as a group.
-
-    The result carries no productions, so ``words``, ``coset_partition`` and
-    ``extend_homomorphism`` raise ValueError on it; use its elements only.
-    """
-    if not same_kind(H.identity, K.identity):
-        raise KindMismatch("intersecting groups of different kinds")
-    small, big = (H, K) if H.order <= K.order else (K, H)
-    common = [e for e in small.elements if e in big.element_set]
-    prods = [(-1, -1)] * len(common)
-    # keep identity first for the FiniteGroup invariant
-    common.remove(small.identity)
-    common.insert(0, small.identity)
-    return FiniteGroup(common, common, prods)
 
 
 def element_order(g, cap: int | None = None) -> int:

@@ -10,10 +10,11 @@ is checked either in full or through the reduced criterion that only needs
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, closure, element_order, intersect, trivial_group
+from .groups import FiniteGroup, closure, element_order
 
 INF = math.inf  # branch label for an unbounded pair order
 
@@ -136,7 +137,6 @@ class TailTriangleGroup:
         self.diagram = diagram
         self.n = len(self.alphas)
         self.cap = cap
-        self._subs: dict[frozenset, FiniteGroup] = {}
 
     @property
     def gens(self) -> tuple:
@@ -146,16 +146,9 @@ class TailTriangleGroup:
         return gen_name(i, self.n)
 
     def sub(self, indices) -> FiniteGroup:
-        """Cached closure of a subset of generators (index n = beta)."""
-        key = frozenset(indices)
-        got = self._subs.get(key)
-        if got is None:
-            if key:
-                got = closure([self.gens[i] for i in sorted(key)], cap=self.cap)
-            else:
-                got = trivial_group(self.group.identity)
-            self._subs[key] = got
-        return got
+        """Subgroup on a subset of generators (index n = beta), cached on
+        the group (``FiniteGroup.sub``)."""
+        return self.group.sub(indices)
 
     # distinguished subgroups of Definition-style Wythoff construction
     def gamma_P(self) -> FiniteGroup:
@@ -240,24 +233,41 @@ def _subset_pair_ok(sub_of, I: frozenset, J: frozenset):
     return None
 
 
+def _first_failure(sub_of, pairs):
+    """The first (I, J) in ``pairs`` that fails ``_subset_pair_ok``.
+
+    Returns (pairs checked, failure as (I, J, offending element) or None).
+    """
+    checked = 0
+    for checked, (I, J) in enumerate(pairs, 1):
+        bad = _subset_pair_ok(sub_of, I, J)
+        if bad is not None:
+            return checked, (I, J, bad)
+    return checked, None
+
+
+def _subset_pairs(indices):
+    """Every pair of subsets of ``indices``, smaller subsets first."""
+    indices = tuple(indices)
+    subsets = [
+        frozenset(x for b, x in enumerate(indices) if mask >> b & 1)
+        for mask in range(1 << len(indices))
+    ]
+    subsets.sort(key=len)
+    return itertools.combinations(subsets, 2)
+
+
+def _witness(n, failure):
+    I, J, bad = failure
+    names = lambda S: tuple(gen_name(i, n) for i in sorted(S))
+    return names(I), names(J), bad
+
+
 def check_intersection_full(G: TailTriangleGroup) -> IntersectionResult:
     """Eq-style condition over all pairs of generator subsets."""
-    n = G.n
-    idx = list(range(n + 1))
-    subsets = []
-    for mask in range(1 << (n + 1)):
-        subsets.append(frozenset(i for i in idx if mask >> i & 1))
-    subsets.sort(key=len)
-    checked = 0
-    for a, I in enumerate(subsets):
-        for J in subsets[a + 1 :]:
-            checked += 1
-            bad = _subset_pair_ok(G.sub, I, J)
-            if bad is not None:
-                names = lambda S: tuple(gen_name(i, n) for i in sorted(S))
-                return IntersectionResult(
-                    False, "full", checked, (names(I), names(J), bad)
-                )
+    checked, failure = _first_failure(G.sub, _subset_pairs(range(G.n + 1)))
+    if failure is not None:
+        return IntersectionResult(False, "full", checked, _witness(G.n, failure))
     return IntersectionResult(True, "full", checked)
 
 
@@ -286,26 +296,12 @@ def is_string_c_group(gens, cap=None) -> StringGroupResult:
                     False, f"generators {i},{j} do not commute", None, None
                 )
     G = closure(gens, cap=cap)
-    subs: dict[frozenset, FiniteGroup] = {}
-
-    def sub_of(key: frozenset) -> FiniteGroup:
-        if key not in subs:
-            subs[key] = (
-                closure([gens[i] for i in sorted(key)], cap=cap)
-                if key
-                else trivial_group(G.identity)
-            )
-        return subs[key]
-
-    subsets = [
-        frozenset(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)
-    ]
-    for a, I in enumerate(subsets):
-        for J in subsets[a + 1 :]:
-            if _subset_pair_ok(sub_of, I, J) is not None:
-                return StringGroupResult(
-                    False, f"intersection fails for {sorted(I)},{sorted(J)}", None, None
-                )
+    _, failure = _first_failure(G.sub, _subset_pairs(range(r)))
+    if failure is not None:
+        I, J, _ = failure
+        return StringGroupResult(
+            False, f"intersection fails for {sorted(I)},{sorted(J)}", None, None
+        )
     return StringGroupResult(True, None, G, schlafli_type(gens, cap=cap))
 
 
@@ -317,63 +313,55 @@ def schlafli_type(gens, cap=None) -> list:
     ]
 
 
+def _reduced_pairs(alphas: tuple, b: int) -> list:
+    """The 2m-1 pairs of the reduced criterion for the tail-triangle group on
+    generator indices ``alphas`` (m of them) and ``b``: Gamma^P with
+    Gamma^Q, then Gamma_i^+ with Gamma^P and with Gamma^Q, i = 0..m-2."""
+    P = frozenset(alphas)
+    Q = frozenset(alphas[:-1] + (b,))
+    pairs = [(P, Q)]
+    for i in range(len(alphas) - 1):
+        plus = frozenset(alphas[i + 1 :] + (b,))
+        pairs += [(plus, P), (plus, Q)]
+    return pairs
+
+
 def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
     """Reduced criterion: 2n-1 intersections, given C-group facet subgroups.
 
-    Preconditions (checked recursively, reported distinctly from genuine
-    intersection failures): <alphas> and <alphas minus last, beta> are string
-    C-groups and Gamma_0 = <a1..a_{n-1},b> is a tail-triangle C-group.
+    Preconditions, reported apart from genuine intersection failures: the
+    facet subgroups <a0..a_{n-1}> and <a0..a_{n-2},b> are string C-groups
+    and Gamma_0 = <a1..a_{n-1},b> is a tail-triangle C-group.
+
+    Everything runs on generator index sets of ``G.group`` through its
+    subgroup cache, so no subgroup is enumerated twice. Only intersection
+    conditions are left to check, because ``verify_tail_triangle`` already
+    made G: its generators are distinct involutions, and every pair the
+    diagram labels 2 commutes. The non-adjacent pairs of either facet
+    string are such pairs, so both facet groups satisfy the string
+    conditions, and Gamma_0's generators and pair labels are G's, so it is
+    a tail-triangle group. The facet groups are C-groups when all their
+    subset pairs pass. Gamma_0 is then a C-group by the same criterion one
+    rank down, and so on by recursion on the index tuples a_k..a_{n-1},b
+    for k = 1..n-1. At each level the facet groups are generated by subsets
+    of the generators of G's facet groups, so they are C-groups already,
+    and only the level's own 2(n-k)-1 conditions remain.
     """
     n = G.n
-    names = lambda S: tuple(gen_name(i, n) for i in sorted(S))
+    alphas = tuple(range(n))
+    fails = lambda pairs: _first_failure(G.group.sub, pairs)[1] is not None
 
     def fail_pre(msg):
         return IntersectionResult(False, "reduced", 0, None, msg)
 
     if n >= 2:
-        if not is_string_c_group(G.alphas, cap=G.cap):
+        if fails(_subset_pairs(alphas)):
             return fail_pre("facet subgroup <a0..a_{n-1}> is not a string C-group")
-        if not is_string_c_group(G.alphas[:-1] + (G.beta,), cap=G.cap):
+        if fails(_subset_pairs(alphas[:-1] + (n,))):
             return fail_pre("facet subgroup <a0..a_{n-2},b> is not a string C-group")
-        try:
-            sub_tt = verify_tail_triangle(G.alphas[1:], G.beta, cap=G.cap)
-        except (NotInvolution, CommutationViolation, ValueError) as exc:
-            return fail_pre(f"Gamma_0 is not a tail-triangle group: {exc}")
-        sub_res = check_intersection_reduced(sub_tt)
-        if not sub_res:
+        if any(fails(_reduced_pairs(alphas[k:], n)) for k in range(n - 1, 0, -1)):
             return fail_pre("Gamma_0 = <a1..a_{n-1},b> is not a C-group")
-
-    def expect(got_pair, want: FiniteGroup, I, J):
-        """<I> cap <J> must equal `want` (already known <= both)."""
-        meet = intersect(got_pair[0], got_pair[1])
-        if meet.element_set == want.element_set:
-            return None
-        bad = next(e for e in meet.elements if e not in want.element_set)
-        return IntersectionResult(False, "reduced", checked, (names(I), names(J), bad))
-
-    checked = 0
-    # condition 1: Gamma_n^P cap Gamma_n^Q = <a0..a_{n-2}>
-    P_idx = frozenset(range(n))
-    Q_idx = frozenset(list(range(n - 1)) + [n])
-    checked += 1
-    r = expect((G.gamma_P(), G.gamma_Q()), G.sub(range(n - 1)), P_idx, Q_idx)
-    if r is not None:
-        return r
-    # conditions 2..2n-1: Gamma_i^+ cap each facet subgroup, i = 0..n-2
-    for i in range(n - 1):
-        plus_idx = frozenset(list(range(i + 1, n)) + [n])
-        plus = G.gamma_plus(i)
-        checked += 1
-        r = expect((plus, G.gamma_P()), G.sub(range(i + 1, n)), plus_idx, P_idx)
-        if r is not None:
-            return r
-        checked += 1
-        r = expect(
-            (plus, G.gamma_Q()),
-            G.sub(list(range(i + 1, n - 1)) + [n]),
-            plus_idx,
-            Q_idx,
-        )
-        if r is not None:
-            return r
+    checked, failure = _first_failure(G.group.sub, _reduced_pairs(alphas, n))
+    if failure is not None:
+        return IntersectionResult(False, "reduced", checked, _witness(n, failure))
     return IntersectionResult(True, "reduced", checked)

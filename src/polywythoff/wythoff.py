@@ -276,10 +276,7 @@ def build_regular(gens, cap=None) -> FacePoset:
         raise UnverifiedGroup(f"not a string C-group: {res.reason}")
     G = res.group
     r = len(gens)
-    levels = []
-    for j in range(r):
-        sub = G.subgroup([g for i, g in enumerate(gens) if i != j], cap=cap)
-        levels.append([(f"G_{j}", sub)])
+    levels = [[(f"G_{j}", G.sub(i for i in range(r) if i != j))] for j in range(r)]
     return _assemble(G, levels)
 
 

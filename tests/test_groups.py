@@ -9,7 +9,6 @@ from polywythoff.groups import (
     coset_partition,
     element_order,
     extend_homomorphism,
-    intersect,
     right_cosets,
     trivial_group,
 )
@@ -103,35 +102,6 @@ def test_right_cosets_requires_subgroup():
     H = closure([parse_perm("(1,2,3)", 3)])
     with pytest.raises(ValueError):
         right_cosets(G, H)
-
-
-def test_intersect():
-    rho = tomotope_gens()
-    G = closure(rho)
-    P = G.subgroup(rho[:3])
-    Q = G.subgroup([rho[0], rho[1], rho[3]])
-    ridge = G.subgroup(rho[:2])
-    meet = intersect(P, Q)
-    assert meet.element_set == ridge.element_set
-    assert meet.order == 6
-    assert intersect(P, P).element_set == P.element_set
-    assert intersect(Q, P).element_set == meet.element_set
-    a = closure([rho[0]])
-    b = closure([rho[1]])
-    assert intersect(a, b).order == 1
-
-
-def test_intersect_result_has_no_words():
-    # intersect() keeps no productions, so nothing may walk its words
-    rho = tomotope_gens()
-    G = closure(rho)
-    meet = intersect(G.subgroup(rho[:3]), G.subgroup([rho[0], rho[1], rho[3]]))
-    with pytest.raises(ValueError, match="BFS tree"):
-        meet.words()
-    with pytest.raises(ValueError, match="BFS tree"):
-        coset_partition(meet, trivial_group(meet.identity))
-    with pytest.raises(ValueError, match="BFS tree"):
-        extend_homomorphism(meet, meet.generators, target=meet)
 
 
 @pytest.mark.parametrize(
