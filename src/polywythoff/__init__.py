@@ -15,7 +15,6 @@ from .groups import (
     closure,
     element_order,
     right_cosets,
-    subgroup,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "closure",
     "element_order",
     "right_cosets",
-    "subgroup",
     "__version__",
 ]

@@ -7,16 +7,24 @@ Pi = P *_K Q has a unique reduced decomposition
     mu = kappa * tau_1 * ... * tau_m
 
 with kappa in K and the tau_i nontrivial transversal representatives taken
-alternately from the two factors.  The transversals are nested along the
-generator chain, which makes membership in the distinguished subgroups of
-Pi decidable by looking at the normal form alone.  On top of that we get a
-bounded-radius exploration of the universal semiregular polytope whose
-facets are copies of P and Q.
+alternately from the two factors: the normal-form theorem for amalgamated
+free products (Serre, *Trees*, §1.1-1.2; Lyndon and Schupp, *Combinatorial
+Group Theory*, ch. IV.2).  The transversals are nested along the generator
+chain (``_nested_towers``), which fixes every printed normal form.
+
+The face subgroups Gamma_j (Gamma_{n-1} = K), the facet groups P, Q and
+Pi_j+ are sub-amalgams H = <H_P, H_Q>, on generator subsets that agree
+below n-1; the intersection property of the C-groups P and Q gives
+H_P ∩ K = H_Q ∩ K = H_K.  So every element of H is an element of H_K
+followed by syllables alternately in H_P \\ H_K and H_Q \\ H_K, all outside K,
+and the normal form of w yields a canonical key of the right coset H*w
+(``AmalgamContext.coset_key``).  Membership and the faces of the
+bounded-radius ball of the universal semiregular polytope are key lookups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
 from .groups import closure  # noqa: F401  kept for perfbench/tracing.py, which spans it
@@ -131,20 +139,23 @@ class AmalgamContext:
         }
         if len(self.table["P"]) != self.P.order or len(self.table["Q"]) != self.Q.order:
             raise FacetMismatch("transversal does not cover the factor")
-        self._tower_sets = {
-            s: [frozenset(t) for t in self.towers[s]] for s in ("P", "Q")
-        }
-        # K-side generator chains: <a_j..a_{n-2}> and <a_0..a_{j-1}>
-        self._tail_k = [self.P.sub(range(j, n - 1)).element_set for j in range(n)]
-        self._head_k = [self.P.sub(range(j)).element_set for j in range(n)]
+        # _syllable[side][tau][k]: index in the factor of K.elements[k] * tau
+        self._syllable = {}
+        for side, G in (("P", self.P), ("Q", self.Q)):
+            rows = {tau: [0] * self.K.order for tau in self.towers[side][0]}
+            for h, (kap, tau) in self.table[side].items():
+                rows[tau][self.K.index_of(self._to_p(side, kap))] = G.index_of(h)
+            self._syllable[side] = {tau: tuple(row) for tau, row in rows.items()}
+        # generator indices (I_P, I_Q) of each sub-amalgam: "G_j" = Gamma_j,
+        # "P", "Q" and "Pi_j+"; _keys holds their key data once used
+        full = tuple(range(n))
+        self._kinds = {f"G_{j}": (full[:j] + full[j + 1:],) * 2 for j in full}
+        self._kinds.update(P=(full, full[:-1]), Q=(full[:-1], full))
+        self._kinds.update({f"Pi_{j}+": (full[j + 1:],) * 2 for j in range(-1, n - 1)})
+        self._keys = {}
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
         self.identity_word = AmalgamWord(self.K.identity, ())
-        # inverses of <a_0..a_{j-1}> as words, per j
-        self._head_words = tuple(
-            tuple(self.inject("P", a.inverse()) for a in sorted(head, key=lambda e: e.key))
-            for head in self._head_k
-        )
 
     # -------------------------------------------------------- normal forms
 
@@ -219,46 +230,69 @@ class AmalgamContext:
                 out.append("b" if side == "Q" and gi == self.n - 1 else f"a{gi}")
         return tuple(out)
 
-    # ---------------------------------------------------------- membership
+    # ---------------------------------------------------------- coset keys
+
+    def _key_data(self, kind):
+        """Per side S, cid[S][x] = H_S-coset of factor element x and
+        land[S][c] = least K-index in coset c (-1 if none); kcid[k] =
+        H_P-coset of K-element k, which names its H_K-coset."""
+        data = self._keys.get(kind)
+        if data is None:
+            if kind not in self._kinds:
+                raise ValueError(f"bad coset kind {kind!r}")
+            cid, land = {}, {}
+            for side, G, idx in zip("PQ", (self.P, self.Q), self._kinds[kind]):
+                reps, c = coset_partition(G, G.sub(idx))
+                hit = [-1] * len(reps)
+                for k, x in enumerate(self._syllable[side][self.towers[side][0][0]]):
+                    if hit[c[x]] < 0:
+                        hit[c[x]] = k
+                cid[side], land[side] = tuple(c), tuple(hit)
+            unit = self._syllable["P"][self.towers["P"][0][0]]
+            data = self._keys[kind] = (cid, land, tuple(cid["P"][x] for x in unit))
+        return data
+
+    def coset_key(self, kind: str, w: AmalgamWord):
+        """Key of the right coset H*w, H the sub-amalgam "G_j", "P", "Q" or
+        "Pi_j+": equal keys iff the same coset.
+
+        Walk w = kappa * tau_1 ... tau_m with a carry c in K, keeping
+        H*w = H*c*tau_i ... tau_m: if H_S*(c*tau_i), S the side of tau_i,
+        meets K, c moves to a K-element of it. Else the key is
+        (S, H_S*(c*tau_i), (tau_{i+1}, ..., tau_m)), and ("K", H_K*c) when
+        every syllable is absorbed. This is canonical: with x = c*tau_i and
+        r = x*tau_{i+1} ... tau_m, an h in H merges at most its last
+        syllable (in H_S \\ H_K) into x when left-multiplying r, and that
+        product misses K. So the shortest elements of H*r are exactly
+        H_S*r, and their normal forms give back S, H_S*x and the taus.
+        """
+        self._check_word(w)
+        cid, land, kcid = self._key_data(kind)
+        syllable = self._syllable
+        carry = self.K.index_of(w.kappa)
+        for i, (side, tau) in enumerate(w.taus):
+            c = cid[side][syllable[side][tau][carry]]
+            carry = land[side][c]
+            if carry < 0:
+                return (side, c, w.taus[i + 1:])
+        return ("K", kcid[carry])
+
+    def _in(self, kind, w):
+        return self.coset_key(kind, w) == self.coset_key(kind, self.identity_word)
 
     def in_pi_plus(self, w: AmalgamWord, j: int) -> bool:
-        """Membership in Pi_j+ = <a_{j+1},...,a_{n-1}, b> for -1 <= j <= n-2:
-        kappa must lie in <a_{j+1}..a_{n-2}> and every transversal element in
-        the level-(j+1) tower of its side."""
-        if not -1 <= j <= self.n - 2:
-            raise ValueError(f"invalid rank {j}")
-        if w.kappa not in self._tail_k[j + 1]:
-            return False
-        return all(t in self._tower_sets[s][j + 1] for s, t in w.taus)
+        """Membership in Pi_j+ = <a_{j+1},...,a_{n-1}, b> for -1 <= j <= n-2."""
+        return self._in(f"Pi_{j}+", w)
 
     def in_gamma(self, w: AmalgamWord, j: int) -> bool:
         """Membership in the j-face subgroup Gamma_j (all generators but a_j
         for j <= n-2; Gamma_{n-1} = K)."""
-        if j == self.n - 1:
-            return w.taus == ()
-        if not 0 <= j <= self.n - 2:
-            raise ValueError(f"invalid rank {j}")
-        # Gamma_j = <a_0..a_{j-1}> x Pi_j+, the factors commute
-        return any(self.in_pi_plus(self.multiply(w, ai), j) for ai in self._head_words[j])
+        return self._in(f"G_{j}", w)
 
     def in_facet(self, w: AmalgamWord, kind: str) -> bool:
         if kind not in ("P", "Q"):
             raise ValueError(f"bad facet kind {kind!r}")
-        return w.length == 0 or (w.length == 1 and w.taus[0][0] == kind)
-
-    def _incident(self, low_rank, z, high_rank, high_kind):
-        """Is Gamma_low * u incident to Gamma_high * w, given z = u * w^-1?"""
-        if high_kind in ("P", "Q"):
-            if low_rank == self.n - 1:  # K * Facet = Facet
-                return self.in_facet(z, high_kind)
-            scan = (self.inject(high_kind, g.inverse())
-                    for g in (self.P if high_kind == "P" else self.Q).elements)
-        elif high_rank == self.n - 1:
-            scan = (self.inject("P", g.inverse()) for g in self.K.elements)
-        else:
-            # Gamma_j * Gamma_k = Gamma_j * <a_0..a_{k-1}> since Pi_k+ <= Gamma_j
-            scan = self._head_words[high_rank]
-        return any(self.in_gamma(self.multiply(z, g), low_rank) for g in scan)
+        return self._in(kind, w)
 
     # -------------------------------------------------------------- balls
 
@@ -290,67 +324,53 @@ class Ball:
     radius: int
     poset: FacePoset
     elements: tuple
+    # (rank, kind) -> {coset key: face}
+    index: dict = field(compare=False, repr=False)
 
     def find_face(self, rank, kind, word):
         """The ball face whose coset contains the given element, if any."""
-        ctx = self.ctx
-        for f in self.poset.faces(rank):
-            if f.kind != kind:
-                continue
-            z = ctx.multiply(word, ctx.inverse(f.rep))
-            if kind in ("P", "Q"):
-                if ctx.in_facet(z, kind):
-                    return f
-            elif ctx.in_gamma(z, rank):
-                return f
-        return None
+        faces = self.index.get((rank, kind))
+        return None if faces is None else faces.get(self.ctx.coset_key(kind, word))
 
 
 def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
     """Partial face poset of the universal polytope: every coset face owning
-    a representative of transversal length <= radius."""
+    a representative of transversal length <= radius, represented by its
+    first ball element in BFS order.
+
+    A face Gamma_{r-1}*u lies under H*w iff it is Gamma_{r-1}*h*w for an h in
+    H, and only the coset (Gamma_{r-1} ∩ H)*h matters. For a facet these are
+    the cosets of K (transversal T_P or T_Q). For H = Gamma_r =
+    <a_0..a_{r-1}> * Pi_r+, both Pi_r+ and <a_0..a_{r-2}> lie in
+    Gamma_{r-1}, so the cosets of <a_0..a_{r-2}> in <a_0..a_{r-1}> suffice.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     elems = ctx.ball_elements(radius)
     n = ctx.n
-
-    def collect(rank, kind):
-        faces, invs = [], []
+    kinds = [(j, f"G_{j}") for j in range(n)] + [(n, "P"), (n, "Q")]
+    index = {}
+    levels = {r: [] for r in range(-1, n + 2)}
+    for rank, kind in kinds:
+        faces = index[rank, kind] = {}
         for w in elems:
-            hit = False
-            for f, inv in zip(faces, invs):
-                z = ctx.multiply(w, inv)
-                if ctx.in_facet(z, kind) if kind in ("P", "Q") else ctx.in_gamma(z, rank):
-                    hit = True
-                    break
-            if not hit:
-                faces.append(Face(rank, kind if kind in ("P", "Q") else f"G_{rank}", w))
-                invs.append(ctx.inverse(w))
-        return faces, invs
-
-    levels = {}
-    inv_of = {}
-    for j in range(n):
-        levels[j], invs = collect(j, f"G_{j}")
-        inv_of.update(zip(levels[j], invs))
-    facets = []
-    for kind in ("P", "Q"):
-        fs, invs = collect(n, kind)
-        facets.extend(fs)
-        inv_of.update(zip(fs, invs))
-    levels[n] = facets
-
+            faces.setdefault(ctx.coset_key(kind, w), Face(rank, kind, w))
+        levels[rank].extend(faces.values())
     bot, top = Face(-1, "bot", None), Face(n + 1, "top", None)
+    levels[-1], levels[n + 1] = [bot], [top]
     covers = [(bot, v) for v in levels[0]] + [(f, top) for f in levels[n]]
-    for j in range(n):
-        for high in levels[j + 1]:
-            for low in levels[j]:
-                z = ctx.multiply(low.rep, inv_of[high])
-                if ctx._incident(j, z, high.rank, high.kind):
-                    covers.append((low, high))
-    faces_by_rank = {-1: [bot], n + 1: [top]}
-    faces_by_rank.update(levels)
-    return Ball(ctx, radius, FacePoset(faces_by_rank, covers), tuple(elems))
+    for rank, kind in kinds[1:]:
+        if kind in ("P", "Q"):
+            scan = [ctx.inject(kind, t) for t in ctx.towers[kind][0]]
+        else:
+            reps = coset_partition(ctx.P.sub(range(rank)), ctx.P.sub(range(rank - 1)))[0]
+            scan = [ctx.inject("P", g) for g in reps]
+        low_kind = f"G_{rank - 1}"
+        lows = index[rank - 1, low_kind]
+        for high in index[rank, kind].values():
+            found = {lows.get(ctx.coset_key(low_kind, ctx.multiply(h, high.rep))) for h in scan}
+            covers.extend((low, high) for low in found if low is not None)
+    return Ball(ctx, radius, FacePoset(levels, covers), tuple(elems), index)
 
 
 # ------------------------------------------------------------ global facts
@@ -366,28 +386,19 @@ class RidgeSectionReport:
 def ridge_section(ctx: AmalgamContext, radius: int) -> RidgeSectionReport:
     """Walk the 2-section around the base co-rank-2 face: ridges K*d_t for
     alternating dihedral prefixes d_t of a_{n-1}, b.  The section is an
-    apeirogon iff the walk never revisits a ridge coset."""
-    prefixes = [[]]
+    apeirogon iff the walk never revisits a ridge coset, that is iff the
+    K-keys of the prefixes are distinct."""
+    steps = (ctx.normalize([f"a{ctx.n - 1}"]), ctx.normalize(["b"]))
+    words = [ctx.identity_word]
     for t in range(2 * radius):
-        prefixes.append(prefixes[-1] + [f"a{ctx.n - 1}" if t % 2 == 0 else "b"])
-    words = [ctx.normalize(p) for p in prefixes]
-    invs = [ctx.inverse(w) for w in words]
-    is_open = all(
-        ctx.multiply(words[i], invs[j]).taus != ()
-        for i in range(len(words))
-        for j in range(i)
-    )
+        words.append(ctx.multiply(words[-1], steps[t % 2]))
     # consecutive ridges share a facet of alternating kind by construction;
     # verify the facet cosets of equal kind are pairwise distinct as well
-    alternating = True
-    for kind, start in (("P", 0), ("Q", 1)):
-        fs = words[start::2]
-        fi = invs[start::2]
-        for i in range(len(fs)):
-            for j in range(i):
-                if ctx.in_facet(ctx.multiply(fs[i], fi[j]), kind):
-                    alternating = False
-    return RidgeSectionReport(is_open, len(words), alternating)
+    is_open, p_ok, q_ok = (
+        len({ctx.coset_key(kind, w) for w in ws}) == len(ws)
+        for kind, ws in ((f"G_{ctx.n - 1}", words), ("P", words[0::2]), ("Q", words[1::2]))
+    )
+    return RidgeSectionReport(is_open, len(words), p_ok and q_ok)
 
 
 def dihedral_order_unbounded(ctx: AmalgamContext, up_to: int) -> bool:

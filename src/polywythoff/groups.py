@@ -62,12 +62,6 @@ class FiniteGroup:
     def is_subgroup_of(self, other: "FiniteGroup") -> bool:
         return self.element_set <= other.element_set
 
-    def subgroup(self, gens, cap: int | None = None) -> "FiniteGroup":
-        gens = tuple(gens)
-        if not all(g in self.element_set for g in gens):
-            raise ValueError("subgroup generators not in parent group")
-        return closure(gens, cap=cap) if gens else trivial_group(self.identity)
-
     def sub(self, indices) -> "FiniteGroup":
         """The subgroup generated by the generators at ``indices``, cached.
 
@@ -167,6 +161,12 @@ def closure(generators, cap: int | None = None) -> FiniteGroup:
             raise CapExceeded(f"closure exceeded cap of {cap} elements")
         elems = [Perm._raw(t) for t in raw[0]]
     elif isinstance(first, MatModP):
+        # the compiled kernel sums dim products of entries below p in a C long
+        if first.dim * (first.p - 1) ** 2 >= 2**63:
+            raise ValueError(
+                f"modulus {first.p} too large for {first.dim}x{first.dim} matrices: "
+                "need dim*(p-1)^2 < 2^63"
+            )
         raw = kernels.close_mats(
             [g.entries for g in generators], first.dim, first.p, cap
         )
@@ -176,10 +176,6 @@ def closure(generators, cap: int | None = None) -> FiniteGroup:
     else:
         raise KindMismatch(f"unknown element kind: {type(first)!r}")
     return FiniteGroup(generators, elems, raw[1])
-
-
-def subgroup(parent: FiniteGroup, gens, cap: int | None = None) -> FiniteGroup:
-    return parent.subgroup(gens, cap=cap)
 
 
 def coset_partition(G: FiniteGroup, H: FiniteGroup):

@@ -1,21 +1,140 @@
+"""Amalgam normal forms, coset keys and balls.
+
+``TowerOracle`` is the exhaustive oracle: membership in Gamma_j by the
+nested transversal towers (Pi_j+ membership read off the
+normal form, Gamma_j = <a_0..a_{j-1}> x Pi_j+), and a ball that tests each
+element against every face found so far and every pair of faces on
+adjacent ranks. The production code reads canonical coset keys instead.
+"""
+
 import gc
+import hashlib
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywythoff.amalgam import (
     AmalgamContext,
     AmalgamWord,
     FacetMismatch,
     NotCGroup,
+    RidgeSectionReport,
     dihedral_order_unbounded,
     enumerate_ball,
     ridge_section,
     universal_is_regular,
 )
 from polywythoff.fixtureio import builtin_fixture
-from polywythoff.wythoff import build_regular, facet_section, poset_isomorphic
+from polywythoff.wythoff import (
+    Face,
+    FacePoset,
+    build_regular,
+    export_hasse,
+    facet_section,
+    poset_isomorphic,
+)
+
+
+class TowerOracle:
+    """Pairwise coset tests on top of the context's normal forms."""
+
+    def __init__(self, ctx):
+        n = ctx.n
+        self.ctx = ctx
+        self.tower_sets = {s: [frozenset(t) for t in ctx.towers[s]] for s in "PQ"}
+        # K-side generator chains: <a_j..a_{n-2}> and <a_0..a_{j-1}>
+        self.tail_k = [ctx.P.sub(range(j, n - 1)).element_set for j in range(n)]
+        head_k = [ctx.P.sub(range(j)).element_set for j in range(n)]
+        # inverses of <a_0..a_{j-1}> as words, per j
+        self.head_words = tuple(
+            tuple(ctx.inject("P", a.inverse()) for a in sorted(head, key=lambda e: e.key))
+            for head in head_k
+        )
+
+    def in_pi_plus(self, w, j):
+        """kappa in <a_{j+1}..a_{n-2}> and every transversal element in the
+        level-(j+1) tower of its side."""
+        if w.kappa not in self.tail_k[j + 1]:
+            return False
+        return all(t in self.tower_sets[s][j + 1] for s, t in w.taus)
+
+    def in_gamma(self, w, j):
+        if j == self.ctx.n - 1:
+            return w.taus == ()
+        # Gamma_j = <a_0..a_{j-1}> x Pi_j+, the factors commute
+        return any(self.in_pi_plus(self.ctx.multiply(w, ai), j) for ai in self.head_words[j])
+
+    def in_facet(self, w, kind):
+        return w.length == 0 or (w.length == 1 and w.taus[0][0] == kind)
+
+    def contains(self, kind, w):
+        if kind in ("P", "Q"):
+            return self.in_facet(w, kind)
+        if kind.startswith("Pi_"):
+            return self.in_pi_plus(w, int(kind[3:-1]))
+        return self.in_gamma(w, int(kind[2:]))
+
+    def incident(self, low_rank, z, high_rank, high_kind):
+        """Is Gamma_low * u incident to Gamma_high * w, given z = u * w^-1?"""
+        ctx = self.ctx
+        if high_kind in ("P", "Q"):
+            if low_rank == ctx.n - 1:  # K * Facet = Facet
+                return self.in_facet(z, high_kind)
+            scan = (ctx.inject(high_kind, g.inverse())
+                    for g in (ctx.P if high_kind == "P" else ctx.Q).elements)
+        elif high_rank == ctx.n - 1:
+            scan = (ctx.inject("P", g.inverse()) for g in ctx.K.elements)
+        else:
+            # Gamma_j * Gamma_k = Gamma_j * <a_0..a_{k-1}> since Pi_k+ <= Gamma_j
+            scan = self.head_words[high_rank]
+        return any(self.in_gamma(ctx.multiply(z, g), low_rank) for g in scan)
+
+    def ball(self, radius):
+        ctx, n = self.ctx, self.ctx.n
+        elems = ctx.ball_elements(radius)
+
+        def collect(rank, kind):
+            faces, invs = [], []
+            for w in elems:
+                if not any(self.contains(kind, ctx.multiply(w, inv)) for inv in invs):
+                    faces.append(Face(rank, kind, w))
+                    invs.append(ctx.inverse(w))
+            return faces
+
+        levels = {j: collect(j, f"G_{j}") for j in range(n)}
+        levels[n] = collect(n, "P") + collect(n, "Q")
+        bot, top = Face(-1, "bot", None), Face(n + 1, "top", None)
+        covers = [(bot, v) for v in levels[0]] + [(f, top) for f in levels[n]]
+        for j in range(n):
+            for high in levels[j + 1]:
+                inv = ctx.inverse(high.rep)
+                for low in levels[j]:
+                    if self.incident(j, ctx.multiply(low.rep, inv), high.rank, high.kind):
+                        covers.append((low, high))
+        return FacePoset({-1: [bot], n + 1: [top], **levels}, covers)
+
+    def ridge_section(self, radius):
+        ctx = self.ctx
+        prefixes = [[]]
+        for t in range(2 * radius):
+            prefixes.append(prefixes[-1] + [f"a{ctx.n - 1}" if t % 2 == 0 else "b"])
+        words = [ctx.normalize(p) for p in prefixes]
+        invs = [ctx.inverse(w) for w in words]
+        is_open = all(
+            ctx.multiply(words[i], invs[j]).taus != ()
+            for i in range(len(words))
+            for j in range(i)
+        )
+        alternating = not any(
+            self.in_facet(ctx.multiply(words[i], invs[j]), kind)
+            for kind, start in (("P", 0), ("Q", 1))
+            for i in range(start, len(words), 2)
+            for j in range(start, i, 2)
+        )
+        return RidgeSectionReport(is_open, len(words), alternating)
 
 
 def gens(name):
@@ -225,9 +344,166 @@ def test_word_str_and_key(tetoct):
 
 
 def test_dropped_context_is_collected():
-    ctx = AmalgamContext(gens("tet.sg"), gens("oct.sg"))
-    assert ctx.in_gamma(ctx.normalize(["a0", "a1"]), 0) is False
-    ref = weakref.ref(ctx)
-    del ctx
-    gc.collect()
-    assert ref() is None
+    # the key data are plain tuples and dicts: no reference cycle keeps a
+    # context alive until a full collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = AmalgamContext(gens("tet.sg"), gens("oct.sg"))
+        assert ctx.in_gamma(ctx.normalize(["a0", "a1"]), 0) is False
+        assert ctx.in_pi_plus(ctx.normalize(["a2", "b"]), 1)
+        assert ctx.in_facet(ctx.normalize(["a2", "b"]), "Q") is False
+        assert ridge_section(ctx, 2).is_open
+        enumerate_ball(ctx, 1)
+        ref = weakref.ref(ctx)
+        del ctx  # freed by its reference count
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+PAIRS = [
+    ("tet.sg", "oct.sg"),
+    ("tet.sg", "tet.sg"),
+    ("oct.sg", "tet.sg"),
+    ("hexagon.sg", "hexagon.sg"),
+    ("triangle.sg", "triangle.sg"),
+]
+_CONTEXTS = {}
+
+
+def context(pair):
+    if pair not in _CONTEXTS:
+        ctx = AmalgamContext(gens(pair[0]), gens(pair[1]))
+        _CONTEXTS[pair] = (ctx, TowerOracle(ctx))
+    return _CONTEXTS[pair]
+
+
+def kinds(n):
+    return [f"G_{j}" for j in range(n)] + ["P", "Q"]
+
+
+def kind_letters(n, kind):
+    """Generator names of the subgroup of that kind."""
+    if kind == "P":
+        return [f"a{i}" for i in range(n)]
+    if kind == "Q":
+        return [f"a{i}" for i in range(n - 1)] + ["b"]
+    if kind.startswith("Pi_"):
+        return [f"a{i}" for i in range(int(kind[3:-1]) + 1, n)] + ["b"]
+    j = int(kind[2:])
+    return [f"a{i}" for i in range(n) if i != j] + (["b"] if j < n - 1 else [])
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("pair", PAIRS[:4], ids="/".join)
+def test_ball_matches_pairwise_oracle(pair, radius):
+    ctx, oracle = context(pair)
+    ball = enumerate_ball(ctx, radius)
+    assert export_hasse(ball.poset) == export_hasse(oracle.ball(radius))
+
+
+letter_words = st.lists(st.sampled_from(["a0", "a1", "a2", "b"]), max_size=12)
+
+
+def in_context(ctx, letters):
+    names = set(ctx.letters)
+    return [x for x in letters if x in names]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_coset_keys_match_tower_oracle(data):
+    ctx, oracle = context(data.draw(st.sampled_from(PAIRS), label="pair"))
+    n = ctx.n
+    u = ctx.normalize(in_context(ctx, data.draw(letter_words, label="u")))
+    pis = [f"Pi_{j}+" for j in range(-1, n - 1)]
+    for kind in kinds(n) + pis:
+        # w = v * u with v in the subgroup half of the time
+        pool = kind_letters(n, kind) if data.draw(st.booleans()) else sorted(ctx.letters)
+        v = ctx.normalize(data.draw(st.lists(st.sampled_from(pool), max_size=8), label=kind))
+        w = ctx.multiply(v, u)
+        for x, y in ((u, w), (u, v)):
+            z = ctx.multiply(x, ctx.inverse(y))
+            if kind.startswith("Pi_"):
+                assert ctx.in_pi_plus(z, int(kind[3:-1])) == oracle.contains(kind, z)
+            else:
+                same = ctx.coset_key(kind, x) == ctx.coset_key(kind, y)
+                assert same == oracle.contains(kind, z), (kind, str(x), str(y))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PAIRS), letter_words)
+def test_word_letters_round_trip(pair, letters):
+    ctx, _ = context(pair)
+    w = ctx.normalize(in_context(ctx, letters))
+    assert ctx.normalize(ctx.word_letters(w)) == w
+
+
+def test_membership_matches_tower_oracle(tetoct):
+    oracle = TowerOracle(tetoct)
+    for w in enumerate_ball(tetoct, 1).elements:
+        for j in range(tetoct.n):
+            assert tetoct.in_gamma(w, j) == oracle.in_gamma(w, j)
+        for j in range(-1, tetoct.n - 1):
+            assert tetoct.in_pi_plus(w, j) == oracle.in_pi_plus(w, j)
+        for kind in "PQ":
+            assert tetoct.in_facet(w, kind) == oracle.in_facet(w, kind)
+
+
+def test_coset_key_rejects_bad_kinds(tetoct):
+    w = tetoct.normalize(["a2", "b"])
+    for kind in ("G_3", "G_-1", "G_x", "Pi_2+", "Pi_-2+", "R", "K"):
+        with pytest.raises(ValueError):
+            tetoct.coset_key(kind, w)
+
+
+def test_find_face_matches_oracle(tetoct):
+    oracle = TowerOracle(tetoct)
+    ball = enumerate_ball(tetoct, 1)
+    rng = random.Random(13)
+    names = sorted(tetoct.letters)
+    for _ in range(40):
+        w = tetoct.normalize([rng.choice(names) for _ in range(rng.randint(0, 6))])
+        for rank, kind in [(j, f"G_{j}") for j in range(tetoct.n)] + [(3, "P"), (3, "Q")]:
+            want = [
+                f for f in ball.poset.faces(rank)
+                if f.kind == kind
+                and oracle.contains(kind, tetoct.multiply(w, tetoct.inverse(f.rep)))
+            ]
+            assert ball.find_face(rank, kind, w) == (want[0] if want else None)
+    assert ball.find_face(2, "G_1", tetoct.identity_word) is None
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids="/".join)
+def test_ridge_section_matches_oracle(pair):
+    ctx, oracle = context(pair)
+    for radius in range(7):
+        assert ridge_section(ctx, radius) == oracle.ridge_section(radius)
+
+
+def test_ridge_section_multiplies_once_per_step(tetoct, monkeypatch):
+    calls = []
+    multiply = AmalgamContext.multiply
+
+    def counted(self, w1, w2):
+        calls.append(1)
+        return multiply(self, w1, w2)
+
+    monkeypatch.setattr(AmalgamContext, "multiply", counted)
+    assert ridge_section(tetoct, 12).ridges_checked == 25
+    assert len(calls) == 24
+
+
+RADIUS_THREE_SHA256 = "1d2941763279c5279c0233f0ab665788b32a7dde3baaf68889940d01dbdb121e"
+
+
+def test_ball_radius_three(tetoct):
+    # the face counts and the Hasse digest were checked once against
+    # TowerOracle.ball(3), which takes about a minute
+    ball = enumerate_ball(tetoct, 3)
+    assert [len(ball.poset.faces(r)) for r in range(4)] == [107, 315, 263, 264]
+    assert len(ball.elements) == 1578
+    digest = hashlib.sha256(export_hasse(ball.poset).encode()).hexdigest()
+    assert digest == RADIUS_THREE_SHA256

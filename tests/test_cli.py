@@ -91,6 +91,15 @@ def test_modred_nonprime(capsys):
     assert code == 2
 
 
+def test_modred_prime_past_the_matrix_kernel(capsys):
+    # dim*(p-1)^2 >= 2^63 would overflow the compiled kernel's C long
+    code, _, err = run(
+        capsys, "modred", "--diagram", "tail=[3] triangle=(4,inf,2)",
+        "--lengths", "1,1,2,4", "--prime", "2147483647", "--large",
+    )
+    assert code == 2 and "too large" in err
+
+
 def test_amalgam_normalize_and_ball(capsys):
     code, out, _ = run(
         capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg",

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from polywythoff.elements import Perm, parse_perm
+from polywythoff import _closure_py, kernels
+from polywythoff.elements import MatModP, Perm, parse_perm
 from polywythoff.groups import (
     CapExceeded,
     closure,
@@ -67,18 +68,18 @@ def test_compose_associativity_spot_check():
 def test_tomotope_subgroups():
     rho = tomotope_gens()
     G = closure(rho)
-    P = G.subgroup(rho[:3])
+    P = G.sub(range(3))
     assert P.order == 24  # tetrahedron group
-    assert G.subgroup(()).order == 1
+    assert G.sub(()).order == 1
     assert G.order % P.order == 0
 
 
 def test_right_cosets_tomotope_counts():
     rho = tomotope_gens()
     G = closure(rho)
-    gamma0 = G.subgroup([rho[1], rho[2], rho[3]])
+    gamma0 = G.sub([1, 2, 3])
     assert len(right_cosets(G, gamma0)) == 4  # vertices
-    ridge = G.subgroup(rho[:2])
+    ridge = G.sub(range(2))
     assert len(right_cosets(G, ridge)) == 16  # triangles
     assert right_cosets(G, G) == [G.identity]
 
@@ -86,7 +87,7 @@ def test_right_cosets_tomotope_counts():
 def test_coset_partition_properties():
     rho = tomotope_gens()
     G = closure(rho)
-    H = G.subgroup(rho[:2])
+    H = G.sub(range(2))
     reps, cid = coset_partition(G, H)
     # every element gets a coset number, and every number is used
     assert len(cid) == G.order
@@ -152,3 +153,33 @@ def test_extend_homomorphism_detects_relations():
 def test_trivial_group():
     t = trivial_group(Perm.identity(4))
     assert t.order == 1 and t.identity in t
+
+
+def _available_mat_kernels():
+    impls = [_closure_py.close_mats]
+    try:
+        from polywythoff import _closurekernel
+    except ImportError:
+        pass
+    else:
+        impls.append(_closurekernel.close_mats)
+    return impls
+
+
+def _reflection(p, dim=3):
+    """-1 in the first coordinate: an involution over Z_p."""
+    return MatModP(p, dim, [(p - 1) if i == j == 0 else int(i == j)
+                            for i in range(dim) for j in range(dim)])
+
+
+# the largest prime p with 3*(p-1)^2 < 2^63, and the next prime
+FITS, OVERFLOWS = 1753413037, 1753413059
+
+
+@pytest.mark.parametrize("close_mats", _available_mat_kernels())
+def test_closure_rejects_moduli_that_overflow_the_matrix_kernel(close_mats, monkeypatch):
+    assert 3 * (FITS - 1) ** 2 < 2**63 <= 3 * (OVERFLOWS - 1) ** 2
+    monkeypatch.setattr(kernels, "close_mats", close_mats)
+    assert closure([_reflection(FITS)]).order == 2
+    with pytest.raises(ValueError, match="too large"):
+        closure([_reflection(OVERFLOWS)])
