@@ -10,7 +10,11 @@ with kappa in K and the tau_i nontrivial transversal representatives taken
 alternately from the two factors: the normal-form theorem for amalgamated
 free products (Serre, *Trees*, §1.1-1.2; Lyndon and Schupp, *Combinatorial
 Group Theory*, ch. IV.2).  The transversals are nested along the generator
-chain (``_nested_towers``), which fixes every printed normal form.
+chain (``_nested_towers``), which fixes every printed normal form. Once
+the factors are enumerated, kappa is held as an index into K and each tau
+as (side, index into that side's transversal), and all of the arithmetic
+below is lookups in integer tables built once per context; elements only
+come back for printing (``AmalgamWord.kappa``, ``AmalgamWord.taus``).
 
 The face subgroups Gamma_j (Gamma_{n-1} = K), the facet groups P, Q and
 Pi_j+ are sub-amalgams H = <H_P, H_Q>, on generator subsets that agree
@@ -40,25 +44,53 @@ class FacetMismatch(ValueError):
     """The shared generators do not induce an isomorphism of facet groups."""
 
 
+@dataclass(frozen=True, eq=False)
+class WordAlphabet:
+    """The elements a context's word indices name: ``kappas`` = K.elements
+    (K on the P side), ``taus[side]`` = that side's transversal, and
+    ``rank[k]`` = the position of K.elements[k] in key order. One per
+    context, compared by identity."""
+
+    kappas: tuple
+    taus: dict
+    rank: tuple
+
+
 @dataclass(frozen=True)
 class AmalgamWord:
-    """Reduced decomposition: kappa (a K-element, stored on the P side)
-    followed by alternating nontrivial transversal representatives."""
+    """Reduced decomposition on element indices: kappa_index indexes K (on
+    the P side), tau_indices holds alternating (side, transversal index)
+    pairs, never 0, the identity's index. ``kappa`` and ``taus`` read the
+    same word as elements."""
 
-    kappa: object
-    taus: tuple  # of (side, element) with side in {"P", "Q"}
+    kappa_index: int
+    tau_indices: tuple
+    alphabet: WordAlphabet = field(compare=False, repr=False)
+
+    @property
+    def kappa(self):
+        return self.alphabet.kappas[self.kappa_index]
+
+    @property
+    def taus(self):
+        T = self.alphabet.taus
+        return tuple((s, T[s][t]) for s, t in self.tau_indices)
 
     @property
     def length(self):
-        return len(self.taus)
+        return len(self.tau_indices)
 
     @property
     def key(self):
+        """Sorts like (length, sides, kappa.key, tau keys): a transversal
+        lists the identity first, then the rest in key order, and taus are
+        compared only once the side sequences agree."""
+        taus = self.tau_indices
         return (
-            len(self.taus),
-            tuple(s for s, _ in self.taus),
-            self.kappa.key,
-            tuple(t.key for _, t in self.taus),
+            len(taus),
+            tuple(s for s, _ in taus),
+            self.alphabet.rank[self.kappa_index],
+            tuple(t for _, t in taus),
         )
 
     def __str__(self):
@@ -69,7 +101,8 @@ class AmalgamWord:
 def _nested_towers(G: FiniteGroup):
     """T_j = transversal of <g_j..g_{n-2}> in <g_j..g_{n-1}>, nested so that
     T_{n-1} = {1, g_{n-1}} and each T_j extends T_{j+1}; the g_i are the
-    generators of G."""
+    generators of G. Each T_j lists the identity first, then the rest in
+    key order."""
     n = len(G.generators)
     last = G.generators[n - 1]
     towers = [None] * n
@@ -92,18 +125,35 @@ def _nested_towers(G: FiniteGroup):
     return towers
 
 
-def _decomposition_table(K, transversal):
-    table = {}
-    for tau in transversal:
-        for kap in K.elements:
-            h = kap * tau
-            assert h not in table, "transversal hits a coset twice"
-            table[h] = (kap, tau)
-    return table
+def _left_row(G: FiniteGroup, x: int):
+    """row[y] = index of elements[x] * elements[y], filled in BFS order of
+    y: x*y = (x*parent(y))*g, one right-table lookup per entry."""
+    R = G.right_table()
+    row = [x] * G.order
+    for y, (parent, gi) in enumerate(G.tree()[1:], 1):
+        row[y] = R[gi][row[parent]]
+    return row
 
 
 class AmalgamContext:
-    """Immutable data for normal-form arithmetic in P *_K Q."""
+    """Immutable data for normal-form arithmetic in P *_K Q.
+
+    After the factors are enumerated, words and their arithmetic are
+    element indices and the integer tables below, per side S:
+
+    - ``_emb[S][k]``: the factor index of K-element k (through the
+      isomorphism K -> K_Q on the Q side);
+    - ``_trans[S][t]``: the factor index of transversal element t;
+    - ``_dec[S][x]``: (k, t) with factor element x = k * t;
+    - ``_tmul[S][t][x]``: the decomposition of t * x, and ``_tk[S][t][k]``
+      that of t * k;
+    - ``_syllable[S][t][k]``: the factor index of k * t;
+    - ``_tinv[S][t]``: the factor index of t^-1;
+
+    and ``_kmul``/``_kinv`` for K. They come from rows of the factor's
+    multiplication table for the K-elements and transversal elements only,
+    each read off the right table with no element products.
+    """
 
     def __init__(self, p_gens, q_gens, shared=None):
         p_gens, q_gens = tuple(p_gens), tuple(q_gens)
@@ -122,30 +172,43 @@ class AmalgamContext:
             factors.append(res.group)
         self.n = n
         self.P, self.Q = factors
-        self.K = self.P.sub(range(n - 1))
+        self.K = K = self.P.sub(range(n - 1))
         self.KQ = self.Q.sub(range(n - 1))
-        if self.K.order != self.KQ.order:
+        if K.order != self.KQ.order:
             raise FacetMismatch("facet subgroups have different orders")
-        phi = extend_homomorphism(self.K, q_gens[:-1], target=self.KQ)
-        if phi is None or len(set(phi.values())) != self.K.order:
+        phi = extend_homomorphism(K, q_gens[:-1], target=self.KQ)
+        if phi is None or len(set(phi.values())) != K.order:
             raise FacetMismatch("shared generators do not give an isomorphism")
-        self._phi = phi
-        self._phi_inv = {v: k for k, v in phi.items()}
 
         self.towers = {"P": _nested_towers(self.P), "Q": _nested_towers(self.Q)}
-        self.table = {
-            "P": _decomposition_table(self.K, self.towers["P"][0]),
-            "Q": _decomposition_table(self.KQ, self.towers["Q"][0]),
-        }
-        if len(self.table["P"]) != self.P.order or len(self.table["Q"]) != self.Q.order:
-            raise FacetMismatch("transversal does not cover the factor")
-        # _syllable[side][tau][k]: index in the factor of K.elements[k] * tau
-        self._syllable = {}
+        self._kmul = tuple(tuple(_left_row(K, k)) for k in range(K.order))
+        self._kinv = tuple(row.index(0) for row in self._kmul)
+        self._emb, self._trans, self._dec = {}, {}, {}
+        self._tmul, self._tk, self._syllable, self._tinv = {}, {}, {}, {}
         for side, G in (("P", self.P), ("Q", self.Q)):
-            rows = {tau: [0] * self.K.order for tau in self.towers[side][0]}
-            for h, (kap, tau) in self.table[side].items():
-                rows[tau][self.K.index_of(self._to_p(side, kap))] = G.index_of(h)
-            self._syllable[side] = {tau: tuple(row) for tau, row in rows.items()}
+            emb = tuple(G.index_of(k if side == "P" else phi[k]) for k in K.elements)
+            trans = tuple(G.index_of(t) for t in self.towers[side][0])
+            rows = {x: _left_row(G, x) for x in set(emb) | set(trans)}
+            dec = [None] * G.order
+            for t, y in enumerate(trans):
+                for k, x in enumerate(emb):
+                    dec[rows[x][y]] = (k, t)
+            # |T| * |K| = |G|: a transversal hitting a coset twice misses one
+            if None in dec:
+                raise FacetMismatch("transversal does not cover the factor")
+            tmul = tuple(tuple(dec[h] for h in rows[y]) for y in trans)
+            self._emb[side], self._trans[side], self._dec[side] = emb, trans, tuple(dec)
+            self._tmul[side] = tmul
+            self._tk[side] = tuple(tuple(row[x] for x in emb) for row in tmul)
+            self._syllable[side] = tuple(tuple(rows[x][y] for x in emb) for y in trans)
+            self._tinv[side] = tuple(rows[y].index(0) for y in trans)
+        keys = [k.key for k in K.elements]
+        rank = [0] * K.order
+        for r, k in enumerate(sorted(range(K.order), key=keys.__getitem__)):
+            rank[k] = r
+        self._alphabet = WordAlphabet(
+            K.elements, {s: self.towers[s][0] for s in "PQ"}, tuple(rank)
+        )
         # generator indices (I_P, I_Q) of each sub-amalgam: "G_j" = Gamma_j,
         # "P", "Q" and "Pi_j+"; _keys holds their key data once used
         full = tuple(range(n))
@@ -155,78 +218,89 @@ class AmalgamContext:
         self._keys = {}
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
-        self.identity_word = AmalgamWord(self.K.identity, ())
+        self._letter_index = {
+            name: (side, (self.P if side == "P" else self.Q).index_of(g))
+            for name, (side, g) in self.letters.items()
+        }
+        self.identity_word = self._word(0, ())
 
     # -------------------------------------------------------- normal forms
 
-    def _to_p(self, side, kap):
-        return kap if side == "P" else self._phi_inv[kap]
-
-    def _from_p(self, side, kap):
-        return kap if side == "P" else self._phi[kap]
+    def _word(self, kappa, taus):
+        return AmalgamWord(kappa, taus, self._alphabet)
 
     def _absorb(self, kappa, taus, side, h):
-        """Multiply the word (kappa, taus) on the right by h in factor `side`."""
+        """Multiply the word (kappa, taus) on the right by the element of
+        index h in factor `side`: merge h into a last syllable on that
+        side, then carry the K-part leftwards through the syllables."""
         if taus and taus[-1][0] == side:
-            kap, tau = self.table[side][taus[-1][1] * h]
+            carry, tau = self._tmul[side][taus[-1][1]][h]
             taus = taus[:-1]
         else:
-            kap, tau = self.table[side][h]
-        carry = self._to_p(side, kap)
-        taus = list(taus)
-        for i in range(len(taus) - 1, -1, -1):
-            if carry.is_identity():
-                break
-            s_i, t_i = taus[i]
-            kap_i, t_new = self.table[s_i][t_i * self._from_p(s_i, carry)]
-            taus[i] = (s_i, t_new)
-            carry = self._to_p(s_i, kap_i)
-        kappa = kappa * carry
-        if not tau.is_identity():
-            taus.append((side, tau))
-        return kappa, tuple(taus)
+            carry, tau = self._dec[side][h]
+        if carry:
+            tk = self._tk
+            taus = list(taus)
+            for i in range(len(taus) - 1, -1, -1):
+                s_i, t_i = taus[i]
+                carry, t_i = tk[s_i][t_i][carry]
+                taus[i] = (s_i, t_i)
+                if not carry:
+                    break
+            kappa = self._kmul[kappa][carry]
+            taus = tuple(taus)
+        if tau:
+            taus += ((side, tau),)
+        return kappa, taus
 
     def normalize(self, letters) -> AmalgamWord:
-        kappa, taus = self.K.identity, ()
+        kappa, taus = 0, ()
         for name in letters:
-            if name not in self.letters:
+            if name not in self._letter_index:
                 raise ValueError(f"unknown generator {name!r}")
-            side, h = self.letters[name]
+            side, h = self._letter_index[name]
             kappa, taus = self._absorb(kappa, taus, side, h)
-        return AmalgamWord(kappa, taus)
+        return self._word(kappa, taus)
 
     def _check_word(self, w):
-        if w.kappa not in self.K.element_set:
+        """Indices mean nothing outside their own context, so a word from
+        another context is refused even where its indices would fit."""
+        if w.alphabet is not self._alphabet:
             raise ValueError("word does not belong to this context")
 
     def multiply(self, w1: AmalgamWord, w2: AmalgamWord) -> AmalgamWord:
         self._check_word(w1), self._check_word(w2)
-        kappa, taus = self._absorb(w1.kappa, w1.taus, "P", w2.kappa)
-        for side, t in w2.taus:
-            kappa, taus = self._absorb(kappa, taus, side, t)
-        return AmalgamWord(kappa, taus)
+        kappa, taus = self._absorb(
+            w1.kappa_index, w1.tau_indices, "P", self._emb["P"][w2.kappa_index]
+        )
+        trans = self._trans
+        for side, t in w2.tau_indices:
+            kappa, taus = self._absorb(kappa, taus, side, trans[side][t])
+        return self._word(kappa, taus)
 
     def inverse(self, w: AmalgamWord) -> AmalgamWord:
         self._check_word(w)
-        kappa, taus = self.K.identity, ()
-        for side, t in reversed(w.taus):
-            kappa, taus = self._absorb(kappa, taus, side, t.inverse())
-        kappa, taus = self._absorb(kappa, taus, "P", w.kappa.inverse())
-        return AmalgamWord(kappa, taus)
+        kappa, taus = 0, ()
+        tinv = self._tinv
+        for side, t in reversed(w.tau_indices):
+            kappa, taus = self._absorb(kappa, taus, side, tinv[side][t])
+        kinv = self._kinv[w.kappa_index]
+        kappa, taus = self._absorb(kappa, taus, "P", self._emb["P"][kinv])
+        return self._word(kappa, taus)
 
     def inject(self, side, g) -> AmalgamWord:
         """Embed an element of a factor group; O(1) table lookup."""
-        kap, tau = self.table[side][g]
-        kap = self._to_p(side, kap)
-        return AmalgamWord(kap, () if tau.is_identity() else ((side, tau),))
+        G = self.P if side == "P" else self.Q
+        kappa, tau = self._dec[side][G.index_of(g)]
+        return self._word(kappa, ((side, tau),) if tau else ())
 
     def word_letters(self, w: AmalgamWord):
         """Serialize a word as generator names (a0 ... a_{n-1}, b)."""
         self._check_word(w)
-        out = [f"a{i}" for i in self.K.words()[self.K.index_of(w.kappa)]]
-        for side, t in w.taus:
+        out = [f"a{i}" for i in self.K.words()[w.kappa_index]]
+        for side, t in w.tau_indices:
             G = self.P if side == "P" else self.Q
-            for gi in G.words()[G.index_of(t)]:
+            for gi in G.words()[self._trans[side][t]]:
                 out.append("b" if side == "Q" and gi == self.n - 1 else f"a{gi}")
         return tuple(out)
 
@@ -244,12 +318,12 @@ class AmalgamContext:
             for side, G, idx in zip("PQ", (self.P, self.Q), self._kinds[kind]):
                 reps, c = coset_partition(G, G.sub(idx))
                 hit = [-1] * len(reps)
-                for k, x in enumerate(self._syllable[side][self.towers[side][0][0]]):
+                for k, x in enumerate(self._emb[side]):
                     if hit[c[x]] < 0:
                         hit[c[x]] = k
                 cid[side], land[side] = tuple(c), tuple(hit)
-            unit = self._syllable["P"][self.towers["P"][0][0]]
-            data = self._keys[kind] = (cid, land, tuple(cid["P"][x] for x in unit))
+            kcid = tuple(cid["P"][x] for x in self._emb["P"])
+            data = self._keys[kind] = (cid, land, kcid)
         return data
 
     def coset_key(self, kind: str, w: AmalgamWord):
@@ -269,12 +343,12 @@ class AmalgamContext:
         self._check_word(w)
         cid, land, kcid = self._key_data(kind)
         syllable = self._syllable
-        carry = self.K.index_of(w.kappa)
-        for i, (side, tau) in enumerate(w.taus):
+        carry = w.kappa_index
+        for i, (side, tau) in enumerate(w.tau_indices):
             c = cid[side][syllable[side][tau][carry]]
             carry = land[side][c]
             if carry < 0:
-                return (side, c, w.taus[i + 1:])
+                return (side, c, w.tau_indices[i + 1:])
         return ("K", kcid[carry])
 
     def _in(self, kind, w):
@@ -298,24 +372,19 @@ class AmalgamContext:
 
     def ball_elements(self, radius: int):
         """All normal forms of transversal length <= radius, BFS order."""
-        gens = [self.letters[name] for name in sorted(self.letters)]
-        seen = {self.identity_word}
-        frontier = [self.identity_word]
-        order = [self.identity_word]
+        gens = [self._letter_index[name] for name in sorted(self._letter_index)]
+        seen = dict.fromkeys([(0, ())])  # insertion-ordered
+        frontier = list(seen)
         while frontier:
             nxt = []
-            for w in frontier:
+            for kappa, taus in frontier:
                 for side, h in gens:
-                    kappa, taus = self._absorb(w.kappa, w.taus, side, h)
-                    if len(taus) > radius:
-                        continue
-                    w2 = AmalgamWord(kappa, taus)
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-                        order.append(w2)
+                    w = self._absorb(kappa, taus, side, h)
+                    if len(w[1]) <= radius and w not in seen:
+                        seen[w] = None
+                        nxt.append(w)
             frontier = nxt
-        return order
+        return [self._word(kappa, taus) for kappa, taus in seen]
 
 
 @dataclass(frozen=True)
@@ -407,7 +476,7 @@ def dihedral_order_unbounded(ctx: AmalgamContext, up_to: int) -> bool:
     w = ctx.identity_word
     for _ in range(up_to):
         w = ctx.multiply(w, step)
-        if w.taus == () and w.kappa.is_identity():
+        if w == ctx.identity_word:
             return False
     return True
 

@@ -146,6 +146,15 @@ def trivial_group(identity) -> FiniteGroup:
     return FiniteGroup([identity], [identity], [(-1, -1)])
 
 
+def check_modulus(dim: int, p: int) -> None:
+    """Reject moduli the compiled closure kernel cannot multiply: it sums dim
+    products of entries below p in a C long, so dim*(p-1)^2 < 2^63."""
+    if dim * (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"modulus {p} too large for {dim}x{dim} matrices: need dim*(p-1)^2 < 2^63"
+        )
+
+
 def closure(generators, cap: int | None = None) -> FiniteGroup:
     """Breadth-first closure of the generators, deterministic element order."""
     generators = tuple(generators)
@@ -161,12 +170,7 @@ def closure(generators, cap: int | None = None) -> FiniteGroup:
             raise CapExceeded(f"closure exceeded cap of {cap} elements")
         elems = [Perm._raw(t) for t in raw[0]]
     elif isinstance(first, MatModP):
-        # the compiled kernel sums dim products of entries below p in a C long
-        if first.dim * (first.p - 1) ** 2 >= 2**63:
-            raise ValueError(
-                f"modulus {first.p} too large for {first.dim}x{first.dim} matrices: "
-                "need dim*(p-1)^2 < 2^63"
-            )
+        check_modulus(first.dim, first.p)
         raw = kernels.close_mats(
             [g.entries for g in generators], first.dim, first.p, cap
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .elements import MatModP
-from .groups import closure, closure_cap
+from .groups import check_modulus, closure, closure_cap
 from .ttgroup import (
     INF,
     TailTriangleDiagram,
@@ -199,6 +199,7 @@ def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = sys_.dim
+    check_modulus(m, p)  # before any product: element orders would loop to the cap
 
     # clear Gram denominators; a unit scale factor keeps invariance intact
     den = 1

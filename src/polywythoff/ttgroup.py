@@ -165,12 +165,6 @@ class TailTriangleGroup:
             return self.sub([i for i in range(self.n + 1) if i != j])
         raise IndexError(f"no distinguished subgroup Gamma_{j}")
 
-    def gamma_plus(self, i: int) -> FiniteGroup:
-        """<alpha_{i+1},...,alpha_{n-1},beta> for -1 <= i <= n-2."""
-        if not (-1 <= i <= self.n - 2):
-            raise IndexError("i out of range for Gamma_i^+")
-        return self.sub(list(range(i + 1, self.n)) + [self.n])
-
 
 def verify_tail_triangle(alphas, beta, cap=None) -> TailTriangleGroup:
     """Measure all pair orders, enforce the diagram's forced commutations."""

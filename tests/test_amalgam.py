@@ -5,6 +5,10 @@ nested transversal towers (Pi_j+ membership read off the
 normal form, Gamma_j = <a_0..a_{j-1}> x Pi_j+), and a ball that tests each
 element against every face found so far and every pair of faces on
 adjacent ranks. The production code reads canonical coset keys instead.
+
+``ElementOracle`` is the same normal-form arithmetic on the element
+objects (``Perm``/``MatModP``): products, inverses and coset keys that the
+production code computes on element indices.
 """
 
 import gc
@@ -28,6 +32,9 @@ from polywythoff.amalgam import (
     universal_is_regular,
 )
 from polywythoff.fixtureio import builtin_fixture
+from polywythoff.groups import coset_partition, extend_homomorphism
+from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
+from polywythoff.ttgroup import parse_diagram
 from polywythoff.wythoff import (
     Face,
     FacePoset,
@@ -135,6 +142,95 @@ class TowerOracle:
             for j in range(start, i, 2)
         )
         return RidgeSectionReport(is_open, len(words), alternating)
+
+
+class ElementOracle:
+    """Normal forms on element objects: a word is (kappa, taus) with kappa
+    in K (P side) and taus alternating (side, transversal element) pairs.
+    It multiplies, hashes and identity-tests elements where the context
+    looks up integer tables, and it shares only the factors, K and the
+    transversal towers with the context."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        phi = extend_homomorphism(ctx.K, ctx.Q.generators[:-1], target=ctx.KQ)
+        self.phi, self.phi_inv = phi, {v: k for k, v in phi.items()}
+        self.table = {}
+        for side, K in (("P", ctx.K), ("Q", ctx.KQ)):
+            table = self.table[side] = {}
+            for tau in ctx.towers[side][0]:
+                for kap in K.elements:
+                    table[kap * tau] = (kap, tau)
+
+    def _to_p(self, side, kap):
+        return kap if side == "P" else self.phi_inv[kap]
+
+    def _from_p(self, side, kap):
+        return kap if side == "P" else self.phi[kap]
+
+    def absorb(self, kappa, taus, side, h):
+        """Multiply the word (kappa, taus) on the right by h in factor `side`."""
+        if taus and taus[-1][0] == side:
+            kap, tau = self.table[side][taus[-1][1] * h]
+            taus = taus[:-1]
+        else:
+            kap, tau = self.table[side][h]
+        carry = self._to_p(side, kap)
+        taus = list(taus)
+        for i in range(len(taus) - 1, -1, -1):
+            if carry.is_identity():
+                break
+            s_i, t_i = taus[i]
+            kap_i, t_new = self.table[s_i][t_i * self._from_p(s_i, carry)]
+            taus[i] = (s_i, t_new)
+            carry = self._to_p(s_i, kap_i)
+        kappa = kappa * carry
+        if not tau.is_identity():
+            taus.append((side, tau))
+        return kappa, tuple(taus)
+
+    def normalize(self, letters):
+        word = (self.ctx.K.identity, ())
+        for name in letters:
+            word = self.absorb(*word, *self.ctx.letters[name])
+        return word
+
+    def multiply(self, w1, w2):
+        word = self.absorb(*w1, "P", w2[0])
+        for side, t in w2[1]:
+            word = self.absorb(*word, side, t)
+        return word
+
+    def inverse(self, w):
+        word = (self.ctx.K.identity, ())
+        for side, t in reversed(w[1]):
+            word = self.absorb(*word, side, t.inverse())
+        return self.absorb(*word, "P", w[0].inverse())
+
+    @staticmethod
+    def key(w):
+        kappa, taus = w
+        return (len(taus), tuple(s for s, _ in taus), kappa.key, tuple(t.key for _, t in taus))
+
+    def coset_key(self, kind, w):
+        """The production key with each remaining syllable as an element:
+        walk the word, moving the carry to the least K-element of each
+        H_S-coset that meets K."""
+        ctx = self.ctx
+        cid, land = {}, {}
+        for side, G, idx in zip("PQ", (ctx.P, ctx.Q), ctx._kinds[kind]):
+            _, c = coset_partition(G, G.sub(idx))
+            cid[side] = dict(zip(G.elements, c))
+            land[side] = {}
+            for kap in ctx.K.elements:
+                land[side].setdefault(cid[side][self._from_p(side, kap)], kap)
+        carry, taus = w
+        for i, (side, tau) in enumerate(taus):
+            c = cid[side][self._from_p(side, carry) * tau]
+            if c not in land[side]:
+                return (side, c, taus[i + 1:])
+            carry = land[side][c]
+        return ("K", cid["P"][carry])
 
 
 def gens(name):
@@ -496,14 +592,137 @@ def test_ridge_section_multiplies_once_per_step(tetoct, monkeypatch):
     assert len(calls) == 24
 
 
-RADIUS_THREE_SHA256 = "1d2941763279c5279c0233f0ab665788b32a7dde3baaf68889940d01dbdb121e"
+# Hasse digests of the radius-3 balls, taken before the normal-form
+# arithmetic moved onto element indices. The tet/oct face counts and digest
+# were checked once against TowerOracle.ball(3), which takes about a minute.
+RADIUS_THREE = {
+    ("tet.sg", "oct.sg"): (
+        [107, 315, 263, 264], 1578,
+        "1d2941763279c5279c0233f0ab665788b32a7dde3baaf68889940d01dbdb121e",
+    ),
+    ("tet.sg", "tet.sg"): (
+        [29, 81, 79, 80], 474,
+        "e92a2c900e2fb8ed5fb6919aec15889dd140239a8064a01f7e7555c0e90c3e82",
+    ),
+}
 
 
-def test_ball_radius_three(tetoct):
-    # the face counts and the Hasse digest were checked once against
-    # TowerOracle.ball(3), which takes about a minute
-    ball = enumerate_ball(tetoct, 3)
-    assert [len(ball.poset.faces(r)) for r in range(4)] == [107, 315, 263, 264]
-    assert len(ball.elements) == 1578
-    digest = hashlib.sha256(export_hasse(ball.poset).encode()).hexdigest()
-    assert digest == RADIUS_THREE_SHA256
+def check_radius_three(pair):
+    ctx, _ = context(pair)
+    faces, elements, digest = RADIUS_THREE[pair]
+    ball = enumerate_ball(ctx, 3)
+    assert [len(ball.poset.faces(r)) for r in range(4)] == faces
+    assert len(ball.elements) == elements
+    assert hashlib.sha256(export_hasse(ball.poset).encode()).hexdigest() == digest
+
+
+def test_ball_radius_three():
+    check_radius_three(("tet.sg", "oct.sg"))
+
+
+def test_ball_radius_three_regular():
+    check_radius_three(("tet.sg", "tet.sg"))
+
+
+# (letters, str of the normal form, word_letters) in tet/oct, pinned before
+# the normal-form arithmetic moved onto element indices
+GOLDEN_WORDS = [
+    ("a1 a2 a0 a2 a1 a0 b b a0 a0", "(1,3,2)", "a0 a1"),
+    ("a2 b", "() . P:(3,4) . Q:(1,4)", "a2 b"),
+    ("b b a1 a1 a2 a2 a2 b a0", "(1,2) . P:(3,4) . Q:(1,4)", "a0 a2 b"),
+    ("b b a0 a1 a1 a0 a1 a0 a0 a1", "()", ""),
+    ("a2 a2 a2 a1", "() . P:(2,3,4)", "a2 a1"),
+    ("a0 a0 a2 a1 a1 a1 a0 a0 a2", "(2,3) . P:(2,3,4)", "a1 a2 a1"),
+    ("a1 a2 b a1", "(2,3) . P:(2,3,4) . Q:(2,5)", "a1 a2 a1 a1 b a1"),
+    ("a2 b a1 a1 b a0 a1 b a2 a1", "(1,2) . P:(2,3,4) . Q:(1,4) . P:(2,3,4)", "a0 a2 a1 b a2 a1"),
+    ("a0", "(1,2)", "a0"),
+    ("a1 b a1 a1 a0 a0 a2 a0", "(1,2,3) . Q:(1,4) . P:(3,4)", "a1 a0 b a2"),
+    ("a2 b b a0 a1 a0 b a2 a0 a0", "(1,2) . P:(1,2,3,4) . Q:(1,4) . P:(3,4)", "a0 a2 a1 a0 b a2"),
+    ("a0 a0 a2 a2 a0 a2 a0 a0 a1", "(1,2) . P:(2,3,4)", "a0 a2 a1"),
+    ("a0 a1 a0", "(1,3)", "a0 a1 a0"),
+    ("a1 a2 a1 b a2 a0 b a0 a1 a1", "(2,3) . P:(2,3,4) . Q:(1,4) . P:(3,4) . Q:(1,4)",
+     "a1 a2 a1 b a2 b"),
+    ("a1 a0 a2", "(1,2,3) . P:(3,4)", "a1 a0 a2"),
+    ("b a1", "(2,3) . Q:(2,5)", "a1 a1 b a1"),
+    ("a0 b b a0 a1 a1 a2 b a0 a2", "(1,2) . P:(3,4) . Q:(1,4) . P:(3,4)", "a0 a2 b a2"),
+    ("a2 a2 a1", "(2,3)", "a1"),
+    ("a0 a0 a2 a0 b a2 a2 b b a0", "() . P:(3,4) . Q:(1,4)", "a2 b"),
+    ("b", "() . Q:(1,4)", "b"),
+]
+
+
+@pytest.mark.parametrize("letters,printed,serial", GOLDEN_WORDS)
+def test_golden_words(tetoct, letters, printed, serial):
+    w = tetoct.normalize(letters.split())
+    assert str(w) == printed
+    assert " ".join(tetoct.word_letters(w)) == serial
+
+
+def star_mod3_context():
+    """The matrix pair of the star group mod 3: P = <a0, a1, a2> and
+    Q = <a0, a1, b>, facet orders 48 and 24 over |K| = 6."""
+    spec = reduce_mod_p(rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4)), 3)
+    G = build_tail_triangle_modp(spec)
+    return AmalgamContext(G.alphas, G.alphas[:-1] + (G.beta,))
+
+
+_ELEMENT_CONTEXTS = {}
+
+
+def element_context(name):
+    if name not in _ELEMENT_CONTEXTS:
+        if name == "star mod 3":
+            ctx = star_mod3_context()
+        else:
+            ctx = AmalgamContext(*(gens(f) for f in name.split("/")))
+        _ELEMENT_CONTEXTS[name] = (ctx, ElementOracle(ctx))
+    return _ELEMENT_CONTEXTS[name]
+
+
+def test_star_mod3_pair_is_a_matrix_amalgam():
+    ctx, _ = element_context("star mod 3")
+    assert (ctx.P.order, ctx.Q.order, ctx.K.order) == (48, 24, 6)
+    assert type(ctx.K.identity).__name__ == "MatModP"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["tet.sg/oct.sg", "tet.sg/tet.sg", "star mod 3"]),
+    st.lists(letter_words, min_size=2, max_size=6),
+)
+def test_index_arithmetic_matches_element_oracle(name, batch):
+    ctx, oracle = element_context(name)
+    words = [ctx.normalize(letters) for letters in batch]
+    for letters, w in zip(batch, words):
+        assert (w.kappa, w.taus) == oracle.normalize(letters)
+    as_elements = [(w.kappa, w.taus) for w in words]
+    product, inverse = ctx.multiply(words[0], words[1]), ctx.inverse(words[0])
+    assert (product.kappa, product.taus) == oracle.multiply(*as_elements[:2])
+    assert (inverse.kappa, inverse.taus) == oracle.inverse(as_elements[0])
+    towers = ctx.towers
+    for kind in kinds(ctx.n) + [f"Pi_{j}+" for j in range(-1, ctx.n - 1)]:
+        for w, e in zip(words, as_elements):
+            key = ctx.coset_key(kind, w)
+            if key[0] != "K":
+                key = key[:2] + (tuple((s, towers[s][0][t]) for s, t in key[2]),)
+            assert key == oracle.coset_key(kind, e), kind
+    ranked = sorted(range(len(words)), key=lambda i: words[i].key)
+    assert ranked == sorted(range(len(words)), key=lambda i: oracle.key(as_elements[i]))
+
+
+def test_foreign_words_rejected():
+    # both K's are the same degree-4 S3, so the indices of a tet/tet word
+    # fit tet/oct's tables and would give a wrong normal form
+    tetoct, _ = context(("tet.sg", "oct.sg"))
+    tettet, _ = context(("tet.sg", "tet.sg"))
+    own = tetoct.normalize(["a2", "b"])
+    for foreign in (tettet.normalize(["a2", "b", "a1"]), tettet.identity_word):
+        for call in (
+            lambda: tetoct.multiply(own, foreign),
+            lambda: tetoct.multiply(foreign, own),
+            lambda: tetoct.inverse(foreign),
+            lambda: tetoct.coset_key("G_0", foreign),
+            lambda: tetoct.word_letters(foreign),
+        ):
+            with pytest.raises(ValueError, match="context"):
+                call()

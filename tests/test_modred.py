@@ -154,6 +154,8 @@ def test_reduce_rejects_bad_input():
     third = tuple(Fraction(x, 3) for x in LENGTHS)
     with pytest.raises(ValueError, match="denominators"):
         reduce_mod_p(rescale(STAR, third), 3)
+    with pytest.raises(ValueError, match="too large"):
+        reduce_mod_p(sys_, 2147483647)  # 4 * (p - 1)^2 >= 2^63
 
 
 def test_is_prime():
