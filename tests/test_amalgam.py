@@ -148,8 +148,8 @@ class ElementOracle:
     """Normal forms on element objects: a word is (kappa, taus) with kappa
     in K (P side) and taus alternating (side, transversal element) pairs.
     It multiplies, hashes and identity-tests elements where the context
-    looks up integer tables, and it shares only the factors, K and the
-    transversal towers with the context."""
+    looks up integer tables. It reads from the context only its groups,
+    letters, transversal towers and the generator sets of each kind."""
 
     def __init__(self, ctx):
         self.ctx = ctx
