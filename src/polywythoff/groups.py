@@ -3,11 +3,13 @@
 Everything here is exact and deterministic. Groups remember the BFS
 production of each element, which later powers homomorphism extension and
 word recovery without any extra group theory, and cache the subgroups
-generated by subsets of their generators (``FiniteGroup.sub``). Once a
-group is enumerated, its right-multiplication table
-(``FiniteGroup.right_table``) turns cosets and homomorphism checks into
-integer lookups on element indices: the coset-table view of Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, ch. 5.
+generated by subsets of their generators (``FiniteGroup.sub``). The
+closure records the right-multiplication table as it enumerates a group
+(``FiniteGroup.right_table``). Subgroups are read from that table, and it
+turns cosets and homomorphism checks into integer lookups on element
+indices: the coset-table view of Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 5. Element products are made only in the
+closure.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ def closure_cap(cap: int | None = None) -> int:
 class FiniteGroup:
     """A concrete finite group given by generators, fully enumerated."""
 
-    def __init__(self, generators, elements, prods):
+    def __init__(self, generators, elements, prods, right):
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self.element_set = frozenset(elements)
+        self.element_set = frozenset(self.elements)
         self.prods = tuple(prods)  # (parent_index, generator_index) per element
         self.identity = identity_like(self.generators[0])
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._words: tuple | None = None
-        self._right: tuple | None = None
+        self._right = tuple(right)
         self._subs: dict[tuple, FiniteGroup] = {}
         self._tree_checked = False
 
@@ -65,12 +67,18 @@ class FiniteGroup:
     def sub(self, indices) -> "FiniteGroup":
         """The subgroup generated by the generators at ``indices``, cached.
 
-        It closes ``[generators[i] for i in sorted(indices)]``, so its
-        element order does not depend on how the indices are given. All
-        the indices give the group itself and none the trivial group. No
-        subgroup outgrows the group, so the group's order caps the closure.
-        The cache never holds the group itself: a group that referenced
-        itself would stay alive until a full garbage collection.
+        Its generators are ``[generators[i] for i in sorted(indices)]``, so
+        its element order does not depend on how the indices are given. All
+        the indices give the group itself and none the trivial group. The
+        subgroup is a breadth-first search from the identity over the
+        group's right-table rows ``R[i]``, i in that order. ``R[i][x]`` is
+        the index of ``elements[x] * generators[i]``, so the search meets
+        the same products in the same order as a fresh closure of those
+        generators: it gives the same elements and productions, and its own
+        right table in the same loop, with no element product. The
+        subgroup holds the group's element objects. The cache never holds
+        the group itself: a group that referenced itself would stay alive
+        until a full garbage collection.
         """
         key = tuple(sorted(set(indices)))
         if key == tuple(range(len(self.generators))):
@@ -78,11 +86,26 @@ class FiniteGroup:
         got = self._subs.get(key)
         if got is None:
             got = self._subs[key] = (
-                closure([self.generators[i] for i in key], cap=self.order)
-                if key
-                else trivial_group(self.identity)
+                self._close_sub(key) if key else trivial_group(self.identity)
             )
         return got
+
+    def _close_sub(self, key: tuple) -> "FiniteGroup":
+        rows = [self._right[i] for i in key]
+        members = [0]  # indices in this group, in the subgroup's BFS order
+        local = {0: 0}
+        prods = [(-1, -1)]
+        R: list[list[int]] = [[] for _ in key]
+        for i, x in enumerate(members):  # grows while it is read: a queue
+            for gi, (row, out) in enumerate(zip(rows, R)):
+                y, n = row[x], len(members)
+                j = local.setdefault(y, n)
+                if j == n:
+                    members.append(y)
+                    prods.append((i, gi))
+                out.append(j)
+        elements = [self.elements[x] for x in members]
+        return FiniteGroup([self.generators[i] for i in key], elements, prods, R)
 
     def tree(self) -> tuple:
         """The productions, checked to form a BFS tree: element 0 is the
@@ -108,27 +131,13 @@ class FiniteGroup:
             self._words = tuple(words)
         return self._words
 
-    def right_table(self) -> tuple[tuple[int, ...], ...]:
+    def right_table(self) -> tuple[list[int], ...]:
         """R[gi][i] = index of elements[i] * generators[gi].
 
-        Built once, with at most one product per element and generator;
-        after it the group's right action on itself is integer lookups. The
-        productions give one entry per element for free, and an involution
-        g gives R[g][j] = i along with R[g][i] = j.
+        The closure records it as it enumerates the group (``kernels.close``,
+        ``FiniteGroup.sub``); after it the group's right action on itself is
+        integer lookups.
         """
-        if self._right is None:
-            rows = [[-1] * self.order for _ in self.generators]
-            for i, (parent, gi) in enumerate(self.tree()[1:], 1):
-                rows[gi][parent] = i
-            index = self._index
-            for row, g in zip(rows, self.generators):
-                involution = (g * g).is_identity()
-                for i, e in enumerate(self.elements):
-                    if row[i] < 0:
-                        j = row[i] = index[e * g]
-                        if involution:
-                            row[j] = i
-            self._right = tuple(tuple(row) for row in rows)
         return self._right
 
     def right_multiplier(self, y) -> list[int] | range:
@@ -143,12 +152,13 @@ class FiniteGroup:
 
 
 def trivial_group(identity) -> FiniteGroup:
-    return FiniteGroup([identity], [identity], [(-1, -1)])
+    return FiniteGroup([identity], [identity], [(-1, -1)], [[0]])
 
 
 def check_modulus(dim: int, p: int) -> None:
-    """Reject moduli the compiled closure kernel cannot multiply: it sums dim
-    products of entries below p in a C long, so dim*(p-1)^2 < 2^63."""
+    """Reject moduli with dim*(p-1)^2 >= 2^63. The closure's arithmetic is
+    exact at any modulus; the bound makes huge moduli, whose groups could
+    never be enumerated, fail fast and up front."""
     if dim * (p - 1) ** 2 >= 2**63:
         raise ValueError(
             f"modulus {p} too large for {dim}x{dim} matrices: need dim*(p-1)^2 < 2^63"
@@ -156,7 +166,8 @@ def check_modulus(dim: int, p: int) -> None:
 
 
 def closure(generators, cap: int | None = None) -> FiniteGroup:
-    """Breadth-first closure of the generators, deterministic element order."""
+    """Breadth-first closure of the generators, deterministic element order,
+    with the right table (``kernels.close``)."""
     generators = tuple(generators)
     if not generators:
         raise ValueError("empty generator list")
@@ -166,20 +177,19 @@ def closure(generators, cap: int | None = None) -> FiniteGroup:
     cap = closure_cap(cap)
     if isinstance(first, Perm):
         raw = kernels.close_perms([g.images for g in generators], cap)
-        if raw is None:
-            raise CapExceeded(f"closure exceeded cap of {cap} elements")
-        elems = [Perm._raw(t) for t in raw[0]]
+        make = Perm._raw
     elif isinstance(first, MatModP):
         check_modulus(first.dim, first.p)
         raw = kernels.close_mats(
             [g.entries for g in generators], first.dim, first.p, cap
         )
-        if raw is None:
-            raise CapExceeded(f"closure exceeded cap of {cap} elements")
-        elems = [MatModP._raw(first.p, first.dim, t) for t in raw[0]]
+        make = lambda entries: MatModP._raw(first.p, first.dim, entries)
     else:
         raise KindMismatch(f"unknown element kind: {type(first)!r}")
-    return FiniteGroup(generators, elems, raw[1])
+    if raw is None:
+        raise CapExceeded(f"closure exceeded cap of {cap} elements")
+    elements, prods, R = raw
+    return FiniteGroup(generators, map(make, elements), prods, R)
 
 
 def coset_partition(G: FiniteGroup, H: FiniteGroup):

@@ -1,25 +1,102 @@
-"""Select the closure kernel: compiled extension when available, else pure Python.
+"""The closure kernel: one breadth-first search that also returns the right table.
 
-Set POLYWYTHOFF_PURE=1 to force the fallback (used by the benchmark).
+An element is a tuple of points and a generator is a map on points: the
+product of an element e with a generator m is ``tuple(m[x] for x in e)``.
+``close`` runs the search on that form; ``close_perms`` and ``close_mats``
+put permutations and matrices into it and take them back out.
+
+- A permutation is the tuple of its images, and a generator g is the map
+  x -> g(x) on {1..N}: image i of e*g is g(e(i)).
+- A matrix over Z_p is the tuple of its rows, each row vector coded as the
+  integer sum x_k p^k. Row i of e*g is (row i of e)*g, a function of that
+  row and g alone, so mapping every row through v -> v*g gives e*g exactly.
+  ``RowMap`` is that function for one generator, memoized on first use, so
+  each distinct row is multiplied once per generator however many elements
+  hold it. The coding is a bijection from Z_p^dim onto [0, p^dim), so two
+  row-code tuples are equal exactly when the matrices are, and the search
+  meets the same elements in the same order as one on entries. Rows are
+  decoded to entries only for the elements returned.
 """
 
 from __future__ import annotations
 
-import os
+KERNEL = "pure-python"
 
-from . import _closure_py
 
-if os.environ.get("POLYWYTHOFF_PURE"):
-    _impl = _closure_py
-    KERNEL = "pure-python (forced)"
-else:
-    try:
-        from . import _closurekernel as _impl  # type: ignore[attr-defined]
+def close(maps, identity: tuple, cap: int):
+    """Breadth-first closure of ``identity`` under the generator ``maps``.
 
-        KERNEL = "compiled"
-    except ImportError:
-        _impl = _closure_py
-        KERNEL = "pure-python"
+    Returns (elements, prods, R), or None when more than ``cap`` elements
+    are found. ``elements`` is in BFS insertion order with the identity
+    first. ``prods[i]`` is the (parent index, generator index) that first
+    reached element i, and (-1, -1) for the identity. ``R[gi][i]`` is the
+    index of ``elements[i]`` times generator gi: the search looks up every
+    product, new or already seen, and elements are taken in index order,
+    so row gi is filled entry by entry.
+    """
+    elements = [identity]
+    prods = [(-1, -1)]
+    index = {identity: 0}
+    getters = [m.__getitem__ for m in maps]
+    R = [[] for _ in maps]
+    for i, e in enumerate(elements):  # grows while it is read: a queue
+        for gi, (get, row) in enumerate(zip(getters, R)):
+            prod = tuple(map(get, e))
+            n = len(elements)
+            j = index.setdefault(prod, n)
+            if j == n:
+                if n >= cap:
+                    return None
+                elements.append(prod)
+                prods.append((i, gi))
+            row.append(j)
+    return elements, prods, R
 
-close_perms = _impl.close_perms
-close_mats = _impl.close_mats
+
+def close_perms(gens, cap: int):
+    """``close`` on permutations given as image tuples on {1..N}."""
+    identity = tuple(range(1, len(gens[0]) + 1))
+    return close([(0,) + tuple(g) for g in gens], identity, cap)
+
+
+class RowMap(dict):
+    """Row code -> row code of v*g mod p for one matrix g, filled on first use."""
+
+    def __init__(self, entries, dim: int, p: int):
+        super().__init__()
+        self.cols = [entries[j::dim] for j in range(dim)]
+        self.dim, self.p = dim, p
+
+    def __missing__(self, code: int) -> int:
+        v = decode_row(code, self.dim, self.p)
+        image = [sum(x * y for x, y in zip(v, col)) % self.p for col in self.cols]
+        self[code] = out = encode_row(image, self.p)
+        return out
+
+
+def encode_row(row, p: int) -> int:
+    code = 0
+    for x in reversed(row):
+        code = code * p + x
+    return code
+
+
+def decode_row(code: int, dim: int, p: int) -> tuple:
+    row = []
+    for _ in range(dim):
+        code, x = divmod(code, p)
+        row.append(x)
+    return tuple(row)
+
+
+def close_mats(gens, dim: int, p: int, cap: int):
+    """``close`` on dim x dim matrices mod p given as row-major entry tuples;
+    the elements come back as entry tuples too."""
+    identity = tuple(p**i for i in range(dim))  # row i is the unit vector e_i
+    raw = close([RowMap(g, dim, p) for g in gens], identity, cap)
+    if raw is None:
+        return None
+    elements, prods, R = raw
+    codes = {code for e in elements for code in e}
+    get = {code: decode_row(code, dim, p) for code in codes}.__getitem__
+    return [sum(map(get, e), ()) for e in elements], prods, R

@@ -1,8 +1,7 @@
-"""Plain-text and JSON run reports for the CLI pipeline."""
+"""Plain-text run reports for the CLI pipeline."""
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -65,23 +64,3 @@ class RunReport:
 
     def text(self, timings=False):
         return "\n".join(self.lines(timings=timings))
-
-    def to_dict(self):
-        d = {
-            "source": self.source,
-            "group_order": self.group_order,
-            "diagram": self.diagram,
-            "intersection_full": self.intersection_full,
-            "intersection_reduced": self.intersection_reduced,
-            "f_vector": self.f_vector,
-            "flags": self.flags,
-            "orbits": self.orbits,
-            "classification": self.classification,
-            "aut_order": self.aut_order,
-            "section_sizes": {str(k): v for k, v in self.section_sizes.items()},
-        }
-        d.update(self.extra)
-        return d
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -53,9 +53,19 @@ class FacePoset:
         for low, high in covers:
             self.up[low].append(high)
             self.down[high].append(low)
+        # Distinct faces have distinct sort keys (rank, kind, k). Here k is
+        # the rep's own key, which determines the rep: the images of a Perm,
+        # the entries of a MatModP (one modulus and dimension per poset), or
+        # the sides, K-rank and transversal indices of an amalgam normal
+        # form. A rep without a key (hand-built posets) is its own k, and a
+        # None rep belongs to the one bottom or top face of its rank. So a
+        # face's position in all_faces(), which runs through the ranks in
+        # order and sorts each by key, orders any list of faces exactly as
+        # its key does.
+        position = {f: i for i, f in enumerate(self.all_faces())}
         for f in self.up:
-            self.up[f] = tuple(sorted(self.up[f], key=Face.sort_key))
-            self.down[f] = tuple(sorted(self.down[f], key=Face.sort_key))
+            self.up[f] = tuple(sorted(self.up[f], key=position.__getitem__))
+            self.down[f] = tuple(sorted(self.down[f], key=position.__getitem__))
         self.down_sets = {f: frozenset(v) for f, v in self.down.items()}
         # action[f][gi] = image of face f under generator gi of the group,
         # present only for group-built posets; powers the flag action

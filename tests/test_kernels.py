@@ -1,35 +1,166 @@
-import pytest
+"""The closure kernel against the element oracle.
 
-from polywythoff import _closure_py, kernels
+The oracle is a breadth-first closure written on matrix entries and
+permutation images, one product per element and generator. The kernel must
+give the same elements in the same order and the same productions, and its
+right table must agree with the element products x * g.
+"""
+
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polywythoff import kernels
+from polywythoff.elements import MatModP, Perm
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.modred import reduce_mod_p, rescale
+from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import parse_diagram
 
-compiled = pytest.importorskip("polywythoff._closurekernel")
+CAP = 3000
 
 
-def test_perm_kernels_agree():
-    for name in ("tomotope.tt", "m66_240a.tt", "d4.tt", "hexagon.tt"):
-        gens = [g.images for g in builtin_fixture(name).gens]
-        assert compiled.close_perms(gens, 10**6) == _closure_py.close_perms(gens, 10**6)
+def oracle_close(gens, multiply, identity, cap):
+    """Entry-level BFS closure: (elements, prods), or None past ``cap``."""
+    elements = [identity]
+    prods = [(-1, -1)]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            ei = index[e]
+            for gi, g in enumerate(gens):
+                prod = multiply(e, g)
+                if prod not in index:
+                    if len(elements) >= cap:
+                        return None
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    prods.append((ei, gi))
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return elements, prods
 
 
-def test_mat_kernels_agree():
-    sys_ = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
-    for p in (2, 3):
-        spec = reduce_mod_p(sys_, p)
-        gens = [g.entries for g in spec.generators]
-        dim = spec.generators[0].dim
-        assert compiled.close_mats(gens, dim, p, 10**6) == _closure_py.close_mats(
-            gens, dim, p, 10**6
+def oracle_close_perms(gens, cap):
+    identity = tuple(range(1, len(gens[0]) + 1))
+    return oracle_close(gens, lambda e, g: tuple(g[i - 1] for i in e), identity, cap)
+
+
+def oracle_close_mats(gens, dim, p, cap):
+    rng = range(dim)
+
+    def multiply(e, g):
+        rows = [e[i * dim : (i + 1) * dim] for i in rng]
+        return tuple(
+            sum(row[k] * g[k * dim + j] for k in rng) % p for row in rows for j in rng
         )
 
+    identity = tuple(int(i == j) for i in rng for j in rng)
+    return oracle_close(gens, multiply, identity, cap)
 
-def test_kernels_cap():
+
+def check_kernel(gens, cap=CAP):
+    """Run the kernel and the oracle on element objects ``gens``."""
+    first = gens[0]
+    if isinstance(first, Perm):
+        got = kernels.close_perms([g.images for g in gens], cap)
+        want = oracle_close_perms([g.images for g in gens], cap)
+        make = Perm._raw
+    else:
+        dim, p = first.dim, first.p
+        got = kernels.close_mats([g.entries for g in gens], dim, p, cap)
+        want = oracle_close_mats([g.entries for g in gens], dim, p, cap)
+        make = lambda entries: MatModP._raw(p, dim, entries)
+    if want is None:
+        assert got is None
+        return
+    elements, prods, R = got
+    assert (elements, prods) == want
+    objs = [make(e) for e in elements]
+    index = {x: i for i, x in enumerate(objs)}
+    assert len(R) == len(gens)
+    for row, g in zip(R, gens):
+        assert list(row) == [index[x * g] for x in objs]
+
+
+@st.composite
+def perm_gens(draw):
+    degree = draw(st.integers(2, 7))
+    perm = st.permutations(range(1, degree + 1)).map(Perm)
+    return draw(st.lists(perm, min_size=1, max_size=3))
+
+
+def _monomial(draw, p, dim):
+    """A permutation matrix with unit entries: a group of small order."""
+    cols = draw(st.permutations(range(dim)))
+    units = [draw(st.integers(1, p - 1)) for _ in range(dim)]
+    entries = [units[i] if cols[i] == j else 0 for i in range(dim) for j in range(dim)]
+    return MatModP(p, dim, entries)
+
+
+@st.composite
+def mat_gens(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(2, 4))
+    entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
+    invertible = entries.map(lambda e: MatModP(p, dim, e, check=False)).filter(
+        MatModP._invertible
+    )
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # any invertible matrices: often a group past the cap
+        return draw(st.lists(invertible, min_size=count, max_size=count))
+    # monomial matrices conjugated by one invertible matrix: small groups
+    # with dense entries
+    a = draw(invertible)
+    return [a.inverse() * _monomial(draw, p, dim) * a for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_gens(), st.integers(1, CAP))
+def test_kernel_matches_oracle_on_random_perms(gens, cap):
+    check_kernel(gens, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mat_gens())
+def test_kernel_matches_oracle_on_random_matrices(gens):
+    check_kernel(gens)
+
+
+FIXTURES = sorted(
+    f.name
+    for f in resources.files("polywythoff.fixtures").iterdir()
+    if f.name.endswith((".tt", ".sg"))
+)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kernel_matches_oracle_on_fixtures(name):
+    check_kernel(builtin_fixture(name).gens)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kernel_matches_oracle_on_star(p):
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    check_kernel(list(reduce_mod_p(system, p).generators))
+
+
+def test_kernel_matches_oracle_on_random_quotients():
+    quotients = random_quotients(primes=(2, 3))
+    assert quotients
+    for G in quotients:
+        check_kernel(G.gens, cap=G.group.order)
+
+
+def test_kernel_cap():
     gens = [g.images for g in builtin_fixture("m66_240a.tt").gens]
-    assert compiled.close_perms(gens, 100) is None
-    assert _closure_py.close_perms(gens, 100) is None
+    assert kernels.close_perms(gens, 100) is None
+    assert kernels.close_perms(gens, 240) is not None
 
 
-def test_active_kernel_reported():
-    assert kernels.KERNEL in ("compiled", "pure-python", "pure-python (forced)")
+def test_kernel_reported():
+    assert kernels.KERNEL == "pure-python"

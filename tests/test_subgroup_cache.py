@@ -1,10 +1,11 @@
 """The per-group subgroup cache and the checks that read it.
 
-``FiniteGroup.sub`` closes each generator subset of a group once, and the
-intersection checks run on generator index sets of that one cache. The
-oracles below enumerate every subgroup afresh with ``closure``: the reduced
-C-group check as it was written on elements, with the string C-group test
-of its facet groups and the re-verification of Gamma_0.
+``FiniteGroup.sub`` reads the subgroup of each generator subset of a group
+from the group's right table once, and the intersection checks run on
+generator index sets of that one cache. The oracles below enumerate every
+subgroup afresh with ``closure``: the reduced C-group check as it was
+written on elements, with the string C-group test of its facet groups and
+the re-verification of Gamma_0.
 """
 
 import weakref
@@ -12,10 +13,12 @@ from importlib import resources
 
 import pytest
 
-from polywythoff import groups, ttgroup
+from polywythoff import kernels
 from polywythoff.elements import identity_like, parse_perm
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.groups import closure, element_order, trivial_group
+from polywythoff.kernels import close
+from polywythoff.modred import reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import (
     CommutationViolation,
@@ -24,6 +27,7 @@ from polywythoff.ttgroup import (
     check_intersection_full,
     check_intersection_reduced,
     gen_name,
+    parse_diagram,
     verify_tail_triangle,
 )
 
@@ -97,34 +101,44 @@ def load_tt(name):
     return verify_tail_triangle(fx.alphas, fx.beta)
 
 
-@pytest.mark.parametrize("name", TT_FIXTURES)
-def test_sub_matches_fresh_closure(name):
-    gens = builtin_fixture(name).gens
+def star_gens(p):
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    return reduce_mod_p(system, p).generators
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [builtin_fixture(name).gens for name in TT_FIXTURES] + [star_gens(2), star_gens(3)],
+    ids=TT_FIXTURES + ["star-mod2", "star-mod3"],
+)
+def test_sub_matches_fresh_closure(gens):
     G = closure(gens)
     for S in subsets(len(gens)):
-        H = G.sub(S)
-        assert H.elements == fresh_sub(gens, S).elements, S
+        H, fresh = G.sub(S), fresh_sub(gens, S)
+        assert H.elements == fresh.elements, S
+        assert H.prods == fresh.prods, S
+        assert H.right_table() == fresh.right_table(), S
         assert G.sub(reversed(S)) is H  # one cache entry, whatever the order
     assert G.sub(range(len(gens))) is G
     assert G.sub(()).order == 1
 
 
-def test_each_generator_subset_is_closed_once(monkeypatch):
-    closed = []
+def test_only_the_whole_group_is_closed(monkeypatch):
+    kernel_runs = []
 
-    def counting(gens, cap=None):
-        closed.append(tuple(gens))
-        return closure(gens, cap=cap)
+    def counting(maps, identity, cap):
+        kernel_runs.append(len(maps))
+        return close(maps, identity, cap)
 
-    monkeypatch.setattr(groups, "closure", counting)
-    monkeypatch.setattr(ttgroup, "closure", counting)
+    monkeypatch.setattr(kernels, "close", counting)
     G = load_tt("tomotope.tt")
     assert check_intersection_full(G)
     assert check_intersection_reduced(G)
     assert check_intersection_reduced(G)
-    # the whole group once, and each nonempty proper generator subset once
-    assert len(closed) == 2 ** (G.n + 1) - 1
-    assert len(set(closed)) == len(closed)
+    # one closure, on all n + 1 generators; the subgroup of each proper
+    # generator subset, the empty one included, is read from its table
+    assert kernel_runs == [G.n + 1]
+    assert len(G.group._subs) == 2 ** (G.n + 1) - 1
 
 
 @pytest.mark.parametrize("name", GOOD_TT)
