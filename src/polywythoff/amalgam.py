@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
 from .groups import closure  # noqa: F401  kept for perfbench/tracing.py, which spans it
 from .ttgroup import is_string_c_group
-from .wythoff import Face, FacePoset
+from .poset import Face, FacePoset
 
 
 class NotCGroup(ValueError):

@@ -200,8 +200,6 @@ def cmd_modred(args):
             return 0
     if args.lengths is None or args.prime is None:
         raise InputError("modred needs --lengths and --prime (or --search-lengths)")
-    if args.prime >= 5 and not args.large:
-        raise InputError(f"p={args.prime} reductions are gated behind --large")
     sys_ = rescale(d, _parse_lengths(args.lengths))
     spec = reduce_mod_p(sys_, args.prime)
     print(f"gram matrix mod {args.prime}: {spec.gram_mod_p}")
@@ -316,7 +314,6 @@ def make_parser():
     p.add_argument("--prime", type=int)
     p.add_argument("--ringing", type=int, choices=(1, 2, 3))
     p.add_argument("--search-lengths", action="store_true")
-    p.add_argument("--large", action="store_true", help="allow p >= 5")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_modred)
 

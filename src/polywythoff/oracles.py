@@ -7,7 +7,7 @@ theory involved, so agreement with the coset construction is meaningful.
 from __future__ import annotations
 
 from .elements import Perm
-from .wythoff import Face, FacePoset
+from .poset import Face, FacePoset
 
 
 def dihedral_tt_gens(k: int) -> tuple[Perm, Perm]:

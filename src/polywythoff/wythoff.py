@@ -2,10 +2,13 @@
 
 Faces of rank j are right cosets of the distinguished subgroups, ordered by
 nonempty coset intersection; the two facet kinds P and Q are kept apart by
-a kind tag and are never incident to each other. The poset itself is purely
-combinatorial (faces + covering relations), so sections, axiom checks and
-isomorphism tests also work on posets built by hand (toroid oracles, broken
-examples).
+a kind tag and are never incident to each other. The face poset
+(``poset.FacePoset``) works on integer face ids. When the action of the
+building group is by automorphisms, the axiom and section checks run on
+one incident pair per orbit of the group, and ``flag_orbits`` counts flags
+through one vertex (McMullen and Schulte, *Abstract Regular Polytopes*,
+§2B and §4A): an automorphism carries a section onto an isomorphic section
+and a flag orbit onto itself.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
+from .poset import Face, FacePoset
 from .ttgroup import (
     IntersectionResult,
     TailTriangleGroup,
@@ -25,240 +29,57 @@ class UnverifiedGroup(ValueError):
     """build_polytope refuses groups that failed (or skipped) verification."""
 
 
-@dataclass(frozen=True)
-class Face:
-    rank: int
-    kind: str  # "G_<j>", "P", "Q", "bot", "top"
-    rep: object  # canonical coset representative; None for improper faces
-
-    def sort_key(self):
-        rep = self.rep
-        return (self.rank, self.kind, getattr(rep, "key", rep) if rep is not None else ())
-
-    def __repr__(self):
-        return f"Face({self.rank},{self.kind},{self.rep})"
-
-
-class FacePoset:
-    """Ranked face set with covering incidences (rank j to j+1 only)."""
-
-    def __init__(self, faces_by_rank: dict, covers, action=None):
-        self.faces_by_rank = {
-            r: tuple(sorted(fs, key=Face.sort_key)) for r, fs in faces_by_rank.items()
-        }
-        self.bottom_rank = min(self.faces_by_rank)
-        self.top_rank = max(self.faces_by_rank)
-        self.up: dict[Face, tuple] = {f: [] for fs in self.faces_by_rank.values() for f in fs}
-        self.down: dict[Face, tuple] = {f: [] for f in self.up}
-        for low, high in covers:
-            self.up[low].append(high)
-            self.down[high].append(low)
-        # Distinct faces have distinct sort keys (rank, kind, k). Here k is
-        # the rep's own key, which determines the rep: the images of a Perm,
-        # the entries of a MatModP (one modulus and dimension per poset), or
-        # the sides, K-rank and transversal indices of an amalgam normal
-        # form. A rep without a key (hand-built posets) is its own k, and a
-        # None rep belongs to the one bottom or top face of its rank. So a
-        # face's position in all_faces(), which runs through the ranks in
-        # order and sorts each by key, orders any list of faces exactly as
-        # its key does.
-        position = {f: i for i, f in enumerate(self.all_faces())}
-        for f in self.up:
-            self.up[f] = tuple(sorted(self.up[f], key=position.__getitem__))
-            self.down[f] = tuple(sorted(self.down[f], key=position.__getitem__))
-        self.down_sets = {f: frozenset(v) for f, v in self.down.items()}
-        # action[f][gi] = image of face f under generator gi of the group,
-        # present only for group-built posets; powers the flag action
-        self.action = action or {}
-        self._flags: list | None = None
-        self._flag_index: dict | None = None
-        self._adj: list | None = None
-        self._upsets: dict = {}
-        self._downsets: dict = {}
-
-    # ---- basic structure -------------------------------------------------
-
-    def bottom(self) -> Face:
-        (f,) = self.faces_by_rank[self.bottom_rank]
-        return f
-
-    def top(self) -> Face:
-        (f,) = self.faces_by_rank[self.top_rank]
-        return f
-
-    def proper_ranks(self) -> range:
-        return range(self.bottom_rank + 1, self.top_rank)
-
-    def faces(self, rank: int) -> tuple:
-        return self.faces_by_rank.get(rank, ())
-
-    def all_faces(self):
-        for r in sorted(self.faces_by_rank):
-            yield from self.faces_by_rank[r]
-
-    def f_vector(self) -> tuple:
-        return tuple(len(self.faces_by_rank[r]) for r in self.proper_ranks())
-
-    def facet_split(self):
-        """(count_P, count_Q) at the top proper rank, if kinds are split."""
-        tops = self.faces_by_rank[self.top_rank - 1]
-        kinds = {f.kind for f in tops}
-        if kinds == {"P", "Q"}:
-            nP = sum(1 for f in tops if f.kind == "P")
-            return nP, len(tops) - nP
-        return None
-
-    def f_vector_str(self) -> str:
-        fv = list(map(str, self.f_vector()))
-        split = self.facet_split()
-        if split:
-            fv[-1] = f"{split[0]}+{split[1]}"
-        return "(" + ", ".join(fv) + ")"
-
-    def upset(self, f: Face) -> frozenset:
-        got = self._upsets.get(f)
-        if got is None:
-            acc = set()
-            frontier = [f]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.up[x]:
-                        if y not in acc:
-                            acc.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            got = self._upsets[f] = frozenset(acc)
-        return got
-
-    def downset(self, f: Face) -> frozenset:
-        got = self._downsets.get(f)
-        if got is None:
-            acc = set()
-            frontier = [f]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.down[x]:
-                        if y not in acc:
-                            acc.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            got = self._downsets[f] = frozenset(acc)
-        return got
-
-    def less(self, f: Face, g: Face) -> bool:
-        return g in self.upset(f)
-
-    # ---- flags -----------------------------------------------------------
-
-    def flags(self) -> list[tuple]:
-        """All maximal proper chains, one face per proper rank.
-
-        Chains grow one rank at a time, each in the order of ``up``, so the
-        flags come in lexicographic order.
-        """
-        if self._flags is None:
-            chains = [(v,) for v in self.up[self.bottom()]]
-            for _ in range(self.top_rank - self.bottom_rank - 2):
-                chains = [c + (h,) for c in chains for h in self.up[c[-1]]]
-            self._flags = [c for c in chains if c[-1].rank == self.top_rank - 1]
-            self._flag_index = {fl: i for i, fl in enumerate(self._flags)}
-        return self._flags
-
-    def flag_adjacency(self) -> list[tuple]:
-        """adj[i][j] = index of the unique j-adjacent flag of flag i.
-
-        Requires the diamond condition; entries are None where the middle
-        face count is not exactly two.
-        """
-        if self._adj is None:
-            flags = self.flags()
-            nprop = self.top_rank - self.bottom_rank - 1
-            adj = []
-            for fl in flags:
-                row = []
-                for j in range(nprop):
-                    low = fl[j - 1] if j > 0 else self.bottom()
-                    high = fl[j + 1] if j < nprop - 1 else self.top()
-                    mids = [h for h in self.up[low] if h in self.down_sets[high]]
-                    if len(mids) != 2:
-                        row.append(None)
-                        continue
-                    other = mids[0] if mids[1] == fl[j] else mids[1]
-                    row.append(self._flag_index[fl[:j] + (other,) + fl[j + 1 :]])
-                adj.append(tuple(row))
-            self._adj = adj
-        return self._adj
-
-    # ---- sections ----------------------------------------------------------
-
-    def section(self, low: Face, high: Face) -> "FacePoset":
-        """The polytope-style section high/low, re-ranked from -1."""
-        if not self.less(low, high):
-            raise ValueError("section requires low < high")
-        members = (self.upset(low) & self.downset(high)) | {low, high}
-        shift = low.rank + 1
-        remap = {f: Face(f.rank - shift, f.kind, f.rep) for f in members}
-        faces_by_rank: dict[int, list] = {}
-        for old, new in remap.items():
-            faces_by_rank.setdefault(new.rank, []).append(new)
-        covers = [
-            (remap[a], remap[b])
-            for a in members
-            for b in self.up[a]
-            if b in members
-        ]
-        return FacePoset(faces_by_rank, covers)
-
-    # ---- group action ------------------------------------------------------
-
-    def face_image(self, f: Face, gi: int) -> Face:
-        """The image of face f under generator gi of the building group."""
-        return self.action[f][gi]
-
-
 # ---- builders --------------------------------------------------------------
 
 
 def _assemble(G: FiniteGroup, levels):
     """levels: list per proper rank of [(kind, subgroup)], bottom first.
 
-    Faces of a kind are the cosets of ``coset_partition``, numbered by
-    ``cid``. Two cosets are incident exactly when they share an element, so
-    the covers between consecutive ranks are the pairs (cid_low[e],
-    cid_high[e]) over all elements e. A generator g moves the coset Hx to
-    Hxg, the coset of its representative's right-table image.
+    Faces of a kind are the cosets of ``coset_partition``, numbered in
+    ``cid`` order from the kind's first id; the kinds of a rank are numbered
+    in name order, so ids follow ``Face.sort_key``. Two cosets are incident
+    exactly when they share an element, so the covers between consecutive
+    ranks are the pairs (cid_low[e], cid_high[e]) over all elements e. A
+    generator g moves the coset Hx to Hxg, the coset of the right-table
+    image of any element of Hx. The base faces are the cosets of element 0,
+    the identity.
     """
     nprop = len(levels)
-    bot, top = Face(-1, "bot", None), Face(nprop, "top", None)
-    faces_by_rank: dict[int, list] = {-1: [bot], nprop: [top]}
-    parts = []  # per proper rank: [(faces, cid)] per kind
+    faces = [Face(-1, "bot", None)]
+    blocks = []  # per proper rank: [(first id, cid)] per kind
     for rank, kinds in enumerate(levels):
-        part = []
-        for kind, H in kinds:
+        block = []
+        for kind, H in sorted(kinds, key=lambda kh: kh[0]):
             reps, cid = coset_partition(G, H)
-            part.append(([Face(rank, kind, r) for r in reps], cid))
-        parts.append(part)
-        faces_by_rank[rank] = [f for faces, _ in part for f in faces]
+            block.append((len(faces), cid))
+            faces += [Face(rank, kind, r) for r in reps]
+        blocks.append(block)
+    faces.append(Face(nprop, "top", None))
+    bot, top = 0, len(faces) - 1
 
-    covers = [(bot, v) for v in faces_by_rank[0]]
-    covers += [(f, top) for f in faces_by_rank[nprop - 1]]
-    for lows, highs in zip(parts, parts[1:]):
-        for low_faces, low_cid in lows:
-            for high_faces, high_cid in highs:
-                covers += [
-                    (low_faces[a], high_faces[b]) for a, b in set(zip(low_cid, high_cid))
-                ]
+    starts = [block[0][0] for block in blocks] + [top]
+    covers = [(bot, v) for v in range(starts[0], starts[1])]
+    covers += [(f, top) for f in range(starts[-2], top)]
+    for lows, highs in zip(blocks, blocks[1:]):
+        for lo, low_cid in lows:
+            for hi, high_cid in highs:
+                covers += [(lo + a, hi + b) for a, b in set(zip(low_cid, high_cid))]
+    up: list[list[int]] = [[] for _ in faces]
+    down: list[list[int]] = [[] for _ in faces]
+    for a, b in covers:
+        up[a].append(b)
+        down[b].append(a)
 
     R = G.right_table()
-    action = {}
-    for part in parts:
-        for faces, cid in part:
-            for f in faces:
-                x = G.index_of(f.rep)
-                action[f] = tuple(faces[cid[row[x]]] for row in R)
-    return FacePoset(faces_by_rank, covers, action)
+    moves = [list(range(len(faces))) for _ in R]
+    for block in blocks:
+        for first, cid in block:
+            member = dict(zip(cid, range(len(cid))))  # coset -> one of its elements
+            for move, row in zip(moves, R):
+                for c, x in member.items():
+                    move[first + c] = first + cid[row[x]]
+    base = [first + cid[0] for block in blocks for first, cid in block]
+    return FacePoset.from_ids(faces, up, down, moves, base)
 
 
 def build_polytope(
@@ -294,55 +115,60 @@ def build_regular(gens, cap=None) -> FacePoset:
 
 
 def verify_diamond(P: FacePoset):
-    """Axiom B: incident faces two ranks apart have exactly two middles."""
-    counts: dict[tuple, int] = {}
-    for mid in P.all_faces():
-        if mid.kind in ("bot", "top"):
-            continue
-        for low in P.down[mid]:
-            for high in P.up[mid]:
-                counts[(low, high)] = counts.get((low, high), 0) + 1
-    for (low, high), c in counts.items():
-        if c != 2:
-            return False, (low, high, c)
+    """Axiom B: incident faces two ranks apart have exactly two middles.
+
+    Checked on ``P.pairs(r, r + 2)``: an automorphism carries the middles
+    of a pair onto the middles of its image, so the count is the same along
+    an orbit. Returns (True, None) or (False, (low, high, count)).
+    """
+    up, down = P.up_ids, P.down_ids
+    for r in range(P.bottom_rank, P.top_rank - 1):
+        for low, high in P.pairs(r, r + 2):
+            c = len(set(up[low]).intersection(down[high]))
+            if c != 2:
+                return False, (P.face_list[low], P.face_list[high], c)
     return True, None
+
+
+def _section_connected(P: FacePoset, low: int, high: int) -> bool:
+    """Whether the faces one rank below ``high`` in the section high/low are
+    connected through the faces two ranks below it (the facet-ridge graph
+    of the section)."""
+    up, down = P.up_ids, P.down_ids
+    levels = P.levels_above(low)
+    depth = P.rank_of[high] - P.rank_of[low]
+    nodes_above, mids_above = levels[depth - 1], levels[depth - 2]
+    nodes = [f for f in down[high] if f in nodes_above]
+    if not nodes:
+        return False
+    node_set = set(nodes)
+    seen = {nodes[0]}
+    frontier = [nodes[0]]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in down[x]:
+                if m in mids_above:
+                    for y in up[m]:
+                        if y in node_set and y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+        frontier = nxt
+    return len(seen) == len(nodes)
 
 
 def verify_strong_connectivity(P: FacePoset) -> bool:
     """Axiom C via facet-ridge graph connectivity of every section.
 
-    Sections of rank <= 1 are trivially connected and skipped.
+    Sections of rank <= 1 are trivially connected and skipped. Checked on
+    ``P.pairs(r, s)``: an automorphism maps a section onto an isomorphic
+    one, so the answer is the same along an orbit.
     """
-    for low in P.all_faces():
-        ups = P.upset(low)
-        for high in ups:
-            if high.rank - low.rank < 3:
-                continue
-            members = ups & P.downset(high)
-            nodes = [f for f in members if f.rank == high.rank - 1]
-            mids = [f for f in members if f.rank == high.rank - 2]
-            if not nodes:
-                return False
-            neighbours: dict[Face, set] = {f: set() for f in nodes}
-            node_set = set(nodes)
-            for m in mids:
-                above = [f for f in P.up[m] if f in node_set]
-                for a in above:
-                    for b in above:
-                        if a != b:
-                            neighbours[a].add(b)
-            seen = {nodes[0]}
-            frontier = [nodes[0]]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in neighbours[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            if len(seen) != len(nodes):
-                return False
+    for r in range(P.bottom_rank, P.top_rank - 2):
+        for s in range(r + 3, P.top_rank + 1):
+            for low, high in P.pairs(r, s):
+                if not _section_connected(P, low, high):
+                    return False
     return True
 
 
@@ -354,84 +180,125 @@ class TwoSection:
     alternating: bool  # facet kinds P,Q,P,Q,... (when kinds are tagged)
 
 
-def two_sections(P: FacePoset) -> list[TwoSection]:
-    """Each co-rank-2 section of the greatest face, with alternation check."""
-    facet_rank = P.top_rank - 1
-    base_rank = facet_rank - 2
-    out = []
-    for base in P.faces(base_rank):
-        ups = P.upset(base)
-        ridges = [f for f in ups if f.rank == facet_rank - 1]
-        facets = [f for f in ups if f.rank == facet_rank]
-        ok = bool(facets) and all(
-            sum(1 for x in P.up[r] if x in set(facets)) == 2 for r in ridges
-        ) and all(
-            sum(1 for x in P.down[f] if x in set(ridges)) == 2 for f in facets
-        )
-        alternating = False
+def _two_section(P: FacePoset, base: int) -> tuple:
+    """(size, is_polygon, alternating) of the section top/base."""
+    up, down = P.up_ids, P.down_ids
+    ridges = up[base]
+    ridge_set = set(ridges)
+    facets = sorted({f for r in ridges for f in up[r]})
+    ok = bool(facets) and all(len(up[r]) == 2 for r in ridges) and all(
+        sum(1 for x in down[f] if x in ridge_set) == 2 for f in facets
+    )
+    alternating = False
+    if ok:
+        # walk the cycle facet -> ridge -> facet, collecting facet kinds
+        start = facets[0]
+        seq = [start]
+        prev_ridge = None
+        cur = start
+        while True:
+            nxt_ridges = [r for r in down[cur] if r in ridge_set and r != prev_ridge]
+            if not nxt_ridges:
+                ok = False
+                break
+            prev_ridge = nxt_ridges[0]
+            cur = next(f for f in up[prev_ridge] if f != cur)
+            if cur == start:
+                break
+            seq.append(cur)
+        if ok and len(seq) != len(facets):
+            ok = False  # more than one cycle: not a polygon
         if ok:
-            # walk the cycle facet -> ridge -> facet, collecting facet kinds
-            ridge_set = set(ridges)
-            start = facets[0]
-            seq = [start]
-            prev_ridge = None
-            cur = start
-            while True:
-                nxt_ridges = [r for r in P.down[cur] if r in ridge_set and r != prev_ridge]
-                if not nxt_ridges:
-                    ok = False
-                    break
-                prev_ridge = nxt_ridges[0]
-                nxt = [f for f in P.up[prev_ridge] if f != cur]
-                cur = nxt[0]
-                if cur == start:
-                    break
-                seq.append(cur)
-            if ok and len(seq) != len(facets):
-                ok = False  # more than one cycle: not a polygon
-            if ok:
-                kinds = [f.kind for f in seq]
-                alternating = all(
-                    kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds))
-                )
-        out.append(TwoSection(base, len(facets), ok, alternating))
-    return out
+            kinds = [P.face_list[f].kind for f in seq]
+            alternating = all(
+                kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds))
+            )
+    return len(facets), ok, alternating
 
 
-def flag_orbits(P: FacePoset, G: TailTriangleGroup):
-    """(orbit count, flag count, action is free) under the right Gamma-action.
+def two_sections(P: FacePoset) -> list[TwoSection]:
+    """Each co-rank-2 section of the greatest face, with alternation check.
 
-    Faces and flags are numbered, and each generator acts on a flag face by
-    face through ``P.action``.
+    One ``TwoSection`` per face of rank n-2 (n the facet rank), in face
+    order. With an automorphic action a section is computed once per orbit
+    of these faces, at its representative (the low faces of
+    ``P.pairs(n - 2, top)``), and copied along the orbit: an automorphism
+    keeps kinds, so it carries a section onto one of the same size, shape
+    and kind sequence.
     """
-    fid = {f: i for i, f in enumerate(P.action)}
-    moves = [[fid[imgs[gi]] for imgs in P.action.values()] for gi in range(len(G.gens))]
-    flags = [tuple(fid[f] for f in fl) for fl in P.flags()]
+    bases = P.ids(P.top_rank - 3)
+    rep = P.orbit_reps() if P.action_is_automorphic() else range(len(P.face_list))
+    found = {x: _two_section(P, x) for x in {rep[b] for b in bases}}
+    return [TwoSection(P.face_list[b], *found[rep[b]]) for b in bases]
+
+
+def _orbit_sizes(flags: list, moves) -> list[int]:
+    """Sizes of the orbits of the id-tuple flags under the face maps."""
     index = {fl: i for i, fl in enumerate(flags)}
     seen = [False] * len(flags)
-    orbits = 0
-    orbit_sizes = []
+    sizes = []
     for i0 in range(len(flags)):
         if seen[i0]:
             continue
-        orbits += 1
-        size = 0
-        frontier = [i0]
         seen[i0] = True
-        while frontier:
-            nxt = []
-            for i in frontier:
-                size += 1
-                fl = flags[i]
-                for move in moves:
-                    j = index[tuple([move[f] for f in fl])]
-                    if not seen[j]:
-                        seen[j] = True
-                        nxt.append(j)
-            frontier = nxt
-        orbit_sizes.append(size)
-    free = all(s == G.group.order for s in orbit_sizes)
-    return orbits, len(flags), free
+        orbit = [i0]
+        for i in orbit:  # grows while it is read: a queue
+            fl = flags[i]
+            for m in moves:
+                j = index[tuple(map(m.__getitem__, fl))]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        sizes.append(len(orbit))
+    return sizes
+
+
+def _transitive(moves, ids) -> bool:
+    """Whether the face maps carry ids[0] to every face of ``ids``."""
+    if not ids:
+        return True
+    orbit = {ids[0]}
+    frontier = [ids[0]]
+    for x in frontier:  # grows while it is read: a queue
+        for m in moves:
+            if m[x] not in orbit:
+                orbit.add(m[x])
+                frontier.append(m[x])
+    return orbit == set(ids)
+
+
+def flag_orbits(P: FacePoset, G: TailTriangleGroup):
+    """(orbit count, flag count, action is free) under the right Γ-action.
+
+    ``P.moves`` must be the action of Γ's generators, as the Wythoff builds
+    make it. When it is by automorphisms and transitive on the vertices V,
+    the flags are not listed. Take a vertex v with |Γ_0|·|V| = |Γ|, where
+    Γ_0 is generated by the generators fixing v. Γ_0 lies in the stabilizer
+    of v, whose order is |Γ|/|V|, so Γ_0 is the stabilizer. Every vertex
+    lies in as many flags as v, so there are |V| × (flags through v). Each
+    flag orbit meets the flags through v, and an element mapping one flag
+    through v to another fixes v, so lies in Γ_0: the Γ-orbits are the
+    Γ_0-orbits on the flags through v. A flag's stabilizer fixes v too, so
+    its Γ-orbit has |V| × (its Γ_0-orbit size) flags, and the action is
+    free iff that is |Γ| for each orbit.
+
+    Otherwise every flag is listed and each generator acts on it face by
+    face.
+    """
+    order = G.group.order
+    moves = P.moves
+    verts = P.ids(0)
+    if P.action_is_automorphic() and _transitive(moves, verts):
+        for v in verts:
+            fix = [gi for gi, m in enumerate(moves) if m[v] == v]
+            if G.group.sub(fix).order * len(verts) == order:
+                through = P.chains_up([(v,)])
+                sizes = _orbit_sizes(through, [moves[gi] for gi in fix])
+                free = all(len(verts) * s == order for s in sizes)
+                return len(sizes), len(verts) * len(through), free
+    flags = P.flag_ids()
+    sizes = _orbit_sizes(flags, moves)
+    return len(sizes), len(flags), all(s == order for s in sizes)
 
 
 @dataclass
@@ -491,30 +358,19 @@ def verify_facet_sections(P: FacePoset, G: TailTriangleGroup) -> bool:
 
 def vertex_transitive(P: FacePoset, G: TailTriangleGroup) -> bool:
     """The orbit of one vertex, a BFS under the generators, is every vertex."""
-    verts = P.faces(0)
-    orbit = {verts[0]}
-    frontier = [verts[0]]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for gi in range(len(G.gens)):
-                img = P.face_image(f, gi)
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return orbit == set(verts)
+    return _transitive(P.moves[: len(G.gens)], P.ids(0))
 
 
 # ---- isomorphism -------------------------------------------------------------
 
 
 def _invariants(P: FacePoset):
+    ranks = sorted(P.faces_by_rank)
     return (
-        sorted(P.faces_by_rank),
-        [len(P.faces(r)) for r in sorted(P.faces_by_rank)],
-        [sorted(len(P.up[f]) for f in P.faces(r)) for r in sorted(P.faces_by_rank)],
-        len(P.flags()),
+        ranks,
+        [len(P.ids(r)) for r in ranks],
+        [sorted(len(P.up_ids[i]) for i in P.ids(r)) for r in ranks],
+        len(P.flag_ids()),
     )
 
 
@@ -524,16 +380,19 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
     Seeded flag search: a flag-to-flag correspondence propagates through
     j-adjacency and determines the whole map; every flag of P2 is tried as
     the image of a fixed base flag of P1. Both posets must satisfy the
-    diamond condition (flag adjacency must be well defined).
+    diamond condition (flag adjacency must be well defined). The map is
+    returned as a Face -> Face dict.
     """
     if _invariants(P1) != _invariants(P2):
         return None
-    flags1, flags2 = P1.flags(), P2.flags()
+    flags1, flags2 = P1.flag_ids(), P2.flag_ids()
     adj1, adj2 = P1.flag_adjacency(), P2.flag_adjacency()
     if any(None in row for row in adj1) or any(None in row for row in adj2):
         return None
     nprop = P1.top_rank - P1.bottom_rank - 1
     nflags = len(flags1)
+    up1, up2 = P1.up_ids, P2.up_ids
+    (top1,) = P1.ids(P1.top_rank)
     for seed in range(nflags):
         pairing = [-1] * nflags  # P1 flag index -> P2 flag index
         taken = [False] * nflags
@@ -563,7 +422,7 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
         if not ok or -1 in pairing:
             continue
         # face map must be single valued and bijective
-        fmap: dict[Face, Face] = {}
+        fmap: dict[int, int] = {}
         good = True
         for i, m in enumerate(pairing):
             for f1, f2 in zip(flags1[i], flags2[m]):
@@ -575,15 +434,12 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
         if not good or len(set(fmap.values())) != len(fmap):
             continue
         # covers preserved (flags cover the proper part; improper are forced)
-        if all(
-            fmap[b] in set(P2.up[fmap[a]])
-            for a in fmap
-            for b in P1.up[a]
-            if b.rank < P1.top_rank
-        ):
-            fmap[P1.bottom()] = P2.bottom()
-            fmap[P1.top()] = P2.top()
-            return fmap
+        if all(fmap[b] in up2[fmap[a]] for a in fmap for b in up1[a] if b != top1):
+            faces1, faces2 = P1.face_list, P2.face_list
+            out = {faces1[a]: faces2[b] for a, b in fmap.items()}
+            out[P1.bottom()] = P2.bottom()
+            out[P1.top()] = P2.top()
+            return out
     return None
 
 
@@ -592,20 +448,21 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
 
 def export_hasse(P: FacePoset, summary: str | None = None) -> str:
     """Line-oriented text export: faces, covers, optional summary line."""
-    ids = {}
+    faces = P.face_list
+    number = [-1] * len(faces)  # export number per face id; bot and top have none
     lines = []
-    for f in P.all_faces():
+    for i, f in enumerate(faces):
         if f.kind in ("bot", "top"):
             continue
-        ids[f] = len(ids)
-        lines.append(f"face {ids[f]} rank={f.rank} kind={f.kind} rep={f.rep}")
-    for f in P.all_faces():
-        if f.kind in ("bot", "top"):
+        number[i] = len(lines)
+        lines.append(f"face {number[i]} rank={f.rank} kind={f.kind} rep={f.rep}")
+    for i, ups in enumerate(P.up_ids):
+        if number[i] < 0:
             continue
-        for g in P.up[f]:
-            if g.kind == "top":
+        for j in ups:
+            if faces[j].kind == "top":
                 continue
-            lines.append(f"cover {ids[f]} {ids[g]}")
+            lines.append(f"cover {number[i]} {number[j]}")
     if summary:
         lines.append(summary)
     return "\n".join(lines) + "\n"

@@ -76,12 +76,12 @@ def test_modred_degenerate_lengths(capsys):
     assert code == 1 and "NotInvolution" in err
 
 
-def test_modred_large_gate(capsys):
-    code, _, err = run(
+def test_modred_prime_5(capsys):
+    code, out, _ = run(
         capsys, "modred", "--diagram", "tail=[3] triangle=(4,inf,2)",
         "--lengths", "1,1,2,4", "--prime", "5",
     )
-    assert code == 2 and "--large" in err
+    assert code == 0 and "group order mod 5: 28800" in out
 
 
 def test_modred_nonprime(capsys):
@@ -96,7 +96,7 @@ def test_modred_prime_past_the_matrix_kernel(capsys):
     # dim*(p-1)^2 >= 2^63 would overflow the compiled kernel's C long
     code, _, err = run(
         capsys, "modred", "--diagram", "tail=[3] triangle=(4,inf,2)",
-        "--lengths", "1,1,2,4", "--prime", "2147483647", "--large",
+        "--lengths", "1,1,2,4", "--prime", "2147483647",
     )
     assert code == 2 and "too large" in err
 
