@@ -34,19 +34,24 @@ class Face:
 
 
 class _FaceView(Mapping):
-    """Face-keyed, read-only view of a table that gives face ids per face id."""
+    """Face-keyed, read-only view of a table that gives face ids per face id.
+    Its keys are the faces whose ids lie in ``span``; any other face raises
+    KeyError."""
 
-    def __init__(self, faces, index, row, keys):
-        self._faces, self._index, self._row, self._keys = faces, index, row, keys
+    def __init__(self, faces, index, row, span: range):
+        self._faces, self._index, self._row, self._span = faces, index, row, span
 
     def __getitem__(self, f):
-        return tuple(self._faces[j] for j in self._row(self._index[f]))
+        i = self._index[f]
+        if i not in self._span:
+            raise KeyError(f)
+        return tuple(self._faces[j] for j in self._row(i))
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._faces[self._span.start : self._span.stop])
 
     def __len__(self):
-        return len(self._keys)
+        return len(self._span)
 
 
 class FacePoset:
@@ -97,7 +102,12 @@ class FacePoset:
     @classmethod
     def from_ids(cls, faces, up, down, moves, base) -> "FacePoset":
         """A poset from faces already in id order, id-level cover lists and
-        moves, and the base faces (see ``orbit_reps``)."""
+        moves, and the base faces (see ``orbit_reps``). Raises ValueError
+        unless the faces are in strictly increasing ``Face.sort_key`` order,
+        the numbering the constructor gives."""
+        keys = [f.sort_key() for f in faces]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("faces are not in Face.sort_key order")
         P = cls.__new__(cls)
         P._setup(faces, up, down, moves, base, (), None)
         return P
@@ -192,24 +202,24 @@ class FacePoset:
     @property
     def up(self) -> Mapping:
         """Face -> the faces covering it."""
-        return _FaceView(self.face_list, self._face_index(), self.up_ids.__getitem__, self.face_list)
+        every = range(len(self.face_list))
+        return _FaceView(self.face_list, self._face_index(), self.up_ids.__getitem__, every)
 
     @property
     def down(self) -> Mapping:
         """Face -> the faces it covers."""
-        return _FaceView(
-            self.face_list, self._face_index(), self.down_ids.__getitem__, self.face_list
-        )
+        every = range(len(self.face_list))
+        return _FaceView(self.face_list, self._face_index(), self.down_ids.__getitem__, every)
 
     @property
     def action(self) -> Mapping:
         """Proper face -> its images under the generators; empty without an
         action."""
         moves = self.moves
-        proper = self.face_list[self.ids(self.bottom_rank).stop : self.ids(self.top_rank).start]
+        proper = range(self.ids(self.bottom_rank).stop, self.ids(self.top_rank).start)
         return _FaceView(
             self.face_list, self._face_index(), lambda i: [m[i] for m in moves],
-            proper if moves else (),
+            proper if moves else range(0),
         )
 
     def face_image(self, f: Face, gi: int) -> Face:

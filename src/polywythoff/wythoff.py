@@ -35,9 +35,9 @@ class UnverifiedGroup(ValueError):
 def _assemble(G: FiniteGroup, levels):
     """levels: list per proper rank of [(kind, subgroup)], bottom first.
 
-    Faces of a kind are the cosets of ``coset_partition``, numbered in
-    ``cid`` order from the kind's first id; the kinds of a rank are numbered
-    in name order, so ids follow ``Face.sort_key``. Two cosets are incident
+    Faces of a kind are the cosets of ``coset_partition`` in ``cid`` order,
+    and the kinds of a rank come in name order; ``FacePoset.from_ids``
+    checks that this is ``Face.sort_key`` order. Two cosets are incident
     exactly when they share an element, so the covers between consecutive
     ranks are the pairs (cid_low[e], cid_high[e]) over all elements e. A
     generator g moves the coset Hx to Hxg, the coset of the right-table
@@ -270,35 +270,35 @@ def _transitive(moves, ids) -> bool:
 def flag_orbits(P: FacePoset, G: TailTriangleGroup):
     """(orbit count, flag count, action is free) under the right Γ-action.
 
-    ``P.moves`` must be the action of Γ's generators, as the Wythoff builds
-    make it. When it is by automorphisms and transitive on the vertices V,
-    the flags are not listed. Take a vertex v with |Γ_0|·|V| = |Γ|, where
-    Γ_0 is generated by the generators fixing v. Γ_0 lies in the stabilizer
-    of v, whose order is |Γ|/|V|, so Γ_0 is the stabilizer. Every vertex
-    lies in as many flags as v, so there are |V| × (flags through v). Each
-    flag orbit meets the flags through v, and an element mapping one flag
-    through v to another fixes v, so lies in Γ_0: the Γ-orbits are the
-    Γ_0-orbits on the flags through v. A flag's stabilizer fixes v too, so
-    its Γ-orbit has |V| × (its Γ_0-orbit size) flags, and the action is
-    free iff that is |Γ| for each orbit.
-
-    Otherwise every flag is listed and each generator acts on it face by
-    face.
+    ``P`` must be a Wythoff build of ``G``: ``P.moves`` is the action of
+    Γ's generators, by automorphisms and transitive on the vertices V, and
+    the base vertex v is the coset of the identity. Raises ValueError
+    otherwise, or if the generators fixing v generate a subgroup Γ_0 of
+    order other than |Γ|/|V|. The flags are not listed. Γ_0 lies in the
+    stabilizer of v, whose order is |Γ|/|V|, so Γ_0 is the stabilizer
+    (for a build, v's stabilizer is the subgroup of its rank, which is
+    generated by the generators it holds; see ``FacePoset.orbit_reps``).
+    Every vertex lies in as many flags as v, so there are
+    |V| × (flags through v). Each flag orbit meets the flags through v, and
+    an element mapping one flag through v to another fixes v, so lies in
+    Γ_0: the Γ-orbits are the Γ_0-orbits on the flags through v. A flag's
+    stabilizer fixes v too, so its Γ-orbit has |V| × (its Γ_0-orbit size)
+    flags, and the action is free iff that is |Γ| for each orbit.
     """
     order = G.group.order
     moves = P.moves
     verts = P.ids(0)
-    if P.action_is_automorphic() and _transitive(moves, verts):
-        for v in verts:
-            fix = [gi for gi, m in enumerate(moves) if m[v] == v]
-            if G.group.sub(fix).order * len(verts) == order:
-                through = P.chains_up([(v,)])
-                sizes = _orbit_sizes(through, [moves[gi] for gi in fix])
-                free = all(len(verts) * s == order for s in sizes)
-                return len(sizes), len(verts) * len(through), free
-    flags = P.flag_ids()
-    sizes = _orbit_sizes(flags, moves)
-    return len(sizes), len(flags), all(s == order for s in sizes)
+    base = [v for v in verts if v in P.base_ids]
+    if not (base and P.action_is_automorphic() and _transitive(moves, verts)):
+        raise ValueError("flag_orbits needs a vertex-transitive action by automorphisms")
+    (v,) = base
+    fix = [gi for gi, m in enumerate(moves) if m[v] == v]
+    if G.group.sub(fix).order * len(verts) != order:
+        raise ValueError("the generators fixing the base vertex do not generate its stabilizer")
+    through = P.chains_up([(v,)])
+    sizes = _orbit_sizes(through, [moves[gi] for gi in fix])
+    free = all(len(verts) * s == order for s in sizes)
+    return len(sizes), len(verts) * len(through), free
 
 
 @dataclass

@@ -359,3 +359,34 @@ def test_action_by_automorphisms_takes_the_orbit_path():
     assert P.action_is_automorphic()
     assert P.pairs(-1, 1) == [(0, P.ids(1)[0])]  # the rotation moves every edge
     assert_checks_match_oracle(P)
+
+
+def test_flag_orbits_needs_a_build_action():
+    G = fixture_group("hexagon.tt")
+    P = build_polytope(G)
+    for other in (without_action(P), _hexagon_with_rotation(broken=False),
+                  _hexagon_with_rotation(broken=True)):
+        with pytest.raises(ValueError):
+            flag_orbits(other, G)
+
+
+def test_from_ids_refuses_faces_out_of_key_order():
+    P = build_polytope(fixture_group("hexagon.tt"))
+    faces = list(P.face_list)
+    a, b = P.ids(0)[:2]
+    faces[a], faces[b] = faces[b], faces[a]
+    with pytest.raises(ValueError):
+        FacePoset.from_ids(faces, P.up_ids, P.down_ids, P.moves, P.base_ids)
+
+
+def test_face_views_are_mappings_over_their_keys():
+    P = build_polytope(fixture_group("hexagon.tt"))
+    bot, top, v = P.bottom(), P.top(), P.faces(0)[0]
+    assert bot in P.up and top in P.down and len(P.up) == len(P.face_list)
+    assert bot not in P.action and top not in P.action and v in P.action
+    assert P.action.get(bot) is None and len(P.action) == len(P.face_list) - 2
+    with pytest.raises(KeyError):
+        P.action[top]
+    bare = without_action(P)
+    assert len(bare.action) == 0 and v not in bare.action and bare.action.get(v) is None
+    assert list(bare.up) == list(P.up)
