@@ -104,8 +104,9 @@ def _modred_group(diagram_text, lengths_text, prime, ringing, report):
     if prime is None or lengths_text is None:
         raise InputError("--modred needs --lengths and --prime")
     d = parse_diagram(diagram_text)
-    sys_ = rescale(d, _parse_lengths(lengths_text))
-    spec = reduce_mod_p(sys_, prime)
+    lengths = _parse_lengths(lengths_text)
+    with report.phase("reduce"):
+        spec = reduce_mod_p(rescale(d, lengths), prime)
     report.extra["discriminant mod p"] = spec.det_mod_p
     with report.phase("verify"):
         return build_tail_triangle_modp(spec, ringing=ringing)
@@ -200,15 +201,16 @@ def cmd_modred(args):
             return 0
     if args.lengths is None or args.prime is None:
         raise InputError("modred needs --lengths and --prime (or --search-lengths)")
-    sys_ = rescale(d, _parse_lengths(args.lengths))
-    spec = reduce_mod_p(sys_, args.prime)
+    lengths = _parse_lengths(args.lengths)
+    report = RunReport(source=f"modred {d} p={args.prime} ringing={args.ringing}")
+    with report.phase("reduce"):
+        spec = reduce_mod_p(rescale(d, lengths), args.prime)
     print(f"gram matrix mod {args.prime}: {spec.gram_mod_p}")
     print(f"discriminant mod p: {spec.det_mod_p} ({spec.disc_class})")
     order = closure(list(spec.generators)).order
     print(f"group order mod {args.prime}: {order}")
     if args.ringing is None:
         return 0
-    report = RunReport(source=f"modred {d} p={args.prime} ringing={args.ringing}")
     G = build_tail_triangle_modp(spec, ringing=args.ringing)
     _build_report(G, report)
     print(report.text(timings=args.timings))

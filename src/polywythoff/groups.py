@@ -46,6 +46,7 @@ class FiniteGroup:
         self._words: tuple | None = None
         self._right = tuple(right)
         self._subs: dict[tuple, FiniteGroup] = {}
+        self._masks: dict[frozenset, int] = {}
         self._tree_checked = False
 
     @property
@@ -88,6 +89,37 @@ class FiniteGroup:
             got = self._subs[key] = (
                 self._close_sub(key) if key else trivial_group(self.identity)
             )
+        return got
+
+    def span(self, indices) -> list[int]:
+        """The indices of the elements of ``sub(indices)``, in its element
+        order: the same breadth-first search over the right-table rows,
+        with no group built."""
+        rows = [self._right[i] for i in sorted(set(indices))]
+        members = [0]
+        seen = {0}
+        for x in members:  # grows while it is read: a queue
+            for row in rows:
+                y = row[x]
+                if y not in seen:
+                    seen.add(y)
+                    members.append(y)
+        return members
+
+    def mask(self, indices) -> int:
+        """The subgroup generated by the generators at ``indices`` as a
+        bitmask of element indices: bit x is set when ``elements[x]`` lies
+        in it. Cached per proper subset; the whole group needs no search.
+        Intersections of subgroups are then ANDs of integers."""
+        key = frozenset(indices)
+        if len(key) == len(self.generators):
+            return (1 << self.order) - 1
+        got = self._masks.get(key)
+        if got is None:
+            bits = bytearray(b"0") * self.order
+            for x in self.span(key):
+                bits[x] = 49  # ord("1")
+            got = self._masks[key] = int(bits[::-1], 2)
         return got
 
     def _close_sub(self, key: tuple) -> "FiniteGroup":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .elements import MatModP
 from .groups import check_modulus, closure, closure_cap
@@ -75,12 +75,13 @@ def is_crystallographic(d: TailTriangleDiagram) -> CrystallographicResult:
     return CrystallographicResult(True)
 
 
-def _integer_sqrt(x: Fraction):
-    """Exact integer square root of a rational, or None."""
-    if x.denominator != 1 or x < 0:
+def _integer_sqrt(num: int, den: int):
+    """Exact integer square root of num/den (den > 0, num >= 0), or None."""
+    if num % den:
         return None
-    r = isqrt(x.numerator)
-    return r if r * r == x.numerator else None
+    q = num // den
+    r = isqrt(q)
+    return r if r * r == q else None
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,9 @@ def rescale(d: TailTriangleDiagram, squared_lengths) -> IntegralReflectionSystem
     m = d.n + 1
     if len(s) != m or any(x <= 0 for x in s):
         raise ValueError(f"need {m} positive squared lengths")
+    # s[i] = S[i] / den over one common denominator
+    den = lcm(*(x.denominator for x in s))
+    S = [x.numerator * (den // x.denominator) for x in s]
 
     l = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -111,9 +115,8 @@ def rescale(d: TailTriangleDiagram, squared_lengths) -> IntegralReflectionSystem
         for j in range(m):
             if i == j:
                 continue
-            c = _COS2[d.label(i, j)]
             # l[i][j] * l[j][i] = c and l[i][j] / l[j][i] = s[j] / s[i]
-            val = _integer_sqrt(c * s[j] / s[i])
+            val = _integer_sqrt(_COS2[d.label(i, j)] * S[j], S[i])
             if val is None:
                 raise NonIntegralSystem(i, j, d.n)
             l[i][j] = val
@@ -126,15 +129,16 @@ def rescale(d: TailTriangleDiagram, squared_lengths) -> IntegralReflectionSystem
             for r in range(m)
         ]
         matrices.append(tuple(rows))
-    gram = tuple(
-        tuple(2 * s[i] if i == j else -l[i][j] * s[i] for j in range(m))
-        for i in range(m)
-    )
+    # Gram entry (i, j) is -l[i][j] * s[i], with -l[i][i] = 2. W is den
+    # times it, an integer matrix; as den > 0, M preserves W exactly when it
+    # preserves the Gram matrix.
+    W = tuple(tuple(-x * S[i] for x in l[i]) for i in range(m))
+    gram = tuple(tuple(Fraction(x, den) for x in row) for row in W)
 
     sys_ = IntegralReflectionSystem(d, s, tuple(map(tuple, l)), tuple(matrices), gram)
     for M in sys_.matrices:
         assert _mat_mul(M, M) == _identity(m), "reflection is not an involution"
-        assert _mat_mul(_transpose(M), _mat_mul(gram, M)) == gram, "form not preserved"
+        assert _mat_mul(_transpose(M), _mat_mul(W, M)) == W, "form not preserved"
     return sys_
 
 
@@ -153,23 +157,24 @@ def _mat_mul(A, B):
     )
 
 
-def _det(M):
-    M = [list(row) for row in M]
-    m, sign, det = len(M), 1, Fraction(1)
+def _det_mod_p(M, p: int) -> int:
+    """Determinant of an integer matrix mod the prime p, by elimination in GF(p)."""
+    M = [[x % p for x in row] for row in M]
+    m, det = len(M), 1
     for c in range(m):
         piv = next((r for r in range(c, m) if M[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        det *= M[c][c]
-        inv = Fraction(1, 1) / M[c][c]
+            det = -det
+        det = det * M[c][c] % p
+        inv = pow(M[c][c], -1, p)
         for r in range(c + 1, m):
-            f = M[r][c] * inv
+            f = M[r][c] * inv % p
             if f:
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return sign * det
+                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[c])]
+    return det % p
 
 
 def is_prime(p: int) -> bool:
@@ -202,27 +207,24 @@ def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
     check_modulus(m, p)  # before any product: element orders would loop to the cap
 
     # clear Gram denominators; a unit scale factor keeps invariance intact
-    den = 1
-    for row in sys_.gram:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in sys_.gram for x in row))
     if den % p == 0:
         raise ValueError("squared-length denominators collide with p")
-    gram_int = tuple(tuple(int(x * den) % p for x in row) for row in sys_.gram)
+    gram_int = tuple(
+        tuple(x.numerator * (den // x.denominator) % p for x in row) for row in sys_.gram
+    )
 
     gens = tuple(
         MatModP(p, m, tuple(x % p for row in M for x in row)) for M in sys_.matrices
     )
-    ident = MatModP(p, m, tuple(int(i == j) for i in range(m) for j in range(m)))
-    for M in gens:
-        if M * M != ident:
-            raise ValueError("reduced generator is not an involution")
+    mod_p = lambda A: tuple(tuple(x % p for x in row) for row in A)
+    if any(mod_p(_mat_mul(M, M)) != _identity(m) for M in sys_.matrices):
+        raise ValueError("reduced generator is not an involution")
     for M in sys_.matrices:
-        lhs = _mat_mul(_transpose(M), _mat_mul(gram_int, M))
-        if tuple(tuple(x % p for x in row) for row in lhs) != gram_int:
+        if mod_p(_mat_mul(_transpose(M), _mat_mul(gram_int, M))) != gram_int:
             raise ValueError("reduced form not preserved")
 
-    det = int(_det(gram_int)) % p
+    det = _det_mod_p(gram_int, p)
     if det == 0:
         cls = "zero"
     elif p == 2:

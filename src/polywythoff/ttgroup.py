@@ -216,25 +216,27 @@ class IntersectionResult:
         return self.ok
 
 
-def _subset_pair_ok(sub_of, I: frozenset, J: frozenset):
-    """Check <I> cap <J> = <I cap J>; returns offending element or None."""
-    HI, HJ = sub_of(I), sub_of(J)
-    HIJ = sub_of(I & J)
-    small, big = (HI, HJ) if HI.order <= HJ.order else (HJ, HI)
-    for e in small.elements:
-        if e in big.element_set and e not in HIJ.element_set:
-            return e
-    return None
+def _subset_pair_ok(G: FiniteGroup, I: frozenset, J: frozenset):
+    """Check <I> cap <J> = <I cap J> on the subgroup bitmasks of G
+    (``FiniteGroup.mask``). Returns None, or the offending element: the
+    first, in the element order of the smaller subgroup, that lies in the
+    larger one and not in <I cap J>."""
+    mI, mJ = G.mask(I), G.mask(J)
+    bad = mI & mJ & ~G.mask(I & J)
+    if not bad:
+        return None
+    small = I if mI.bit_count() <= mJ.bit_count() else J
+    return next(G.elements[x] for x in G.span(small) if bad >> x & 1)
 
 
-def _first_failure(sub_of, pairs):
-    """The first (I, J) in ``pairs`` that fails ``_subset_pair_ok``.
+def _first_failure(G: FiniteGroup, pairs):
+    """The first (I, J) in ``pairs`` that fails ``_subset_pair_ok`` in G.
 
     Returns (pairs checked, failure as (I, J, offending element) or None).
     """
     checked = 0
     for checked, (I, J) in enumerate(pairs, 1):
-        bad = _subset_pair_ok(sub_of, I, J)
+        bad = _subset_pair_ok(G, I, J)
         if bad is not None:
             return checked, (I, J, bad)
     return checked, None
@@ -259,7 +261,7 @@ def _witness(n, failure):
 
 def check_intersection_full(G: TailTriangleGroup) -> IntersectionResult:
     """Eq-style condition over all pairs of generator subsets."""
-    checked, failure = _first_failure(G.sub, _subset_pairs(range(G.n + 1)))
+    checked, failure = _first_failure(G.group, _subset_pairs(range(G.n + 1)))
     if failure is not None:
         return IntersectionResult(False, "full", checked, _witness(G.n, failure))
     return IntersectionResult(True, "full", checked)
@@ -290,7 +292,7 @@ def is_string_c_group(gens, cap=None) -> StringGroupResult:
                     False, f"generators {i},{j} do not commute", None, None
                 )
     G = closure(gens, cap=cap)
-    _, failure = _first_failure(G.sub, _subset_pairs(range(r)))
+    _, failure = _first_failure(G, _subset_pairs(range(r)))
     if failure is not None:
         I, J, _ = failure
         return StringGroupResult(
@@ -328,7 +330,7 @@ def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
     and Gamma_0 = <a1..a_{n-1},b> is a tail-triangle C-group.
 
     Everything runs on generator index sets of ``G.group`` through its
-    subgroup cache, so no subgroup is enumerated twice. Only intersection
+    bitmask cache, so no subgroup is enumerated twice. Only intersection
     conditions are left to check, because ``verify_tail_triangle`` already
     made G: its generators are distinct involutions, and every pair the
     diagram labels 2 commutes. The non-adjacent pairs of either facet
@@ -343,7 +345,7 @@ def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
     """
     n = G.n
     alphas = tuple(range(n))
-    fails = lambda pairs: _first_failure(G.group.sub, pairs)[1] is not None
+    fails = lambda pairs: _first_failure(G.group, pairs)[1] is not None
 
     def fail_pre(msg):
         return IntersectionResult(False, "reduced", 0, None, msg)
@@ -355,7 +357,7 @@ def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
             return fail_pre("facet subgroup <a0..a_{n-2},b> is not a string C-group")
         if any(fails(_reduced_pairs(alphas[k:], n)) for k in range(n - 1, 0, -1)):
             return fail_pre("Gamma_0 = <a1..a_{n-1},b> is not a C-group")
-    checked, failure = _first_failure(G.group.sub, _reduced_pairs(alphas, n))
+    checked, failure = _first_failure(G.group, _reduced_pairs(alphas, n))
     if failure is not None:
         return IntersectionResult(False, "reduced", checked, _witness(n, failure))
     return IntersectionResult(True, "reduced", checked)

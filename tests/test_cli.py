@@ -37,6 +37,24 @@ def test_verify_pass_and_fail(capsys):
     assert code == 1 and "intersection condition failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--modred", "tail=[3] triangle=(4,inf,2)"],
+        ["modred", "--ringing", "1", "--diagram", "tail=[3] triangle=(4,inf,2)"],
+    ],
+    ids=["verify", "modred"],
+)
+def test_timings_report_the_reduction(capsys, argv):
+    argv += ["--lengths", "1,1,2,4", "--prime", "3"]
+    code, out, _ = run(capsys, *argv, "--timings")
+    times = [line.split(":")[0] for line in out.splitlines() if line.startswith("time[")]
+    assert code == 0 and times[0] == "time[reduce]" and "time[intersection]" in times
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "time[" not in plain
+    assert plain.splitlines() == [l for l in out.splitlines() if not l.startswith("time[")]
+
+
 def test_bad_group_fixture(capsys):
     code, _, err = run(capsys, "verify", "--fixture", "bad.tt")
     assert code == 1 and "CommutationViolation" in err

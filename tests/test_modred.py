@@ -1,11 +1,16 @@
+import itertools
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from polywythoff.elements import MatModP
-from polywythoff.groups import closure, element_order
+from polywythoff.groups import check_modulus, closure, element_order
 from polywythoff.modred import (
+    _COS2,
+    IntegralReflectionSystem,
     IntersectionFailure,
+    ModPGroupSpec,
     NonIntegralSystem,
     build_tail_triangle_modp,
     form_radical,
@@ -123,6 +128,163 @@ def test_search_lengths_star():
     assert all(
         tuple(Fraction(x, c[0]) for x in c) != (1, 1, 1, 1) for c in found
     )
+
+
+# ----------------------------------------------- rational arithmetic oracle
+#
+# rescale and reduce_mod_p as they were written on Fractions: structure
+# constants from rational square roots, the invariance checks on the
+# rational Gram matrix, the determinant by rational elimination.
+
+
+def _identity(m):
+    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+
+
+def _transpose(M):
+    return tuple(zip(*M))
+
+
+def _mat_mul(A, B):
+    cols = _transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
+
+
+def _det(M):
+    M = [list(row) for row in M]
+    m, sign, det = len(M), 1, Fraction(1)
+    for c in range(m):
+        piv = next((r for r in range(c, m) if M[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            sign = -sign
+        det *= M[c][c]
+        inv = Fraction(1, 1) / M[c][c]
+        for r in range(c + 1, m):
+            f = M[r][c] * inv
+            if f:
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return sign * det
+
+
+def oracle_rescale(d, squared_lengths):
+    s = tuple(Fraction(x) for x in squared_lengths)
+    m = d.n + 1
+    l = [[-2 if i == j else 0 for j in range(m)] for i in range(m)]
+    for i, j in itertools.permutations(range(m), 2):
+        x = _COS2[d.label(i, j)] * s[j] / s[i]
+        r = isqrt(x.numerator)
+        if x.denominator != 1 or r * r != x.numerator:
+            raise NonIntegralSystem(i, j, d.n)
+        l[i][j] = r
+    matrices = tuple(
+        tuple(
+            tuple(l[i][j] + (i == j) for j in range(m)) if r == i else _identity(m)[r]
+            for r in range(m)
+        )
+        for i in range(m)
+    )
+    gram = tuple(
+        tuple(2 * s[i] if i == j else -l[i][j] * s[i] for j in range(m)) for i in range(m)
+    )
+    for M in matrices:
+        assert _mat_mul(M, M) == _identity(m)
+        assert _mat_mul(_transpose(M), _mat_mul(gram, M)) == gram
+    return IntegralReflectionSystem(d, s, tuple(map(tuple, l)), matrices, gram)
+
+
+def oracle_reduce(sys_, p):
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    m = sys_.dim
+    check_modulus(m, p)
+    den = 1
+    for x in (x for row in sys_.gram for x in row):
+        den = den * x.denominator // gcd(den, x.denominator)
+    if den % p == 0:
+        raise ValueError("squared-length denominators collide with p")
+    gram_int = tuple(tuple(int(x * den) % p for x in row) for row in sys_.gram)
+    gens = tuple(MatModP(p, m, [x for row in M for x in row]) for M in sys_.matrices)
+    ident = MatModP.identity(p, m)
+    for M in gens:
+        if M * M != ident:
+            raise ValueError("reduced generator is not an involution")
+    for M in sys_.matrices:
+        lhs = _mat_mul(_transpose(M), _mat_mul(gram_int, M))
+        if tuple(tuple(x % p for x in row) for row in lhs) != gram_int:
+            raise ValueError("reduced form not preserved")
+    det = int(_det(gram_int)) % p
+    if det == 0:
+        cls = "zero"
+    elif p == 2:
+        cls = "square"
+    else:
+        cls = "square" if pow(det, (p - 1) // 2, p) == 1 else "nonsquare"
+    return ModPGroupSpec(p, sys_.diagram, gens, gram_int, det, cls)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the error it raises as (type, message, pair)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "pair", None)
+
+
+LABEL_SET_DIAGRAMS = [
+    d
+    for n in (2, 3)
+    for tail in itertools.product((3, 4, 6), repeat=n - 2)
+    for tri in itertools.product((3, 4, 6), (3, 4, 6), (2, 3, 4, 6))
+    if is_crystallographic(d := TailTriangleDiagram(n, tail, tri))
+]
+
+
+@pytest.mark.parametrize("d", LABEL_SET_DIAGRAMS, ids=str)
+def test_integer_reduction_matches_rational_oracle(d):
+    # the diagrams of selftest.random_quotients, every length tuple that
+    # search_lengths tries there, then halved and thirded
+    for combo in itertools.product((1, 2, 3), repeat=d.n + 1):
+        for scale in (1, Fraction(1, 2), Fraction(1, 3)):
+            lengths = tuple(x * scale for x in combo)
+            sys_ = outcome(rescale, d, lengths)
+            assert sys_ == outcome(oracle_rescale, d, lengths)
+            if not isinstance(sys_, IntegralReflectionSystem):
+                assert sys_[0] is NonIntegralSystem
+                continue
+            assert all(type(x) is Fraction for x in sys_.squared_lengths)
+            assert all(type(x) is Fraction for row in sys_.gram for x in row)
+            for p in (2, 3, 5, 7, 1, 4, 2147483647):
+                assert outcome(reduce_mod_p, sys_, p) == outcome(oracle_reduce, sys_, p)
+
+
+def test_integer_reduction_oracle_covers_every_outcome():
+    got = set()
+    for d in LABEL_SET_DIAGRAMS[::5]:
+        for lengths in search_lengths(d, (1, 2, 3)):
+            for scale, p in itertools.product((1, Fraction(1, 2), Fraction(1, 3)), (2, 3, 5, 7)):
+                spec = outcome(reduce_mod_p, rescale(d, tuple(x * scale for x in lengths)), p)
+                got.add(spec.disc_class if isinstance(spec, ModPGroupSpec) else spec[1])
+    assert got == {"zero", "square", "nonsquare", "squared-length denominators collide with p"}
+
+
+def test_integer_reduction_matches_oracle_on_hand_built_systems():
+    d = TailTriangleDiagram(1, (), (None, None, 3))
+    shear = ((1, 1), (0, 1))  # invertible, not an involution
+    flip, swap = ((-1, 0), (0, 1)), ((0, 1), (1, 0))
+    skew = ((Fraction(1, 2), 0), (0, 1))  # swap does not keep it
+    for matrices, gram in [
+        ((shear, flip), ((2, 0), (0, 2))),
+        ((swap, shear), skew),  # both fail: the involutions are checked first
+        ((flip, swap), skew),
+    ]:
+        gram = tuple(tuple(map(Fraction, row)) for row in gram)
+        sys_ = IntegralReflectionSystem(d, (Fraction(1),) * 2, ((-2, 1), (1, -2)), matrices, gram)
+        for p in (3, 5):
+            got = outcome(reduce_mod_p, sys_, p)
+            assert got == outcome(oracle_reduce, sys_, p) and isinstance(got, tuple)
 
 
 # ------------------------------------------------------------------- reduce

@@ -1,11 +1,13 @@
-"""The per-group subgroup cache and the checks that read it.
+"""The per-group subgroup caches and the checks that read them.
 
 ``FiniteGroup.sub`` reads the subgroup of each generator subset of a group
-from the group's right table once, and the intersection checks run on
-generator index sets of that one cache. The oracles below enumerate every
-subgroup afresh with ``closure``: the reduced C-group check as it was
-written on elements, with the string C-group test of its facet groups and
-the re-verification of Gamma_0.
+from the group's right table once, and ``FiniteGroup.mask`` the bitmask of
+its element indices, which the intersection checks read. The oracles below
+enumerate every subgroup afresh with ``closure``: the reduced C-group check
+as it was written on elements, with the string C-group test of its facet
+groups and the re-verification of Gamma_0. ``element_pair_ok`` is the
+subset-pair check on the element sets of ``sub``, the oracle of the
+bitmask check.
 """
 
 import weakref
@@ -13,7 +15,7 @@ from importlib import resources
 
 import pytest
 
-from polywythoff import kernels
+from polywythoff import kernels, ttgroup
 from polywythoff.elements import identity_like, parse_perm
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.groups import closure, element_order, trivial_group
@@ -27,6 +29,7 @@ from polywythoff.ttgroup import (
     check_intersection_full,
     check_intersection_reduced,
     gen_name,
+    is_string_c_group,
     parse_diagram,
     verify_tail_triangle,
 )
@@ -135,10 +138,12 @@ def test_only_the_whole_group_is_closed(monkeypatch):
     assert check_intersection_full(G)
     assert check_intersection_reduced(G)
     assert check_intersection_reduced(G)
-    # one closure, on all n + 1 generators; the subgroup of each proper
-    # generator subset, the empty one included, is read from its table
+    # one closure, on all n + 1 generators; the bitmask of each proper
+    # generator subset, the empty one included, is read from its table,
+    # and no subgroup is built
     assert kernel_runs == [G.n + 1]
-    assert len(G.group._subs) == 2 ** (G.n + 1) - 1
+    assert len(G.group._masks) == 2 ** (G.n + 1) - 1
+    assert not G.group._subs
 
 
 @pytest.mark.parametrize("name", GOOD_TT)
@@ -176,10 +181,59 @@ def test_reduced_matches_element_oracle_on_broken_facets(alphas, beta, facet):
 
 
 def test_dropped_group_is_freed_without_gc():
-    # the subgroup cache must not reference the group that owns it
+    # the subgroup caches must not reference the group that owns them
     G = closure(builtin_fixture("tomotope.tt").gens)
     for S in subsets(len(G.generators)):
         G.sub(S)
+        G.mask(S)
+    assert len(G._masks) == 2 ** len(G.generators) - 1
     ref = weakref.ref(G)
     del G  # freed by its reference count: nothing allocates in between
     assert ref() is None
+
+
+def element_pair_ok(G, I, J):
+    """The subset-pair check on elements: the first element of the smaller
+    of <I>, <J> that lies in the larger and not in <I cap J>, or None."""
+    HI, HJ, HIJ = G.sub(I), G.sub(J), G.sub(I & J)
+    small, big = (HI, HJ) if HI.order <= HJ.order else (HJ, HI)
+    for e in small.elements:
+        if e in big.element_set and e not in HIJ.element_set:
+            return e
+    return None
+
+
+def bitmask_corpus():
+    groups = [load_tt(name) for name in GOOD_TT]
+    groups += [
+        verify_tail_triangle([parse_perm(a, 7) for a in alphas], parse_perm(beta, 7))
+        for alphas, beta in [(BROKEN, "(6,7)"), (BROKEN[:2] + ["(6,7)"], BROKEN[2])]
+    ]
+    groups += random_quotients(primes=(2, 3))
+    groups += random_quotients(count=40, primes=(2, 3), seed=1)
+    return groups
+
+
+def test_bitmask_checks_match_element_oracle(monkeypatch):
+    checks = (check_intersection_full, check_intersection_reduced)
+    groups = bitmask_corpus()
+    strings = [gens for G in groups for gens in (G.alphas, G.alphas[:-1] + (G.beta,))]
+    got = [check(G) for G in groups for check in checks]
+    got_strings = [is_string_c_group(gens) for gens in strings]
+    for G in groups:
+        for S in subsets(G.n + 1):
+            span = G.group.span(S)
+            assert G.group.mask(S) == sum(1 << x for x in span)
+            assert tuple(G.group.elements[x] for x in span) == G.sub(S).elements
+
+    monkeypatch.setattr(ttgroup, "_subset_pair_ok", element_pair_ok)
+    want = [check(G) for G in groups for check in checks]
+    assert got == want
+    assert not all(want)  # the corpus holds failures, with witnesses
+    for g, w in zip(got, want):
+        assert g.witness is None or g.witness[2] is w.witness[2]
+    want_strings = [is_string_c_group(gens) for gens in strings]
+    assert [(r.ok, r.reason, r.schlafli) for r in got_strings] == [
+        (r.ok, r.reason, r.schlafli) for r in want_strings
+    ]
+    assert not all(want_strings)
