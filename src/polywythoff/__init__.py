@@ -9,13 +9,7 @@ mod-p reduction of crystallographic Coxeter groups.
 __version__ = "0.1.0"
 
 from .elements import KindMismatch, MatModP, Perm, parse_matmodp, parse_perm
-from .groups import (
-    CapExceeded,
-    FiniteGroup,
-    closure,
-    element_order,
-    right_cosets,
-)
+from .groups import CapExceeded, FiniteGroup, closure, element_order
 
 __all__ = [
     "KindMismatch",
@@ -27,6 +21,5 @@ __all__ = [
     "FiniteGroup",
     "closure",
     "element_order",
-    "right_cosets",
     "__version__",
 ]

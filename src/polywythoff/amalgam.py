@@ -108,8 +108,8 @@ def _nested_towers(G: FiniteGroup):
     towers = [None] * n
     towers[n - 1] = (last.inverse() * last, last)  # (identity, g_{n-1})
     for j in range(n - 2, -1, -1):
-        Gj = G.sub(range(j, n))
-        reps, cid = coset_partition(Gj, G.sub(range(j, n - 1)))
+        Gj = G.sub(range(j, n))  # its generators g_j..g_{n-1} are 0..n-1-j
+        reps, cid = coset_partition(Gj, range(n - 1 - j))
         classes = [[] for _ in reps]
         for e, c in zip(Gj.elements, cid):
             classes[c].append(e)
@@ -176,8 +176,9 @@ class AmalgamContext:
         self.KQ = self.Q.sub(range(n - 1))
         if K.order != self.KQ.order:
             raise FacetMismatch("facet subgroups have different orders")
-        phi = extend_homomorphism(K, q_gens[:-1], target=self.KQ)
-        if phi is None or len(set(phi.values())) != K.order:
+        RQ = self.KQ.right_table()
+        phi = extend_homomorphism(K, [RQ[i][0] for i in range(n - 1)], target=self.KQ)
+        if phi is None or len(set(phi)) != K.order:
             raise FacetMismatch("shared generators do not give an isomorphism")
 
         self.towers = {"P": _nested_towers(self.P), "Q": _nested_towers(self.Q)}
@@ -186,7 +187,8 @@ class AmalgamContext:
         self._emb, self._trans, self._dec = {}, {}, {}
         self._tmul, self._tk, self._syllable, self._tinv = {}, {}, {}, {}
         for side, G in (("P", self.P), ("Q", self.Q)):
-            emb = tuple(G.index_of(k if side == "P" else phi[k]) for k in K.elements)
+            span = G.span(range(n - 1))  # the facet group, in sub's order
+            emb = tuple(span) if side == "P" else tuple(span[y] for y in phi)
             trans = tuple(G.index_of(t) for t in self.towers[side][0])
             rows = {x: _left_row(G, x) for x in set(emb) | set(trans)}
             dec = [None] * G.order
@@ -316,7 +318,7 @@ class AmalgamContext:
                 raise ValueError(f"bad coset kind {kind!r}")
             cid, land = {}, {}
             for side, G, idx in zip("PQ", (self.P, self.Q), self._kinds[kind]):
-                reps, c = coset_partition(G, G.sub(idx))
+                reps, c = coset_partition(G, idx)
                 hit = [-1] * len(reps)
                 for k, x in enumerate(self._emb[side]):
                     if hit[c[x]] < 0:
@@ -432,7 +434,7 @@ def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
         if kind in ("P", "Q"):
             scan = [ctx.inject(kind, t) for t in ctx.towers[kind][0]]
         else:
-            reps = coset_partition(ctx.P.sub(range(rank)), ctx.P.sub(range(rank - 1)))[0]
+            reps = coset_partition(ctx.P.sub(range(rank)), range(rank - 1))[0]
             scan = [ctx.inject("P", g) for g in reps]
         low_kind = f"G_{rank - 1}"
         lows = index[rank - 1, low_kind]
@@ -490,8 +492,8 @@ class UniversalClass:
 def universal_is_regular(ctx: AmalgamContext) -> UniversalClass:
     """The universal polytope is regular iff the factors are isomorphic by a
     map fixing the shared facet group and swapping the last generators."""
-    images = list(ctx.Q.generators)
-    phi = extend_homomorphism(ctx.P, images, target=ctx.Q)
-    if phi is not None and len(set(phi.values())) == ctx.P.order == ctx.Q.order:
+    R = ctx.Q.right_table()
+    phi = extend_homomorphism(ctx.P, [R[i][0] for i in range(ctx.n)], target=ctx.Q)
+    if phi is not None and len(set(phi)) == ctx.P.order == ctx.Q.order:
         return UniversalClass("Regular", "Pi x| C2 (amalgam extended by the swap)")
     return UniversalClass("TwoOrbit", "Pi (the amalgam itself)")

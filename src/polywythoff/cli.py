@@ -19,11 +19,12 @@ from .amalgam import (
     universal_is_regular,
 )
 from .fixtureio import builtin_fixture, builtin_fixture_names, load_fixture
-from .groups import CapExceeded, closure, element_order
+from .groups import CapExceeded
 from .modred import (
     IntersectionFailure,
     NonIntegralSystem,
     build_tail_triangle_modp,
+    group_order_modp,
     is_crystallographic,
     reduce_mod_p,
     rescale,
@@ -65,7 +66,7 @@ def _load(name):
             return load_fixture(path)
         if name in builtin_fixture_names():
             return builtin_fixture(name)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         raise InputError(str(e)) from e
     raise InputError(
         f"unknown fixture {name!r}; builtins: {', '.join(builtin_fixture_names())}"
@@ -207,11 +208,17 @@ def cmd_modred(args):
         spec = reduce_mod_p(rescale(d, lengths), args.prime)
     print(f"gram matrix mod {args.prime}: {spec.gram_mod_p}")
     print(f"discriminant mod p: {spec.det_mod_p} ({spec.disc_class})")
-    order = closure(list(spec.generators)).order
-    print(f"group order mod {args.prime}: {order}")
     if args.ringing is None:
+        print(f"group order mod {args.prime}: {group_order_modp(spec)}")
         return 0
-    G = build_tail_triangle_modp(spec, ringing=args.ringing)
+    try:
+        G = build_tail_triangle_modp(spec, ringing=args.ringing)
+    except (ValueError, CapExceeded):
+        # the order line precedes any failure of the build, which leaves no
+        # group to read it from
+        print(f"group order mod {args.prime}: {group_order_modp(spec)}")
+        raise
+    print(f"group order mod {args.prime}: {G.group.order}")
     _build_report(G, report)
     print(report.text(timings=args.timings))
     return 0

@@ -47,6 +47,8 @@ def parse_fixture(text: str) -> Fixture:
         degree = int(head[2].removeprefix("degree="))
     except ValueError:
         raise ValueError(f"bad fixture header: {lines[0]!r}") from None
+    if n < 1:
+        raise ValueError(f"bad fixture header: {lines[0]!r}: n must be >= 1")
 
     expect_order = None
     body: dict[str, Perm] = {}

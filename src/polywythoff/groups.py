@@ -2,14 +2,13 @@
 
 Everything here is exact and deterministic. Groups remember the BFS
 production of each element, which later powers homomorphism extension and
-word recovery without any extra group theory, and cache the subgroups
-generated by subsets of their generators (``FiniteGroup.sub``). The
-closure records the right-multiplication table as it enumerates a group
-(``FiniteGroup.right_table``). Subgroups are read from that table, and it
-turns cosets and homomorphism checks into integer lookups on element
-indices: the coset-table view of Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 5. Element products are made only in the
-closure.
+word recovery without any extra group theory. The closure records the
+right-multiplication table as it enumerates a group
+(``FiniteGroup.right_table``), and it turns subgroups, cosets and
+homomorphism checks into integer lookups on element indices: the
+coset-table view of Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, ch. 5. A subgroup is named by the generator indices that
+generate it, its key. Element products are made only in the closure.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ class FiniteGroup:
     def __init__(self, generators, elements, prods, right):
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self.element_set = frozenset(self.elements)
         self.prods = tuple(prods)  # (parent_index, generator_index) per element
         self.identity = identity_like(self.generators[0])
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._index: dict | None = None  # element -> index, built on first lookup
         self._words: tuple | None = None
         self._right = tuple(right)
         self._subs: dict[tuple, FiniteGroup] = {}
@@ -53,20 +51,24 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def _lookup(self) -> dict:
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        return self._index
+
     def __contains__(self, g) -> bool:
-        return g in self.element_set
+        return g in self._lookup()
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, g) -> int:
-        return self._index[g]
-
-    def is_subgroup_of(self, other: "FiniteGroup") -> bool:
-        return self.element_set <= other.element_set
+        return self._lookup()[g]
 
     def sub(self, indices) -> "FiniteGroup":
-        """The subgroup generated by the generators at ``indices``, cached.
+        """The subgroup generated by the generators at ``indices`` as a group
+        with its own tables, cached. Where the element indices suffice, use
+        ``span``.
 
         Its generators are ``[generators[i] for i in sorted(indices)]``, so
         its element order does not depend on how the indices are given. All
@@ -172,12 +174,12 @@ class FiniteGroup:
         """
         return self._right
 
-    def right_multiplier(self, y) -> list[int] | range:
-        """The index map i -> index of elements[i] * y, walked through the
-        right table along y's word."""
+    def right_multiplier(self, y: int) -> list[int] | range:
+        """The index map i -> index of elements[i] * elements[y], walked
+        through the right table along the word of y."""
         R = self.right_table()
         table: list[int] | range = range(self.order)
-        for gi in self.words()[self.index_of(y)]:
+        for gi in self.words()[y]:
             row = R[gi]
             table = [row[i] for i in table]
         return table
@@ -224,8 +226,9 @@ def closure(generators, cap: int | None = None) -> FiniteGroup:
     return FiniteGroup(generators, map(make, elements), prods, R)
 
 
-def coset_partition(G: FiniteGroup, H: FiniteGroup):
-    """Right cosets Hx of H in G, on element indices.
+def coset_partition(G: FiniteGroup, key):
+    """Right cosets Hx of H in G, on element indices, where H is the
+    subgroup generated by the generators of G at the indices ``key``.
 
     Returns (reps, cid): the canonical (key-minimal) representative of each
     coset, sorted by key, and ``cid[i]``, the position in ``reps`` of the
@@ -237,8 +240,6 @@ def coset_partition(G: FiniteGroup, H: FiniteGroup):
     of the right table. Walking the BFS word of x from H's indices gives the
     same coset; sharing the parent's coset does it in |H| lookups.
     """
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
     prods = G.tree()
     R = G.right_table()
     cid = [-1] * G.order
@@ -247,7 +248,7 @@ def coset_partition(G: FiniteGroup, H: FiniteGroup):
         if cid[x] >= 0:
             continue
         if x == 0:
-            coset = [G.index_of(h) for h in H.elements]
+            coset = G.span(key)
         else:
             parent, gi = prods[x]
             row = R[gi]
@@ -262,10 +263,6 @@ def coset_partition(G: FiniteGroup, H: FiniteGroup):
     for pos, c in enumerate(order):
         renumber[c] = pos
     return [G.elements[mins[c]] for c in order], [renumber[c] for c in cid]
-
-
-def right_cosets(G: FiniteGroup, H: FiniteGroup) -> list:
-    return coset_partition(G, H)[0]
 
 
 def element_order(g, cap: int | None = None) -> int:
@@ -284,11 +281,11 @@ def element_order(g, cap: int | None = None) -> int:
 def extend_homomorphism(G: FiniteGroup, images, target: FiniteGroup):
     """Try to extend generator assignments to a homomorphism on all of G.
 
-    ``images[i]`` is the desired image of ``G.generators[i]``, an element of
-    the enumerated group ``target``. Returns the full element -> image
-    dict, or None when the assignment violates some relation of G (detected
-    as an inconsistency in the Cayley graph). Both groups are handled as
-    element indices and right tables.
+    ``images[i]`` is the index in ``target`` of the desired image of
+    generator i (generator i of a group is element ``right_table()[i][0]``).
+    Returns phi, the target index of the image of each element of G, or
+    None when the assignment violates some relation of G (detected as an
+    inconsistency in the Cayley graph).
     """
     images = tuple(images)
     if len(images) != len(G.generators):
@@ -304,4 +301,4 @@ def extend_homomorphism(G: FiniteGroup, images, target: FiniteGroup):
     for row, m in zip(G.right_table(), mult):
         if any(phi[j] != m[phi[i]] for i, j in enumerate(row)):
             return None
-    return {e: target.elements[phi[i]] for i, e in enumerate(G.elements)}
+    return phi

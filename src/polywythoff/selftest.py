@@ -105,7 +105,8 @@ def _row3():
     P, orbits, flags, c = _pipeline(G)
     secs = two_sections(P)
     arith = all(
-        len(P.faces(j)) == G.group.order // G.gamma(j).order for j in range(G.n - 1)
+        len(P.faces(j)) == G.group.order // len(G.group.span(G.gamma(j)))
+        for j in range(G.n - 1)
     )
     want = "order=48 fvec=(8, 24, 6+12) sections=6-gon arithmetic=ok"
     got = (

@@ -145,24 +145,19 @@ class TailTriangleGroup:
     def gen_name(self, i: int) -> str:
         return gen_name(i, self.n)
 
-    def sub(self, indices) -> FiniteGroup:
-        """Subgroup on a subset of generators (index n = beta), cached on
-        the group (``FiniteGroup.sub``)."""
-        return self.group.sub(indices)
+    # distinguished subgroups of Definition-style Wythoff construction, as keys
+    def gamma_P(self) -> tuple:
+        return tuple(range(self.n))
 
-    # distinguished subgroups of Definition-style Wythoff construction
-    def gamma_P(self) -> FiniteGroup:
-        return self.sub(range(self.n))
+    def gamma_Q(self) -> tuple:
+        return tuple(range(self.n - 1)) + (self.n,)
 
-    def gamma_Q(self) -> FiniteGroup:
-        return self.sub(list(range(self.n - 1)) + [self.n])
-
-    def gamma(self, j: int) -> FiniteGroup:
+    def gamma(self, j: int) -> tuple:
         """Gamma_j: omit alpha_j (keeping beta) for j <= n-2; ridge for j = n-1."""
         if j == self.n - 1:
-            return self.sub(range(self.n - 1))
+            return tuple(range(self.n - 1))
         if 0 <= j <= self.n - 2:
-            return self.sub([i for i in range(self.n + 1) if i != j])
+            return tuple(i for i in range(self.n + 1) if i != j)
         raise IndexError(f"no distinguished subgroup Gamma_{j}")
 
 
@@ -298,15 +293,20 @@ def is_string_c_group(gens, cap=None) -> StringGroupResult:
         return StringGroupResult(
             False, f"intersection fails for {sorted(I)},{sorted(J)}", None, None
         )
-    return StringGroupResult(True, None, G, schlafli_type(gens, cap=cap))
+    return StringGroupResult(True, None, G, schlafli_type(G))
 
 
-def schlafli_type(gens, cap=None) -> list:
-    """Consecutive pair orders [p_1, ..., p_{r-1}]."""
-    gens = tuple(gens)
-    return [
-        element_order(gens[i] * gens[i + 1], cap=cap) for i in range(len(gens) - 1)
-    ]
+def schlafli_type(G: FiniteGroup) -> list:
+    """Consecutive pair orders [p_1, ..., p_{r-1}] of G's generators: the
+    order of g_i g_{i+1} is the length of the cycle through 0, the identity,
+    of x -> R[i+1][R[i][x]], right multiplication by it."""
+    orders = []
+    for a, b in itertools.pairwise(G.right_table()):
+        x, m = b[a[0]], 1
+        while x:
+            x, m = b[a[x]], m + 1
+        orders.append(m)
+    return orders
 
 
 def _reduced_pairs(alphas: tuple, b: int) -> list:

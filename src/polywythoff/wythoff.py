@@ -33,7 +33,8 @@ class UnverifiedGroup(ValueError):
 
 
 def _assemble(G: FiniteGroup, levels):
-    """levels: list per proper rank of [(kind, subgroup)], bottom first.
+    """levels: list per proper rank of [(kind, key)], bottom first, where
+    key holds the generator indices of the face subgroup.
 
     Faces of a kind are the cosets of ``coset_partition`` in ``cid`` order,
     and the kinds of a rank come in name order; ``FacePoset.from_ids``
@@ -49,8 +50,8 @@ def _assemble(G: FiniteGroup, levels):
     blocks = []  # per proper rank: [(first id, cid)] per kind
     for rank, kinds in enumerate(levels):
         block = []
-        for kind, H in sorted(kinds, key=lambda kh: kh[0]):
-            reps, cid = coset_partition(G, H)
+        for kind, key in sorted(kinds):
+            reps, cid = coset_partition(G, key)
             block.append((len(faces), cid))
             faces += [Face(rank, kind, r) for r in reps]
         blocks.append(block)
@@ -107,7 +108,7 @@ def build_regular(gens, cap=None) -> FacePoset:
         raise UnverifiedGroup(f"not a string C-group: {res.reason}")
     G = res.group
     r = len(gens)
-    levels = [[(f"G_{j}", G.sub(i for i in range(r) if i != j))] for j in range(r)]
+    levels = [[(f"G_{j}", [i for i in range(r) if i != j])] for j in range(r)]
     return _assemble(G, levels)
 
 
@@ -293,7 +294,7 @@ def flag_orbits(P: FacePoset, G: TailTriangleGroup):
         raise ValueError("flag_orbits needs a vertex-transitive action by automorphisms")
     (v,) = base
     fix = [gi for gi, m in enumerate(moves) if m[v] == v]
-    if G.group.sub(fix).order * len(verts) != order:
+    if len(G.group.span(fix)) * len(verts) != order:
         raise ValueError("the generators fixing the base vertex do not generate its stabilizer")
     through = P.chains_up([(v,)])
     sizes = _orbit_sizes(through, [moves[gi] for gi in fix])
@@ -313,7 +314,8 @@ class Classification:
 
 def classify(P: FacePoset, G: TailTriangleGroup) -> Classification:
     """Regular iff the diagram symmetry swapping a_{n-1} and b extends to Gamma."""
-    images = list(G.alphas[:-1]) + [G.beta, G.alphas[-1]]
+    R, n = G.group.right_table(), G.n
+    images = [R[i][0] for i in (*range(n - 1), n, n - 1)]  # generator i is R[i][0]
     phi = extend_homomorphism(G.group, images, target=G.group)
     if phi is not None:
         schlafli = G.diagram.schlafli_tail() + [2 * G.diagram.k]

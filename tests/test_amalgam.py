@@ -53,8 +53,8 @@ class TowerOracle:
         self.ctx = ctx
         self.tower_sets = {s: [frozenset(t) for t in ctx.towers[s]] for s in "PQ"}
         # K-side generator chains: <a_j..a_{n-2}> and <a_0..a_{j-1}>
-        self.tail_k = [ctx.P.sub(range(j, n - 1)).element_set for j in range(n)]
-        head_k = [ctx.P.sub(range(j)).element_set for j in range(n)]
+        self.tail_k = [frozenset(ctx.P.sub(range(j, n - 1)).elements) for j in range(n)]
+        head_k = [frozenset(ctx.P.sub(range(j)).elements) for j in range(n)]
         # inverses of <a_0..a_{j-1}> as words, per j
         self.head_words = tuple(
             tuple(ctx.inject("P", a.inverse()) for a in sorted(head, key=lambda e: e.key))
@@ -153,7 +153,9 @@ class ElementOracle:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        phi = extend_homomorphism(ctx.K, ctx.Q.generators[:-1], target=ctx.KQ)
+        images = [ctx.KQ.index_of(g) for g in ctx.Q.generators[:-1]]
+        phi = extend_homomorphism(ctx.K, images, target=ctx.KQ)
+        phi = dict(zip(ctx.K.elements, (ctx.KQ.elements[y] for y in phi)))
         self.phi, self.phi_inv = phi, {v: k for k, v in phi.items()}
         self.table = {}
         for side, K in (("P", ctx.K), ("Q", ctx.KQ)):
@@ -219,7 +221,7 @@ class ElementOracle:
         ctx = self.ctx
         cid, land = {}, {}
         for side, G, idx in zip("PQ", (ctx.P, ctx.Q), ctx._kinds[kind]):
-            _, c = coset_partition(G, G.sub(idx))
+            _, c = coset_partition(G, idx)
             cid[side] = dict(zip(G.elements, c))
             land[side] = {}
             for kap in ctx.K.elements:
@@ -375,7 +377,7 @@ def test_membership_vs_finite_oracle(tetoct):
     for _ in range(100):
         k = rng.choice(tetoct.K.elements)
         w = tetoct.inject("P", k)
-        assert tetoct.in_gamma(w, 1) == (k in g1.element_set)
+        assert tetoct.in_gamma(w, 1) == (k in frozenset(g1.elements))
         assert tetoct.in_gamma(w, 2)
 
 

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from polywythoff import kernels
 from polywythoff.cli import main
+from polywythoff.kernels import close
 
 
 def run(capsys, *argv):
@@ -65,6 +67,18 @@ def test_unknown_fixture(capsys):
     assert code == 2 and "unknown fixture" in err
 
 
+def test_fixture_without_alphas_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "n0.tt"
+    path.write_text("tail-triangle n=0 degree=2\nbeta = (1,2)\n")
+    code, _, err = run(capsys, "verify", "--fixture", str(path))
+    assert code == 2 and "n must be >= 1" in err
+
+
+def test_fixture_directory_is_an_input_error(capsys, tmp_path):
+    code, _, err = run(capsys, "build", "--fixture", str(tmp_path))
+    assert code == 2 and err.startswith("input error: ")
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--fixture", "d4.tt")
     assert code == 0 and "class: Regular  aut order: 384" in out
@@ -100,6 +114,24 @@ def test_modred_prime_5(capsys):
         "--lengths", "1,1,2,4", "--prime", "5",
     )
     assert code == 0 and "group order mod 5: 28800" in out
+
+
+@pytest.mark.parametrize("ringing", [[], ["--ringing", "1"], ["--ringing", "3"]],
+                         ids=["order-only", "ringing-1", "ringing-3"])
+def test_modred_closes_the_group_once(capsys, monkeypatch, ringing):
+    runs = []
+
+    def counting(maps, identity, cap):
+        runs.append(len(maps))
+        return close(maps, identity, cap)
+
+    monkeypatch.setattr(kernels, "close", counting)
+    code, out, _ = run(
+        capsys, "modred", "--diagram", "tail=[3] triangle=(4,inf,2)",
+        "--lengths", "1,1,2,4", "--prime", "3", *ringing,
+    )
+    assert code == 0 and "group order mod 3: 1296" in out
+    assert runs == [4]  # one closure, on the four reduced generators
 
 
 def test_modred_nonprime(capsys):

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from polywythoff.elements import MatModP, Perm, parse_perm
+from polywythoff.fixtureio import builtin_fixture, builtin_fixture_names
 from polywythoff.groups import (
     CapExceeded,
     closure,
     coset_partition,
     element_order,
     extend_homomorphism,
-    right_cosets,
     trivial_group,
 )
+from polywythoff.ttgroup import verify_tail_triangle
+from polywythoff.wythoff import classify
 
 # tomotope generators (degree 12)
 RHO = [
@@ -76,18 +78,16 @@ def test_tomotope_subgroups():
 def test_right_cosets_tomotope_counts():
     rho = tomotope_gens()
     G = closure(rho)
-    gamma0 = G.sub([1, 2, 3])
-    assert len(right_cosets(G, gamma0)) == 4  # vertices
-    ridge = G.sub(range(2))
-    assert len(right_cosets(G, ridge)) == 16  # triangles
-    assert right_cosets(G, G) == [G.identity]
+    assert len(coset_partition(G, [1, 2, 3])[0]) == 4  # vertices
+    assert len(coset_partition(G, range(2))[0]) == 16  # triangles
+    assert coset_partition(G, range(4))[0] == [G.identity]
 
 
 def test_coset_partition_properties():
     rho = tomotope_gens()
     G = closure(rho)
     H = G.sub(range(2))
-    reps, cid = coset_partition(G, H)
+    reps, cid = coset_partition(G, range(2))
     # every element gets a coset number, and every number is used
     assert len(cid) == G.order
     assert set(cid) == set(range(len(reps))) and len(reps) == G.order // H.order
@@ -95,13 +95,6 @@ def test_coset_partition_properties():
     for i, g in enumerate(G.elements):
         # canonical rep is minimal within its own coset
         assert min((h * g for h in H.elements), key=lambda e: e.key) == reps[cid[i]]
-
-
-def test_right_cosets_requires_subgroup():
-    G = closure([parse_perm("(1,2)", 3)])
-    H = closure([parse_perm("(1,2,3)", 3)])
-    with pytest.raises(ValueError):
-        right_cosets(G, H)
 
 
 @pytest.mark.parametrize(
@@ -115,9 +108,10 @@ def test_right_table_and_multiplier(gens):
     assert R is G.right_table()  # built once
     for gi, g in enumerate(G.generators):
         assert list(R[gi]) == [G.index_of(e * g) for e in G.elements]
-    y = random.Random(5).choice(G.elements)
-    assert list(G.right_multiplier(y)) == [G.index_of(e * y) for e in G.elements]
-    assert list(G.right_multiplier(G.identity)) == list(range(G.order))
+    y = random.Random(5).randrange(G.order)
+    want = [G.index_of(e * G.elements[y]) for e in G.elements]
+    assert list(G.right_multiplier(y)) == want
+    assert list(G.right_multiplier(0)) == list(range(G.order))
 
 
 def test_element_order():
@@ -129,24 +123,61 @@ def test_element_order():
         element_order(parse_perm("(1,2,3,4,5)", 5), cap=3)
 
 
+def element_extension(G, images, target):
+    """The oracle: extend_homomorphism as an element -> image dict, made by
+    element products along the productions of G and checked on every
+    generator edge of G's Cayley graph."""
+    phi = [target.identity]
+    for parent, gi in G.tree()[1:]:
+        phi.append(phi[parent] * images[gi])
+    for row, y in zip(G.right_table(), images):
+        if any(phi[j] != phi[i] * y for i, j in enumerate(row)):
+            return None
+    return dict(zip(G.elements, phi))
+
+
+def extend(G, images, target):
+    """extend_homomorphism on the target indices of ``images``, checked
+    against the element oracle and returned as its element dict."""
+    phi = extend_homomorphism(G, [target.index_of(y) for y in images], target)
+    want = element_extension(G, images, target)
+    assert (phi is None) == (want is None)
+    if phi is not None:
+        assert dict(zip(G.elements, (target.elements[y] for y in phi))) == want
+    return want
+
+
 def test_extend_homomorphism_detects_relations():
     s3 = closure([parse_perm("(1,2)", 3), parse_perm("(2,3)", 3)])
     # swapping the two generators is an automorphism of S3
-    phi = extend_homomorphism(s3, [s3.generators[1], s3.generators[0]], s3)
+    phi = extend(s3, [s3.generators[1], s3.generators[0]], s3)
     assert phi is not None
     assert len(set(phi.values())) == s3.order
     assert all(phi[a * b] == phi[a] * phi[b] for a in s3.elements for b in s3.elements)
     # collapsing both generators onto one involution is a map onto C2
-    fold = extend_homomorphism(s3, [s3.generators[0], s3.generators[0]], s3)
+    fold = extend(s3, [s3.generators[0], s3.generators[0]], s3)
     assert fold is not None and len(set(fold.values())) == 2
     # a non-involution image breaks the b^2 = 1 relation
-    assert extend_homomorphism(s3, [s3.generators[0], parse_perm("(1,2,3)", 3)], s3) is None
+    assert extend(s3, [s3.generators[0], parse_perm("(1,2,3)", 3)], s3) is None
     # images need not be generators of the target: S3 onto the C2 of (1,2)(3,4)
     s4 = closure([parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4)])
     s3_in_s4 = closure([parse_perm("(1,2)", 4), parse_perm("(2,3)", 4)])
     swap = parse_perm("(1,2)(3,4)", 4)
-    sign = extend_homomorphism(s3_in_s4, [swap, swap], s4)
+    sign = extend(s3_in_s4, [swap, swap], s4)
     assert sign is not None and set(sign.values()) == {s4.identity, swap}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in builtin_fixture_names() if n.endswith(".tt") and n != "bad.tt"]
+)
+def test_classify_homomorphism_matches_element_oracle(name):
+    """classify's swap of a_{n-1} and b, on every tail-triangle fixture."""
+    fx = builtin_fixture(name)
+    G = verify_tail_triangle(fx.alphas, fx.beta)
+    images = list(G.alphas[:-1]) + [G.beta, G.alphas[-1]]
+    regular = extend(G.group, images, G.group) is not None
+    # classify reads only the group, so the failing sc2_fail.tt needs no build
+    assert classify(None, G).kind == ("Regular" if regular else "TwoOrbit")
 
 
 def test_trivial_group():

@@ -1,9 +1,11 @@
 """Index-level cosets and face action against element-level oracles.
 
 ``coset_partition`` and the face action of a built poset work on element
-indices through the right-multiplication table. The oracles below are the
-direct element computations: multiply every element of H into each new
-coset, and move a face by multiplying its representative.
+indices through the right-multiplication table, and name the subgroup H by
+the generator indices that generate it. The oracles below are the direct
+element computations on H as a group of its own (``FiniteGroup.sub`` or a
+fresh closure): multiply every element of H into each new coset, and move
+a face by multiplying its representative.
 """
 
 import pytest
@@ -33,15 +35,16 @@ def oracle_cosets(G, H):
     return reps, rep_of
 
 
-def assert_same_cosets(G, H):
-    reps, cid = coset_partition(G, H)
+def assert_same_cosets(G, key, H):
+    """coset_partition(G, key) against the oracle on H = <key> as a group."""
+    reps, cid = coset_partition(G, key)
     want_reps, rep_of = oracle_cosets(G, H)
     assert reps == want_reps
     assert [reps[c] for c in cid] == [rep_of[e] for e in G.elements]
 
 
 def distinguished(G):
-    """kind -> subgroup, as build_polytope labels the faces."""
+    """kind -> subgroup key, as build_polytope labels the faces."""
     subs = {f"G_{j}": G.gamma(j) for j in range(G.n)}
     subs.update(P=G.gamma_P(), Q=G.gamma_Q())
     return subs
@@ -82,13 +85,16 @@ def built(request):
 
 def test_cosets_match_oracle(built):
     G, _ = built
-    for H in distinguished(G).values():
-        assert_same_cosets(G.group, H)
+    for key in distinguished(G).values():
+        assert_same_cosets(G.group, key, G.group.sub(key))
 
 
 def test_action_matches_oracle(built):
     G, P = built
-    rep_of = {kind: oracle_cosets(G.group, H)[1] for kind, H in distinguished(G).items()}
+    rep_of = {
+        kind: oracle_cosets(G.group, G.group.sub(key))[1]
+        for kind, key in distinguished(G).items()
+    }
     faces = [f for r in P.proper_ranks() for f in P.faces(r)]
     assert set(P.action) == set(faces)
     for f in faces:
@@ -109,4 +115,4 @@ def test_cosets_of_random_generator_subsets(data):
     h_idx = data.draw(st.sets(st.sampled_from(sorted(g_idx))), label="H generators")
     G = closure([gens[i] for i in sorted(g_idx)])
     H = closure([gens[i] for i in sorted(h_idx)]) if h_idx else trivial_group(G.identity)
-    assert_same_cosets(G, H)
+    assert_same_cosets(G, [sorted(g_idx).index(i) for i in h_idx], H)

@@ -1,6 +1,16 @@
+import random
+
 import pytest
 
-from polywythoff.fixtureio import builtin_fixture, format_fixture, parse_fixture
+from polywythoff.elements import parse_perm
+from polywythoff.fixtureio import (
+    builtin_fixture,
+    builtin_fixture_names,
+    format_fixture,
+    parse_fixture,
+)
+from polywythoff.groups import closure, element_order
+from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import (
     INF,
     CommutationViolation,
@@ -83,7 +93,7 @@ def test_sc2_fail_witnessed_and_checkers_agree():
     # the full checker must exhibit an explicit offending element
     assert full.witness is not None
     I, J, elem = full.witness
-    assert elem in G.group.element_set and not elem.is_identity()
+    assert elem in frozenset(G.group.elements) and not elem.is_identity()
 
 
 @pytest.mark.parametrize(
@@ -102,7 +112,7 @@ def test_distinguished_subgroups_pairwise_distinct():
         seen = {}
         for mask in range(1 << (G.n + 1)):
             idx = frozenset(i for i in range(G.n + 1) if mask >> i & 1)
-            key = G.sub(idx).element_set
+            key = frozenset(G.group.sub(idx).elements)
             assert key not in seen.values(), (name, idx)
             seen[idx] = key
 
@@ -110,8 +120,8 @@ def test_distinguished_subgroups_pairwise_distinct():
 def test_gamma_P_meet_gamma_Q_is_ridge():
     for name in ["tomotope.tt", "m66_240a.tt", "d4.tt"]:
         G = load_tt(name)
-        meet = G.gamma_P().element_set & G.gamma_Q().element_set
-        assert meet == G.sub(range(G.n - 1)).element_set
+        sub = lambda key: frozenset(G.group.sub(key).elements)
+        assert sub(G.gamma_P()) & sub(G.gamma_Q()) == sub(range(G.n - 1))
 
 
 def test_is_string_c_group_fixtures():
@@ -139,8 +149,40 @@ def test_is_string_c_group_rank1_and_failures():
 
 def test_schlafli_type():
     tet = builtin_fixture("tet.sg")
-    assert schlafli_type(tet.gens) == [3, 3]
-    assert schlafli_type(tet.gens[:1]) == []
+    assert schlafli_type(closure(tet.gens)) == [3, 3]
+    assert schlafli_type(closure(tet.gens[:1])) == []
+
+
+def s5_involution_strings(count, seed=11):
+    """Random strings of 2 to 4 involutions in S5, as generator lists."""
+    rng = random.Random(seed)
+    points = list(range(1, 6))
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            rng.shuffle(points)
+            pairs = rng.randint(1, 2)
+            cycles = "".join(f"({points[2 * i]},{points[2 * i + 1]})" for i in range(pairs))
+            gens.append(parse_perm(cycles, 5))
+        out.append(gens)
+    return out
+
+
+def schlafli_corpus():
+    """Generator strings: every fixture, both facet strings and the whole
+    generator list of each random quotient, and random S5 strings."""
+    strings = [builtin_fixture(name).gens for name in builtin_fixture_names()]
+    for G in random_quotients(primes=(2, 3)):
+        strings += [G.alphas, G.alphas[:-1] + (G.beta,), G.gens]
+    return strings + s5_involution_strings(60)
+
+
+def test_schlafli_type_matches_element_orders():
+    """The right-table walk against element_order on element products."""
+    for gens in schlafli_corpus():
+        want = [element_order(a * b) for a, b in zip(gens, gens[1:])]
+        assert schlafli_type(closure(gens)) == want
 
 
 def test_diagram_label_table():

@@ -112,8 +112,9 @@ def test_common_representative_exists_on_flags(tomotope):
     # face of f's kind (the coset holding 1) under e; images under e are
     # found by walking P.action along e's word.
     G, P = tomotope
-    subgroup = {"P": G.gamma_P(), "Q": G.gamma_Q()}
-    subgroup.update({f"G_{j}": G.gamma(j) for j in range(G.n)})
+    keys = {"P": G.gamma_P(), "Q": G.gamma_Q()}
+    keys.update({f"G_{j}": G.gamma(j) for j in range(G.n)})
+    subgroup = {kind: G.group.sub(key) for kind, key in keys.items()}
     base = {f.kind: f for f in P.action if f.rep in subgroup[f.kind]}
     assert len(base) == len(subgroup)
     images = []
@@ -164,9 +165,10 @@ def test_b3_digon():
     assert all(s.size == 6 and s.is_polygon and s.alternating for s in secs)
     fv = P.f_vector()
     # |Gamma|/|Gamma_j| arithmetic
-    assert fv[0] == 48 // G.gamma(0).order
-    assert fv[1] == 48 // G.gamma(1).order
-    assert P.facet_split() == (48 // G.gamma_P().order, 48 // G.gamma_Q().order)
+    order = lambda key: len(G.group.span(key))
+    assert fv[0] == 48 // order(G.gamma(0))
+    assert fv[1] == 48 // order(G.gamma(1))
+    assert P.facet_split() == (48 // order(G.gamma_P()), 48 // order(G.gamma_Q()))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
