@@ -99,29 +99,22 @@ class AmalgamWord:
 
 
 def _nested_towers(G: FiniteGroup):
-    """T_j = transversal of <g_j..g_{n-2}> in <g_j..g_{n-1}>, nested so that
-    T_{n-1} = {1, g_{n-1}} and each T_j extends T_{j+1}; the g_i are the
-    generators of G. Each T_j lists the identity first, then the rest in
-    key order."""
+    """T_j = transversal of <g_j..g_{n-2}> in <g_j..g_{n-1}> as element
+    indices, nested so that T_{n-1} = (identity, g_{n-1}) and each T_j
+    extends T_{j+1}; the g_i are the generators of G. Each coset keeps its
+    member in T_{j+1}, else its key-least member. Each T_j lists the
+    identity first, then the rest in key order."""
     n = len(G.generators)
-    last = G.generators[n - 1]
+    keys = [e.key for e in G.elements]
     towers = [None] * n
-    towers[n - 1] = (last.inverse() * last, last)  # (identity, g_{n-1})
+    towers[n - 1] = (0, G.right_table()[n - 1][0])
     for j in range(n - 2, -1, -1):
-        Gj = G.sub(range(j, n))  # its generators g_j..g_{n-1} are 0..n-1-j
-        reps, cid = coset_partition(Gj, range(n - 1 - j))
-        classes = [[] for _ in reps]
-        for e, c in zip(Gj.elements, cid):
-            classes[c].append(e)
-        prev = set(towers[j + 1])
-        chosen = []
-        for members in classes:
-            hits = [e for e in members if e in prev]
-            assert len(hits) <= 1, "transversal nesting broken"
-            chosen.append(hits[0] if hits else min(members, key=lambda e: e.key))
-        chosen.sort(key=lambda e: e.key)
-        ident = next(e for e in chosen if e.is_identity())
-        towers[j] = (ident,) + tuple(e for e in chosen if not e.is_identity())
+        cid = coset_partition(G, range(j, n - 1))[1]
+        chosen = {cid[t]: t for t in towers[j + 1]}
+        assert len(chosen) == len(towers[j + 1]), "transversal nesting broken"
+        for x in sorted(G.span(range(j, n)), key=keys.__getitem__):
+            chosen.setdefault(cid[x], x)
+        towers[j] = (0, *sorted((x for x in chosen.values() if x), key=keys.__getitem__))
     return towers
 
 
@@ -173,23 +166,23 @@ class AmalgamContext:
         self.n = n
         self.P, self.Q = factors
         self.K = K = self.P.sub(range(n - 1))
-        self.KQ = self.Q.sub(range(n - 1))
-        if K.order != self.KQ.order:
+        if K.order != len(self.Q.span(range(n - 1))):
             raise FacetMismatch("facet subgroups have different orders")
-        RQ = self.KQ.right_table()
-        phi = extend_homomorphism(K, [RQ[i][0] for i in range(n - 1)], target=self.KQ)
+        RP, RQ = self.P.right_table(), self.Q.right_table()
+        phi = extend_homomorphism(K, [RQ[i][0] for i in range(n - 1)], target=self.Q)
         if phi is None or len(set(phi)) != K.order:
             raise FacetMismatch("shared generators do not give an isomorphism")
 
-        self.towers = {"P": _nested_towers(self.P), "Q": _nested_towers(self.Q)}
         self._kmul = tuple(tuple(_left_row(K, k)) for k in range(K.order))
         self._kinv = tuple(row.index(0) for row in self._kmul)
-        self._emb, self._trans, self._dec = {}, {}, {}
+        self.towers, self._emb, self._trans, self._dec = {}, {}, {}, {}
         self._tmul, self._tk, self._syllable, self._tinv = {}, {}, {}, {}
         for side, G in (("P", self.P), ("Q", self.Q)):
-            span = G.span(range(n - 1))  # the facet group, in sub's order
-            emb = tuple(span) if side == "P" else tuple(span[y] for y in phi)
-            trans = tuple(G.index_of(t) for t in self.towers[side][0])
+            towers = _nested_towers(G)
+            self.towers[side] = [tuple(G.elements[x] for x in T) for T in towers]
+            # K in the factor: K's own element order is span's order
+            emb = tuple(G.span(range(n - 1))) if side == "P" else tuple(phi)
+            trans = towers[0]
             rows = {x: _left_row(G, x) for x in set(emb) | set(trans)}
             dec = [None] * G.order
             for t, y in enumerate(trans):
@@ -220,10 +213,8 @@ class AmalgamContext:
         self._keys = {}
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
-        self._letter_index = {
-            name: (side, (self.P if side == "P" else self.Q).index_of(g))
-            for name, (side, g) in self.letters.items()
-        }
+        self._letter_index = {f"a{i}": ("P", RP[i][0]) for i in range(n)}
+        self._letter_index["b"] = ("Q", RQ[n - 1][0])
         self.identity_word = self._word(0, ())
 
     # -------------------------------------------------------- normal forms
@@ -290,11 +281,13 @@ class AmalgamContext:
         kappa, taus = self._absorb(kappa, taus, "P", self._emb["P"][kinv])
         return self._word(kappa, taus)
 
+    def _inject(self, side, x) -> AmalgamWord:
+        kappa, tau = self._dec[side][x]
+        return self._word(kappa, ((side, tau),) if tau else ())
+
     def inject(self, side, g) -> AmalgamWord:
         """Embed an element of a factor group; O(1) table lookup."""
-        G = self.P if side == "P" else self.Q
-        kappa, tau = self._dec[side][G.index_of(g)]
-        return self._word(kappa, ((side, tau),) if tau else ())
+        return self._inject(side, (self.P if side == "P" else self.Q).index_of(g))
 
     def word_letters(self, w: AmalgamWord):
         """Serialize a word as generator names (a0 ... a_{n-1}, b)."""
@@ -413,7 +406,8 @@ def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
     H, and only the coset (Gamma_{r-1} ∩ H)*h matters. For a facet these are
     the cosets of K (transversal T_P or T_Q). For H = Gamma_r =
     <a_0..a_{r-1}> * Pi_r+, both Pi_r+ and <a_0..a_{r-2}> lie in
-    Gamma_{r-1}, so the cosets of <a_0..a_{r-2}> in <a_0..a_{r-1}> suffice.
+    Gamma_{r-1}, so one member of each coset of <a_0..a_{r-2}> in
+    <a_0..a_{r-1}> suffices.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -432,10 +426,11 @@ def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
     covers = [(bot, v) for v in levels[0]] + [(f, top) for f in levels[n]]
     for rank, kind in kinds[1:]:
         if kind in ("P", "Q"):
-            scan = [ctx.inject(kind, t) for t in ctx.towers[kind][0]]
+            scan = [ctx._inject(kind, t) for t in ctx._trans[kind]]
         else:
-            reps = coset_partition(ctx.P.sub(range(rank)), range(rank - 1))[0]
-            scan = [ctx.inject("P", g) for g in reps]
+            cid = coset_partition(ctx.P, range(rank - 1))[1]
+            reps = {cid[x]: x for x in ctx.P.span(range(rank))}
+            scan = [ctx._inject("P", x) for x in reps.values()]
         low_kind = f"G_{rank - 1}"
         lows = index[rank - 1, low_kind]
         for high in index[rank, kind].values():

@@ -29,7 +29,6 @@ from .modred import (
     reduce_mod_p,
     rescale,
     search_lengths,
-    three_ringings,
 )
 from .report import RunReport
 from .ttgroup import (
@@ -61,13 +60,10 @@ class VerificationFailure(Exception):
 
 def _load(name):
     path = Path(name)
-    try:
-        if path.exists():
-            return load_fixture(path)
-        if name in builtin_fixture_names():
-            return builtin_fixture(name)
-    except (OSError, ValueError) as e:
-        raise InputError(str(e)) from e
+    if path.exists():
+        return load_fixture(path)
+    if name in builtin_fixture_names():
+        return builtin_fixture(name)
     raise InputError(
         f"unknown fixture {name!r}; builtins: {', '.join(builtin_fixture_names())}"
     )
@@ -353,7 +349,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except (NotInvolution, CommutationViolation, NonIntegralSystem,

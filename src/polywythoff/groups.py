@@ -43,7 +43,6 @@ class FiniteGroup:
         self._index: dict | None = None  # element -> index, built on first lookup
         self._words: tuple | None = None
         self._right = tuple(right)
-        self._subs: dict[tuple, FiniteGroup] = {}
         self._masks: dict[frozenset, int] = {}
         self._tree_checked = False
 
@@ -67,7 +66,7 @@ class FiniteGroup:
 
     def sub(self, indices) -> "FiniteGroup":
         """The subgroup generated by the generators at ``indices`` as a group
-        with its own tables, cached. Where the element indices suffice, use
+        with its own tables. Where the element indices suffice, use
         ``span``.
 
         Its generators are ``[generators[i] for i in sorted(indices)]``, so
@@ -79,19 +78,12 @@ class FiniteGroup:
         the same products in the same order as a fresh closure of those
         generators: it gives the same elements and productions, and its own
         right table in the same loop, with no element product. The
-        subgroup holds the group's element objects. The cache never holds
-        the group itself: a group that referenced itself would stay alive
-        until a full garbage collection.
+        subgroup holds the group's element objects.
         """
         key = tuple(sorted(set(indices)))
         if key == tuple(range(len(self.generators))):
             return self
-        got = self._subs.get(key)
-        if got is None:
-            got = self._subs[key] = (
-                self._close_sub(key) if key else trivial_group(self.identity)
-            )
-        return got
+        return self._close_sub(key) if key else trivial_group(self.identity)
 
     def span(self, indices) -> list[int]:
         """The indices of the elements of ``sub(indices)``, in its element
@@ -176,10 +168,15 @@ class FiniteGroup:
 
     def right_multiplier(self, y: int) -> list[int] | range:
         """The index map i -> index of elements[i] * elements[y], walked
-        through the right table along the word of y."""
+        through the right table along the production chain of y."""
+        prods = self.tree()
+        chain = []
+        while y:
+            y, gi = prods[y]
+            chain.append(gi)
         R = self.right_table()
         table: list[int] | range = range(self.order)
-        for gi in self.words()[y]:
+        for gi in reversed(chain):
             row = R[gi]
             table = [row[i] for i in table]
         return table

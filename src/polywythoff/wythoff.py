@@ -254,20 +254,6 @@ def _orbit_sizes(flags: list, moves) -> list[int]:
     return sizes
 
 
-def _transitive(moves, ids) -> bool:
-    """Whether the face maps carry ids[0] to every face of ``ids``."""
-    if not ids:
-        return True
-    orbit = {ids[0]}
-    frontier = [ids[0]]
-    for x in frontier:  # grows while it is read: a queue
-        for m in moves:
-            if m[x] not in orbit:
-                orbit.add(m[x])
-                frontier.append(m[x])
-    return orbit == set(ids)
-
-
 def flag_orbits(P: FacePoset, G: TailTriangleGroup):
     """(orbit count, flag count, action is free) under the right Γ-action.
 
@@ -290,7 +276,8 @@ def flag_orbits(P: FacePoset, G: TailTriangleGroup):
     moves = P.moves
     verts = P.ids(0)
     base = [v for v in verts if v in P.base_ids]
-    if not (base and P.action_is_automorphic() and _transitive(moves, verts)):
+    rep = P.orbit_reps()
+    if not (base and P.action_is_automorphic() and len({rep[v] for v in verts}) == 1):
         raise ValueError("flag_orbits needs a vertex-transitive action by automorphisms")
     (v,) = base
     fix = [gi for gi, m in enumerate(moves) if m[v] == v]
@@ -359,8 +346,9 @@ def verify_facet_sections(P: FacePoset, G: TailTriangleGroup) -> bool:
 
 
 def vertex_transitive(P: FacePoset, G: TailTriangleGroup) -> bool:
-    """The orbit of one vertex, a BFS under the generators, is every vertex."""
-    return _transitive(P.moves[: len(G.gens)], P.ids(0))
+    """Every vertex lies in one orbit of the generators' action."""
+    rep = P.orbit_reps()
+    return len({rep[v] for v in P.ids(0)}) <= 1
 
 
 # ---- isomorphism -------------------------------------------------------------

@@ -8,7 +8,8 @@ adjacent ranks. The production code reads canonical coset keys instead.
 
 ``ElementOracle`` is the same normal-form arithmetic on the element
 objects (``Perm``/``MatModP``): products, inverses and coset keys that the
-production code computes on element indices.
+production code computes on element indices, and ``element_towers`` the
+choice of the transversal towers on element objects.
 """
 
 import gc
@@ -153,12 +154,13 @@ class ElementOracle:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        images = [ctx.KQ.index_of(g) for g in ctx.Q.generators[:-1]]
-        phi = extend_homomorphism(ctx.K, images, target=ctx.KQ)
-        phi = dict(zip(ctx.K.elements, (ctx.KQ.elements[y] for y in phi)))
+        KQ = ctx.Q.sub(range(ctx.n - 1))
+        images = [KQ.index_of(g) for g in ctx.Q.generators[:-1]]
+        phi = extend_homomorphism(ctx.K, images, target=KQ)
+        phi = dict(zip(ctx.K.elements, (KQ.elements[y] for y in phi)))
         self.phi, self.phi_inv = phi, {v: k for k, v in phi.items()}
         self.table = {}
-        for side, K in (("P", ctx.K), ("Q", ctx.KQ)):
+        for side, K in (("P", ctx.K), ("Q", KQ)):
             table = self.table[side] = {}
             for tau in ctx.towers[side][0]:
                 for kap in K.elements:
@@ -233,6 +235,33 @@ class ElementOracle:
                 return (side, c, taus[i + 1:])
             carry = land[side][c]
         return ("K", cid["P"][carry])
+
+
+def element_towers(G):
+    """The nested transversal towers of ``AmalgamContext.towers``, chosen
+    on element objects in subgroups of their own: per coset of
+    <g_j..g_{n-2}> in <g_j..g_{n-1}>, the member found in T_{j+1}, else
+    the key-least member."""
+    n = len(G.generators)
+    last = G.generators[n - 1]
+    towers = [None] * n
+    towers[n - 1] = (last.inverse() * last, last)  # (identity, g_{n-1})
+    for j in range(n - 2, -1, -1):
+        Gj = G.sub(range(j, n))  # its generators g_j..g_{n-1} are 0..n-1-j
+        reps, cid = coset_partition(Gj, range(n - 1 - j))
+        classes = [[] for _ in reps]
+        for e, c in zip(Gj.elements, cid):
+            classes[c].append(e)
+        prev = set(towers[j + 1])
+        chosen = []
+        for members in classes:
+            hits = [e for e in members if e in prev]
+            assert len(hits) <= 1, "transversal nesting broken"
+            chosen.append(hits[0] if hits else min(members, key=lambda e: e.key))
+        chosen.sort(key=lambda e: e.key)
+        ident = next(e for e in chosen if e.is_identity())
+        towers[j] = (ident,) + tuple(e for e in chosen if not e.is_identity())
+    return towers
 
 
 def gens(name):
@@ -679,6 +708,13 @@ def element_context(name):
             ctx = AmalgamContext(*(gens(f) for f in name.split("/")))
         _ELEMENT_CONTEXTS[name] = (ctx, ElementOracle(ctx))
     return _ELEMENT_CONTEXTS[name]
+
+
+@pytest.mark.parametrize("name", ["/".join(pair) for pair in PAIRS] + ["star mod 3"])
+def test_towers_match_element_oracle(name):
+    ctx, _ = element_context(name)
+    for side, G in (("P", ctx.P), ("Q", ctx.Q)):
+        assert ctx.towers[side] == element_towers(G), side
 
 
 def test_star_mod3_pair_is_a_matrix_amalgam():

@@ -272,6 +272,24 @@ def test_selftest_json_deterministic(tmp_path, capsys):
     assert p1.read_text() == p2.read_text()
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--fixture", "tomotope.tt", "--export-hasse"],
+        ["export-hasse", "--fixture", "tomotope.tt", "--out"],
+        ["amalgam", "--p", "triangle.sg", "--q", "triangle.sg", "--export-hasse"],
+        ["selftest", "--quick", "--json-report"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and err.startswith("input error: ") and str(path) in err
+    assert "Traceback" not in out + err
+
+
 def test_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("POLYWYTHOFF_CAP", "10")
     code, _, err = run(capsys, "build", "--fixture", "m66_240a.tt")

@@ -1,9 +1,10 @@
 """Golden CLI transcripts: SHA-256 of exit code, stdout, stderr and any
 exported Hasse file, for a fixed set of commands.
 
-The digests were taken before subgroups became generator-index keys, so a
-change in any printed order, count, classification, error message or
-export shows here. Timing lines (``time[...]``) are dropped before hashing,
+The digests were taken before subgroups became generator-index keys (the
+tet/tet and triangle/triangle amalgam transcripts before the amalgam
+context moved onto element indices), so a change in any printed order,
+count, classification, error message or export shows here. Timing lines (``time[...]``) are dropped before hashing,
 and the export path is replaced by a placeholder.
 """
 
@@ -56,6 +57,16 @@ GOLDEN = {
         ["amalgam", "--p", "tet.sg", "--q", "oct.sg", "--ball", "3",
          "--normalize", "a0 b a2 a1", "--export-hasse", HASSE],
         "2ebfca00ba7f40b06b61887f73783a9c5eb2b340dcf0153e977277addca223b9",
+    ),
+    "amalgam-tet-tet": (
+        ["amalgam", "--p", "tet.sg", "--q", "tet.sg", "--ball", "3",
+         "--normalize", "a2 b a1 b", "--export-hasse", HASSE],
+        "a15a772d9dfdc01633f87957b825b5b2b253cb0e3eb8040ec3f6c4f7a9d71b08",
+    ),
+    "amalgam-triangle-triangle": (
+        ["amalgam", "--p", "triangle.sg", "--q", "triangle.sg", "--ball", "4",
+         "--export-hasse", HASSE],
+        "64360a78795a88bb642254f9a66c425b4585ec3c9669895ba808609522feb787",
     ),
 }
 

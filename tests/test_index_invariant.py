@@ -3,10 +3,13 @@
 The closure (``kernels.close``) is the one place that multiplies elements.
 After it returns, the checks, the Wythoff build, the axioms, the sections,
 ``flag_orbits``, ``classify`` and the export read the right table: they
-neither hash nor multiply a ``Perm`` or ``MatModP``, and no group builds its
-element -> index dict. The counters below start when ``ttgroup.closure``
-returns, so the pair orders that ``verify_tail_triangle`` measures before
-the closure are not counted.
+neither hash, multiply nor invert a ``Perm`` or ``MatModP``, and no group
+builds its element -> index dict. The same holds for the amalgam once both
+factors are closed: its context, word arithmetic, coset keys, ridge walk,
+ball and classification. The counters below start when ``ttgroup.closure``
+returns (the second one for an amalgam), so the pair orders that
+``verify_tail_triangle`` and ``is_string_c_group`` measure before a closure
+are not counted.
 """
 
 from collections import Counter
@@ -14,6 +17,12 @@ from collections import Counter
 import pytest
 
 from polywythoff import ttgroup
+from polywythoff.amalgam import (
+    AmalgamContext,
+    enumerate_ball,
+    ridge_section,
+    universal_is_regular,
+)
 from polywythoff.elements import MatModP, Perm
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
@@ -37,14 +46,16 @@ from polywythoff.wythoff import (
 
 
 class AfterClosure:
-    """Counts element hashes and products made after a closure returned."""
+    """Counts element hashes, products and inverses made once the closures
+    it waits for have returned."""
 
     def __init__(self):
-        self.armed = False
         self.calls = Counter()
+        self.reset()
 
-    def reset(self):
+    def reset(self, closures=1):
         self.armed = False
+        self.waiting = closures
         self.calls.clear()
 
 
@@ -52,7 +63,7 @@ class AfterClosure:
 def after_closure(monkeypatch):
     probe = AfterClosure()
     for cls in (MatModP, Perm):
-        for name in ("__hash__", "__mul__"):
+        for name in ("__hash__", "__mul__", "inverse"):
 
             def counted(self, *args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
                 if probe.armed:
@@ -64,16 +75,21 @@ def after_closure(monkeypatch):
 
     def arming(*args, **kwargs):
         G = closure(*args, **kwargs)
-        probe.armed = True
+        probe.waiting -= 1
+        probe.armed = probe.waiting <= 0
         return G
 
     monkeypatch.setattr(ttgroup, "closure", arming)
     return probe
 
 
-def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
+def star_mod3():
     spec = reduce_mod_p(rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4)), 3)
-    G = build_tail_triangle_modp(spec)
+    return build_tail_triangle_modp(spec)
+
+
+def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
+    G = star_mod3()
     assert after_closure.armed
     full, reduced = check_intersection_full(G), check_intersection_reduced(G)
     P = build_polytope(G, verification=reduced)
@@ -86,6 +102,7 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
     export_hasse(P, summary=summary)
     assert after_closure.calls == Counter()
     assert G.group._index is None
+    assert G.group._words is None
 
 
 def test_quotient_screen_hashes_and_multiplies_no_element(after_closure):
@@ -107,3 +124,31 @@ def test_regular_build_hashes_and_multiplies_no_element(after_closure, name):
     P = build_regular(gens)
     assert after_closure.armed and P.f_vector()
     assert after_closure.calls == Counter()
+
+
+def amalgam_factors(name):
+    if name == "star mod 3":
+        G = star_mod3()
+        return G.alphas, G.alphas[:-1] + (G.beta,)
+    return tuple(builtin_fixture(f).gens for f in name.split("/"))
+
+
+@pytest.mark.parametrize("name", ["tet.sg/oct.sg", "tet.sg/tet.sg", "star mod 3"])
+def test_amalgam_hashes_multiplies_and_inverts_no_element(after_closure, name):
+    p_gens, q_gens = amalgam_factors(name)
+    after_closure.reset(closures=2)
+    ctx = AmalgamContext(p_gens, q_gens)
+    assert after_closure.armed
+    batch = [["a0", "a2", "b", "a1"], ["b", "a2", "b", "a0"], ["a1", "b", "a2", "a2", "b"]]
+    words = [ctx.normalize(letters) for letters in batch]
+    for u, w in zip(words, words[1:]):
+        assert ctx.normalize(ctx.word_letters(w)) == w
+        assert ctx.multiply(w, ctx.inverse(w)) == ctx.identity_word
+        ctx.multiply(u, w)
+        for kind in [f"G_{j}" for j in range(ctx.n)] + ["P", "Q", "Pi_-1+"]:
+            ctx.coset_key(kind, w)
+    assert ridge_section(ctx, 3).is_open
+    assert enumerate_ball(ctx, 3).poset.faces(0)
+    universal_is_regular(ctx)
+    assert after_closure.calls == Counter()
+    assert ctx.P._index is None and ctx.Q._index is None

@@ -1,8 +1,8 @@
 """The per-group subgroup caches and the checks that read them.
 
-``FiniteGroup.sub`` reads the subgroup of each generator subset of a group
-from the group's right table once, and ``FiniteGroup.mask`` the bitmask of
-its element indices, which the intersection checks read. The oracles below
+``FiniteGroup.sub`` reads the subgroup of a generator subset of a group
+from the group's right table, and ``FiniteGroup.mask`` the bitmask of its
+element indices once, which the intersection checks read. The oracles below
 enumerate every subgroup afresh with ``closure``: the reduced C-group check
 as it was written on elements, with the string C-group test of its facet
 groups and the re-verification of Gamma_0. ``element_pair_ok`` is the
@@ -122,7 +122,7 @@ def test_sub_matches_fresh_closure(gens):
         assert H.elements == fresh.elements, S
         assert H.prods == fresh.prods, S
         assert H.right_table() == fresh.right_table(), S
-        assert G.sub(reversed(S)) is H  # one cache entry, whatever the order
+        assert G.sub(reversed(S)).elements == H.elements  # whatever the order
     assert G.sub(range(len(gens))) is G
     assert G.sub(()).order == 1
 
@@ -140,11 +140,9 @@ def test_only_the_whole_group_is_closed(monkeypatch):
     assert check_intersection_reduced(G)
     assert check_intersection_reduced(G)
     # one closure, on all n + 1 generators; the bitmask of each proper
-    # generator subset, the empty one included, is read from its table,
-    # and no subgroup is built
+    # generator subset, the empty one included, is read from its table
     assert kernel_runs == [G.n + 1]
     assert len(G.group._masks) == 2 ** (G.n + 1) - 1
-    assert not G.group._subs
 
 
 @pytest.mark.parametrize("name", GOOD_TT)
