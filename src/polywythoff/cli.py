@@ -151,16 +151,20 @@ def _build_report(G, report):
     return P
 
 
+def _hasse_summary(report):
+    return (
+        f"fvec = {report.f_vector} flags={report.flags} "
+        f"orbits={report.orbits} class={report.classification}"
+    )
+
+
 def cmd_build(args):
     report = RunReport(source="")
     G = _tt_group(args, report)
     P = _build_report(G, report)
     print(report.text(timings=args.timings))
     if args.export_hasse:
-        summary = (
-            f"fvec = {report.f_vector} flags={report.flags} "
-            f"orbits={report.orbits} class={report.classification}"
-        )
+        summary = _hasse_summary(report)
         Path(args.export_hasse).write_text(export_hasse(P, summary=summary) + "\n")
         print(f"hasse diagram written to {args.export_hasse}")
     return 0
@@ -271,11 +275,7 @@ def cmd_export_hasse(args):
     report = RunReport(source="")
     G = _tt_group(args, report)
     P = _build_report(G, report)
-    summary = (
-        f"fvec = {report.f_vector} flags={report.flags} "
-        f"orbits={report.orbits} class={report.classification}"
-    )
-    text = export_hasse(P, summary=summary)
+    text = export_hasse(P, summary=_hasse_summary(report))
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .elements import MatModP
-from .groups import check_modulus, closure, closure_cap
+from .groups import check_modulus, closure
 from .ttgroup import (
     INF,
     TailTriangleDiagram,
@@ -204,7 +204,7 @@ def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = sys_.dim
-    check_modulus(m, p)  # before any product: element orders would loop to the cap
+    check_modulus(m, p)  # before any output or closure, which could never enumerate G^p
 
     # clear Gram denominators; a unit scale factor keeps invariance intact
     den = lcm(*(x.denominator for row in sys_.gram for x in row))
@@ -248,16 +248,14 @@ def _ringing_gens(spec: ModPGroupSpec, ringing: int):
     raise ValueError("ringing must be 1, 2 or 3")
 
 
-def build_tail_triangle_modp(
-    spec: ModPGroupSpec, ringing: int = 1, cap: int | None = None
-) -> TailTriangleGroup:
+def build_tail_triangle_modp(spec: ModPGroupSpec, ringing: int = 1) -> TailTriangleGroup:
     """Measure the actual pair orders in G^p and certify the C-group axioms.
 
     Labels are *not* copied from the real diagram — they can shrink under
     reduction (an infinite branch typically drops to a small finite order).
     """
     alphas, beta = _ringing_gens(spec, ringing)
-    G = verify_tail_triangle(alphas, beta, cap=closure_cap(cap))
+    G = verify_tail_triangle(alphas, beta)
     res = check_intersection_reduced(G)
     if not res.ok:
         raise IntersectionFailure(res)
@@ -271,14 +269,14 @@ class RingingReport:
     isomorphic: dict  # (i, j) -> bool for 1 <= i < j <= 3
 
 
-def three_ringings(spec: ModPGroupSpec, cap: int | None = None) -> RingingReport:
+def three_ringings(spec: ModPGroupSpec) -> RingingReport:
     from .wythoff import build_polytope, poset_isomorphic
 
     if spec.diagram.n != 3 or spec.diagram.tail != (spec.diagram.tail[0],):
         raise ValueError("three ringings require the rank-3 star diagram")
     groups, posets = [], []
     for r in (1, 2, 3):
-        G = build_tail_triangle_modp(spec, ringing=r, cap=cap)
+        G = build_tail_triangle_modp(spec, ringing=r)
         groups.append(G)
         posets.append(build_polytope(G))
     iso = {
@@ -312,9 +310,9 @@ def search_lengths(d: TailTriangleDiagram, values=(1, 2, 3, 4, 6)):
     return found
 
 
-def group_order_modp(spec: ModPGroupSpec, cap: int | None = None) -> int:
+def group_order_modp(spec: ModPGroupSpec) -> int:
     """Order of G^p by brute-force closure of the reduced generators."""
-    return closure(list(spec.generators), cap=closure_cap(cap)).order
+    return closure(list(spec.generators)).order
 
 
 def form_radical(spec: ModPGroupSpec):

@@ -18,8 +18,10 @@ from .amalgam import (
     universal_is_regular,
 )
 from .fixtureio import builtin_fixture
-from .groups import CapExceeded, element_order
+from .groups import CapExceeded
 from .modred import (
+    build_tail_triangle_modp,
+    group_order_modp,
     is_crystallographic,
     reduce_mod_p,
     rescale,
@@ -33,6 +35,7 @@ from .ttgroup import (
     TailTriangleDiagram,
     check_intersection_full,
     check_intersection_reduced,
+    pair_order,
     parse_diagram,
     verify_tail_triangle,
 )
@@ -166,14 +169,12 @@ def _row5():
 
 def _rows6():
     sys_ = rescale(parse_diagram(STAR), (1, 1, 2, 4))
-    from .modred import build_tail_triangle_modp
-
     spec2 = reduce_mod_p(sys_, 2)
     G2 = build_tail_triangle_modp(spec2)
     P, orbits, flags, c = _pipeline(G2)
     got2 = (
         f"order={G2.group.order} class={c.kind} vertices={len(P.faces(0))} "
-        f"flags={flags} order(r1s2)={element_order(G2.alphas[1] * G2.beta)}"
+        f"flags={flags} order(r1s2)={pair_order(G2.group, 1, 3)}"
     )
     want2 = "order=96 class=Regular vertices=3 flags=192 order(r1s2)=4"
     vf = vertex_figure(P, P.faces(0)[0])
@@ -183,9 +184,7 @@ def _rows6():
     wantvf = f"vertex-figure fvec={toroid_44_ss(2).f_vector()}"
     gotvf = f"vertex-figure fvec={vf.f_vector()}"
     spec3 = reduce_mod_p(sys_, 3)
-    from .groups import closure
-
-    got3 = f"order={closure(list(spec3.generators)).order} discriminant={spec3.det_mod_p}"
+    got3 = f"order={group_order_modp(spec3)} discriminant={spec3.det_mod_p}"
     return [
         Row(6, "mod-2 reduction", want2, got2),
         Row(6, "mod-2 vertex-figure", wantvf, gotvf),

@@ -130,13 +130,12 @@ def parse_diagram(text: str) -> TailTriangleDiagram:
 class TailTriangleGroup:
     """A verified tail-triangle group with its distinguished subgroups."""
 
-    def __init__(self, alphas, beta, group: FiniteGroup, diagram, cap=None):
+    def __init__(self, alphas, beta, group: FiniteGroup, diagram):
         self.alphas = tuple(alphas)
         self.beta = beta
         self.group = group
         self.diagram = diagram
         self.n = len(self.alphas)
-        self.cap = cap
 
     @property
     def gens(self) -> tuple:
@@ -162,7 +161,10 @@ class TailTriangleGroup:
 
 
 def verify_tail_triangle(alphas, beta, cap=None) -> TailTriangleGroup:
-    """Measure all pair orders, enforce the diagram's forced commutations."""
+    """Check the generators, close the group once and read the diagram's
+    labels from its right table (``pair_order``). Before the closure a pair
+    labelled 2 is checked by ab = ba, which for distinct involutions says
+    ab has order 2; its order is measured only for the error message."""
     alphas = tuple(alphas)
     n = len(alphas)
     gens = alphas + (beta,)
@@ -175,28 +177,22 @@ def verify_tail_triangle(alphas, beta, cap=None) -> TailTriangleGroup:
                 raise ValueError(
                     f"generators {gen_name(i, n)} and {gen_name(j, n)} coincide"
                 )
-
-    def pair_order(i, j):
-        return element_order(gens[i] * gens[j], cap=cap)
-
     # forced label-2 pairs: non-adjacent alphas, and beta with a_i for i <= n-3
-    orders = {}
     for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            o = pair_order(i, j)
-            orders[(i, j)] = o
-            forced = (j <= n - 1 and j - i > 1) or (j == n and i <= n - 3)
-            if forced and o != 2:
-                raise CommutationViolation(gen_name(i, n), gen_name(j, n), o)
+        for j in range(i + 2, n + 1):
+            a, b = gens[i], gens[j]
+            if (j < n or i <= n - 3) and a * b != b * a:
+                order = element_order(a * b, cap=cap)
+                raise CommutationViolation(gen_name(i, n), gen_name(j, n), order)
 
+    G = closure(gens, cap=cap)
+    o = lambda i, j: pair_order(G, i, j)
     if n == 1:
-        diagram = TailTriangleDiagram(1, (), (None, None, orders[(0, 1)]))
+        diagram = TailTriangleDiagram(1, (), (None, None, o(0, 1)))
     else:
-        tail = tuple(orders[(i, i + 1)] for i in range(n - 2))
-        diagram = TailTriangleDiagram(
-            n, tail, (orders[(n - 2, n - 1)], orders[(n - 2, n)], orders[(n - 1, n)])
-        )
-    return TailTriangleGroup(alphas, beta, closure(gens, cap=cap), diagram, cap=cap)
+        tail = tuple(o(i, i + 1) for i in range(n - 2))
+        diagram = TailTriangleDiagram(n, tail, (o(n - 2, n - 1), o(n - 2, n), o(n - 1, n)))
+    return TailTriangleGroup(alphas, beta, G, diagram)
 
 
 @dataclass
@@ -273,7 +269,7 @@ class StringGroupResult:
         return self.ok
 
 
-def is_string_c_group(gens, cap=None) -> StringGroupResult:
+def is_string_c_group(gens) -> StringGroupResult:
     """SC1 (string commutation) + SC2 (intersection condition) for ordered gens."""
     gens = tuple(gens)
     r = len(gens)
@@ -282,11 +278,12 @@ def is_string_c_group(gens, cap=None) -> StringGroupResult:
             return StringGroupResult(False, f"generator {i} not an involution", None, None)
     for i in range(r):
         for j in range(i + 2, r):
-            if element_order(gens[i] * gens[j], cap=cap) != 2:
+            a, b = gens[i], gens[j]
+            if a == b or a * b != b * a:
                 return StringGroupResult(
                     False, f"generators {i},{j} do not commute", None, None
                 )
-    G = closure(gens, cap=cap)
+    G = closure(gens)
     _, failure = _first_failure(G, _subset_pairs(range(r)))
     if failure is not None:
         I, J, _ = failure
@@ -296,17 +293,20 @@ def is_string_c_group(gens, cap=None) -> StringGroupResult:
     return StringGroupResult(True, None, G, schlafli_type(G))
 
 
+def pair_order(G: FiniteGroup, i: int, j: int) -> int:
+    """Order of g_i g_j for generators i and j of G: the length of the
+    cycle through 0, the identity, of x -> R[j][R[i][x]], right
+    multiplication by g_i g_j."""
+    a, b = G.right_table()[i], G.right_table()[j]
+    x, m = b[a[0]], 1
+    while x:
+        x, m = b[a[x]], m + 1
+    return m
+
+
 def schlafli_type(G: FiniteGroup) -> list:
-    """Consecutive pair orders [p_1, ..., p_{r-1}] of G's generators: the
-    order of g_i g_{i+1} is the length of the cycle through 0, the identity,
-    of x -> R[i+1][R[i][x]], right multiplication by it."""
-    orders = []
-    for a, b in itertools.pairwise(G.right_table()):
-        x, m = b[a[0]], 1
-        while x:
-            x, m = b[a[x]], m + 1
-        orders.append(m)
-    return orders
+    """Consecutive pair orders [p_1, ..., p_{r-1}] of G's generators."""
+    return [pair_order(G, i, i + 1) for i in range(len(G.generators) - 1)]
 
 
 def _reduced_pairs(alphas: tuple, b: int) -> list:

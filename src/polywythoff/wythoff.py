@@ -101,9 +101,9 @@ def build_polytope(
     return _assemble(G.group, levels)
 
 
-def build_regular(gens, cap=None) -> FacePoset:
+def build_regular(gens) -> FacePoset:
     """Wythoff construction for a string C-group (regular polytope)."""
-    res = is_string_c_group(gens, cap=cap)
+    res = is_string_c_group(gens)
     if not res:
         raise UnverifiedGroup(f"not a string C-group: {res.reason}")
     G = res.group
@@ -330,7 +330,7 @@ def verify_vertex_figure(P: FacePoset, G: TailTriangleGroup) -> bool:
     if G.n < 2:
         return True
     v = P.faces(0)[0]
-    sub = verify_tail_triangle(G.alphas[1:], G.beta, cap=G.cap)
+    sub = verify_tail_triangle(G.alphas[1:], G.beta)
     expected = build_polytope(sub)
     return poset_isomorphic(vertex_figure(P, v), expected) is not None
 
@@ -338,7 +338,7 @@ def verify_vertex_figure(P: FacePoset, G: TailTriangleGroup) -> bool:
 def verify_facet_sections(P: FacePoset, G: TailTriangleGroup) -> bool:
     """Facet sections are the regular polytopes of the facet subgroups."""
     for kind, gens in (("P", G.alphas), ("Q", G.alphas[:-1] + (G.beta,))):
-        expected = build_regular(gens, cap=G.cap)
+        expected = build_regular(gens)
         f = next(x for x in P.faces(P.top_rank - 1) if x.kind == kind)
         if poset_isomorphic(facet_section(P, f), expected) is None:
             return False

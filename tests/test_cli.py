@@ -152,8 +152,8 @@ def test_modred_prime_past_the_matrix_kernel(capsys):
 
 
 def test_build_modulus_too_large_fails_fast(capsys):
-    # reduce_mod_p rejects the modulus before the pair orders are measured;
-    # without that check element_order loops to the cap in MatModP products
+    # reduce_mod_p rejects the modulus before any output and before the
+    # closure, which could never enumerate a group over so large a field
     t0 = time.perf_counter()
     code, out, err = run(
         capsys, "build", "--modred", "tail=[3] triangle=(4,inf,2)",

@@ -7,9 +7,11 @@ neither hash, multiply nor invert a ``Perm`` or ``MatModP``, and no group
 builds its element -> index dict. The same holds for the amalgam once both
 factors are closed: its context, word arithmetic, coset keys, ridge walk,
 ball and classification. The counters below start when ``ttgroup.closure``
-returns (the second one for an amalgam), so the pair orders that
-``verify_tail_triangle`` and ``is_string_c_group`` measure before a closure
-are not counted.
+returns (the second one for an amalgam). Before it, ``verify_tail_triangle``
+and ``is_string_c_group`` make only a bounded number of products to check
+their generators, and every pair order is read from the right table
+(``ttgroup.pair_order``); ``test_star_verify_makes_eight_products`` pins
+that count.
 """
 
 from collections import Counter
@@ -103,6 +105,26 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
     assert after_closure.calls == Counter()
     assert G.group._index is None
     assert G.group._words is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_star_verify_makes_eight_products(after_closure, monkeypatch, p):
+    """Four squarings for the involution checks, and a0 a2, a2 a0, a0 b and
+    b a0 for the two forced commutations, whatever the pair orders (the
+    infinite label reduces to p); none once the group is closed."""
+    spec = reduce_mod_p(rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4)), p)
+    products = Counter()
+    multiply = MatModP.__mul__
+
+    def counted(self, other):
+        products["MatModP.__mul__"] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(MatModP, "__mul__", counted)
+    G = verify_tail_triangle(spec.generators[:3], spec.generators[3])
+    assert after_closure.armed and G.diagram.triangle == (4, p, 2)
+    assert products == Counter({"MatModP.__mul__": 8})
+    assert after_closure.calls == Counter()
 
 
 def test_quotient_screen_hashes_and_multiplies_no_element(after_closure):

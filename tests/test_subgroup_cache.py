@@ -76,7 +76,7 @@ def oracle_reduced(G) -> IntersectionResult:
         if not oracle_string_c_group(G.alphas[:-1] + (G.beta,)):
             return fail_pre("facet subgroup <a0..a_{n-2},b> is not a string C-group")
         try:
-            sub_tt = verify_tail_triangle(G.alphas[1:], G.beta, cap=G.cap)
+            sub_tt = verify_tail_triangle(G.alphas[1:], G.beta)
         except (NotInvolution, CommutationViolation, ValueError) as exc:
             return fail_pre(f"Gamma_0 is not a tail-triangle group: {exc}")
         if not oracle_reduced(sub_tt):

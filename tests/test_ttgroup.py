@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from polywythoff import ttgroup
 from polywythoff.elements import parse_perm
 from polywythoff.fixtureio import (
     builtin_fixture,
@@ -19,6 +21,7 @@ from polywythoff.ttgroup import (
     check_intersection_full,
     check_intersection_reduced,
     is_string_c_group,
+    pair_order,
     parse_diagram,
     schlafli_type,
     verify_tail_triangle,
@@ -75,6 +78,31 @@ def test_bad_fixture_commutation_violation():
     with pytest.raises(CommutationViolation) as exc:
         verify_tail_triangle(fx.alphas, fx.beta)
     assert exc.value.pair == ("a0", "b")
+
+
+def no_closure(*args, **kwargs):
+    raise AssertionError("a failing input reached the closure")
+
+
+def test_bad_fixture_fails_before_any_closure(monkeypatch):
+    monkeypatch.setattr(ttgroup, "closure", no_closure)
+    fx = builtin_fixture("bad.tt")
+    with pytest.raises(CommutationViolation) as exc:
+        verify_tail_triangle(fx.alphas, fx.beta)
+    assert (exc.value.pair, exc.value.order) == (("a0", "b"), 3)
+    assert str(exc.value) == (
+        "generators a0 and b must commute (diagram label 2), product has order 3"
+    )
+
+
+def test_repeated_string_generator_does_not_commute(monkeypatch):
+    """A repeated generator fails string commutation, its product with
+    itself having order 1, before a closure would find <a> cap <a> = <a>
+    larger than the trivial group <{}>."""
+    monkeypatch.setattr(ttgroup, "closure", no_closure)
+    a, b = parse_perm("(1,2)", 3), parse_perm("(2,3)", 3)
+    res = is_string_c_group([a, b, a])
+    assert not res and res.reason == "generators 0,2 do not commute"
 
 
 def test_tomotope_intersection_both_checkers():
@@ -179,10 +207,13 @@ def schlafli_corpus():
 
 
 def test_schlafli_type_matches_element_orders():
-    """The right-table walk against element_order on element products."""
+    """The right-table walks against element_order on element products."""
     for gens in schlafli_corpus():
+        G = closure(gens)
         want = [element_order(a * b) for a, b in zip(gens, gens[1:])]
-        assert schlafli_type(closure(gens)) == want
+        assert schlafli_type(G) == want
+        for i, j in itertools.combinations(range(len(gens)), 2):
+            assert pair_order(G, i, j) == element_order(gens[i] * gens[j])
 
 
 def test_diagram_label_table():
