@@ -26,10 +26,21 @@ class CapExceeded(RuntimeError):
 
 
 def closure_cap(cap: int | None = None) -> int:
+    """``cap`` if given, else the environment variable POLYWYTHOFF_CAP if
+    set, else DEFAULT_CAP. Raises ValueError unless POLYWYTHOFF_CAP is a
+    positive integer."""
     if cap is not None:
         return cap
     env = os.environ.get("POLYWYTHOFF_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"POLYWYTHOFF_CAP must be a positive integer, not {env!r}")
+    return value
 
 
 class FiniteGroup:

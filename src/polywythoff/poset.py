@@ -1,15 +1,16 @@
-"""Ranked face posets on integer face ids, with an optional group action.
+"""Ranked face posets on integer face ids; a Wythoff build also carries
+its group action.
 
 A poset is purely combinatorial: faces and their covering relations, so
 sections, axiom checks and isomorphism tests work alike on the Wythoff
 builds, the amalgam balls and posets built by hand (toroid oracles, broken
 examples). Faces are integer ids; covers, the group action and flags are
 tuples of ids, and ``Face`` objects are looked up only to print, export,
-take sections or answer the Face-keyed views. When the action of the
-building group is by automorphisms, ``FacePoset.pairs`` lists one incident
-pair per orbit of the group (McMullen and Schulte, *Abstract Regular
-Polytopes*, §2B and §4A): an automorphism carries a section onto an
-isomorphic section.
+take sections or answer the Face-keyed views. Only a Wythoff build
+(``wythoff._assemble``) has an action, and its group acts by automorphisms
+by construction, so on a build ``FacePoset.pairs`` lists one incident pair
+per orbit of the group (McMullen and Schulte, *Abstract Regular Polytopes*,
+§2B and §4A): an automorphism carries a section onto an isomorphic section.
 """
 
 from __future__ import annotations
@@ -35,23 +36,19 @@ class Face:
 
 class _FaceView(Mapping):
     """Face-keyed, read-only view of a table that gives face ids per face id.
-    Its keys are the faces whose ids lie in ``span``; any other face raises
-    KeyError."""
+    Its keys are the poset's faces; any other face raises KeyError."""
 
-    def __init__(self, faces, index, row, span: range):
-        self._faces, self._index, self._row, self._span = faces, index, row, span
+    def __init__(self, faces, index, rows):
+        self._faces, self._index, self._rows = faces, index, rows
 
     def __getitem__(self, f):
-        i = self._index[f]
-        if i not in self._span:
-            raise KeyError(f)
-        return tuple(self._faces[j] for j in self._row(i))
+        return tuple(self._faces[j] for j in self._rows[self._index[f]])
 
     def __iter__(self):
-        return iter(self._faces[self._span.start : self._span.stop])
+        return iter(self._faces)
 
     def __len__(self):
-        return len(self._span)
+        return len(self._faces)
 
 
 class FacePoset:
@@ -61,16 +58,15 @@ class FacePoset:
     ``Face.sort_key`` order, so ``all_faces()`` is ``face_list`` in id
     order. ``rank_of[i]`` is the rank of face i, ``up_ids[i]`` and
     ``down_ids[i]`` the sorted ids of the faces covering it and covered by
-    it, and ``moves[gi][i]`` its image under generator gi of the building
-    group (no moves for posets built by hand without an action). A Wythoff
-    build also names its base faces, the cosets holding the identity.
-    ``up``, ``down`` and ``action`` are Face-keyed views of the same tables.
+    it. A Wythoff build (``from_ids``) also has ``moves[gi][i]``, the image
+    of face i under generator gi of its group, and its base faces
+    ``base_ids``: the bottom, the top and the cosets holding the identity.
+    Any other poset has neither. ``up`` and ``down`` are Face-keyed views
+    of the same tables.
     """
 
-    def __init__(self, faces_by_rank: dict, covers, action=None):
-        """Faces per rank, (low, high) Face pairs for the covers, and, if
-        given, ``action[f][gi]``: the image of each proper face f under
-        generator gi.
+    def __init__(self, faces_by_rank: dict, covers):
+        """Faces per rank and (low, high) Face pairs for the covers.
 
         Distinct faces have distinct sort keys (rank, kind, k). Here k is
         the rep's own key, which determines the rep: the images of a Perm,
@@ -90,24 +86,15 @@ class FacePoset:
             a, b = index[low], index[high]
             up[a].append(b)
             down[b].append(a)
-        moves = []
-        if action:
-            ngens = len(next(iter(action.values())))
-            moves = [
-                [index[action[f][gi]] if f in action else i for i, f in enumerate(faces)]
-                for gi in range(ngens)
-            ]
-        self._setup(faces, up, down, moves, (), faces_by_rank, index)
+        self._setup(faces, up, down, (), (), faces_by_rank, index)
 
     @classmethod
     def from_ids(cls, faces, up, down, moves, base) -> "FacePoset":
-        """A poset from faces already in id order, id-level cover lists and
-        moves, and the base faces (see ``orbit_reps``). Raises ValueError
-        unless the faces are in strictly increasing ``Face.sort_key`` order,
-        the numbering the constructor gives."""
-        keys = [f.sort_key() for f in faces]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("faces are not in Face.sort_key order")
+        """A Wythoff build: faces already in strictly increasing
+        ``Face.sort_key`` order, the numbering the constructor gives (see
+        ``wythoff._assemble`` for why its faces come in that order), with
+        id-level cover lists, the moves of the group's generators, and the
+        base faces."""
         P = cls.__new__(cls)
         P._setup(faces, up, down, moves, base, (), None)
         return P
@@ -132,8 +119,6 @@ class FacePoset:
         self._index = index
         self._flags: list | None = None
         self._adj: list | None = None
-        self._automorphic: bool | None = None
-        self._orbit_rep: tuple | None = None
         self._above: dict = {}
 
     # ---- basic structure -------------------------------------------------
@@ -202,29 +187,12 @@ class FacePoset:
     @property
     def up(self) -> Mapping:
         """Face -> the faces covering it."""
-        every = range(len(self.face_list))
-        return _FaceView(self.face_list, self._face_index(), self.up_ids.__getitem__, every)
+        return _FaceView(self.face_list, self._face_index(), self.up_ids)
 
     @property
     def down(self) -> Mapping:
         """Face -> the faces it covers."""
-        every = range(len(self.face_list))
-        return _FaceView(self.face_list, self._face_index(), self.down_ids.__getitem__, every)
-
-    @property
-    def action(self) -> Mapping:
-        """Proper face -> its images under the generators; empty without an
-        action."""
-        moves = self.moves
-        proper = range(self.ids(self.bottom_rank).stop, self.ids(self.top_rank).start)
-        return _FaceView(
-            self.face_list, self._face_index(), lambda i: [m[i] for m in moves],
-            proper if moves else range(0),
-        )
-
-    def face_image(self, f: Face, gi: int) -> Face:
-        """The image of face f under generator gi of the building group."""
-        return self.face_list[self.moves[gi][self._face_index()[f]]]
+        return _FaceView(self.face_list, self._face_index(), self.down_ids)
 
     # ---- flags -----------------------------------------------------------
 
@@ -311,81 +279,41 @@ class FacePoset:
 
     # ---- group action ------------------------------------------------------
 
-    def action_is_automorphic(self) -> bool:
-        """True iff the poset has an action and every generator is an
-        automorphism: it permutes the faces, keeps each face's rank and
-        kind, and maps the faces covering each face onto the faces covering
-        its image. A bijection that maps the finite cover set into itself
-        maps it onto itself, so its inverse keeps covers too. Scanned once;
-        the orbit shortcuts (``pairs`` and those of ``wythoff``) are taken
-        only when it holds."""
-        if self._automorphic is None:
-            n = len(self.face_list)
-            up = self.up_ids
-            sig = [(f.rank, f.kind) for f in self.face_list]
-            self._automorphic = bool(self.moves) and all(
-                len(set(m)) == n
-                and all(sig[j] == s for j, s in zip(m, sig))
-                and all(up[m[i]] == tuple(sorted(map(m.__getitem__, u))) for i, u in enumerate(up))
-                for m in self.moves
-            )
-        return self._automorphic
-
-    def orbit_reps(self) -> tuple:
-        """rep[i]: the representative of face i's orbit under the group the
-        generators generate: its base face if it has one, else its lowest
-        id. The stabilizer of a base face H·1 of a Wythoff build is the
-        subgroup H, which is generated by the generators it contains, and
-        these are the generators fixing H·1."""
-        if self._orbit_rep is None:
-            moves, base = self.moves, self.base_ids
-            rep = [-1] * len(self.face_list)
-            for i in range(len(rep)):
-                if rep[i] >= 0:
-                    continue
-                orbit = [i]
-                rep[i] = i
-                for x in orbit:  # grows while it is read: a queue
-                    for m in moves:
-                        y = m[x]
-                        if rep[y] < 0:
-                            rep[y] = i
-                            orbit.append(y)
-                best = next((x for x in orbit if x in base), i)
-                for x in orbit:
-                    rep[x] = best
-            self._orbit_rep = tuple(rep)
-        return self._orbit_rep
+    def base_of(self, r: int) -> dict:
+        """On a Wythoff build, kind -> the base face of that kind at rank r;
+        empty on any other poset."""
+        faces, rank = self.face_list, self.rank_of
+        return {faces[x].kind: x for x in self.base_ids if rank[x] == r}
 
     def pairs(self, r: int, s: int) -> list[tuple]:
         """Incident id pairs (low, high), low of rank r below high of rank s.
 
-        Without an automorphic action (``action_is_automorphic``) this is
-        every such pair. With one, the generated group Γ acts on the pairs,
-        and the list holds at least one pair of each Γ-orbit: the pairs
-        (x, y) with x an orbit representative (``orbit_reps``) and y the
-        least id of its orbit, under the generators that fix x, among the
-        faces of rank s above x. A pair (u, v) with u = x·g is carried by
-        g⁻¹ to (x, v·g⁻¹), and v·g⁻¹ lies in the orbit of a listed y. Where
-        the generators fixing x generate its whole stabilizer, as for the
-        base faces of a Wythoff build, the list holds exactly one pair per
-        Γ-orbit: at most two per pair of ranks when there are at most
-        two flag orbits (McMullen and Schulte, §2B and §4A). An automorphism
-        keeps incidence, kinds and sections, so a check that holds for a
-        listed pair holds for its whole orbit.
+        On a poset that is not a Wythoff build (no ``moves``) this is every
+        such pair. On a build, the group Γ acts by automorphisms and
+        transitively on the faces of each kind (``wythoff._assemble``), so
+        the list holds exactly one pair per Γ-orbit: the pairs (x, y) with
+        x the base face of a kind of rank r (``base_ids``; the bottom and
+        top faces are their own base) and y the least id of its orbit,
+        under the generators that fix x, among the faces of rank s above x.
+        A pair (u, v) with u = x·g is carried by g⁻¹ to (x, v·g⁻¹), and
+        (x, v·g⁻¹) and (x, w) lie in one orbit exactly when an element of
+        the stabilizer of x carries one to the other. The stabilizer of the
+        base face H·1 is H, generated by the generators it holds, which are
+        the generators fixing H·1; that of the bottom or top is Γ. So there
+        are at most two listed pairs per pair of ranks when there are at
+        most two flag orbits (McMullen and Schulte, §2B and §4A). An
+        automorphism keeps incidence, kinds and sections, so a check that
+        holds for a listed pair holds for its whole orbit.
         """
-        auto = self.action_is_automorphic()
-        lows = self.ids(r)
-        if auto:
-            rep = self.orbit_reps()
-            lows = [x for x in lows if rep[x] == x]
+        build = bool(self.moves)
+        lows = sorted(self.base_of(r).values()) if build else self.ids(r)
         out = []
         for x in lows:
             levels = self.levels_above(x)
             if s - r >= len(levels):
                 continue
             highs = sorted(levels[s - r])
-            if not auto:
+            if not build:
                 out += [(x, y) for y in highs]
                 continue
             fix = [m for m in self.moves if m[x] == x]

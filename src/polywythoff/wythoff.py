@@ -3,12 +3,12 @@
 Faces of rank j are right cosets of the distinguished subgroups, ordered by
 nonempty coset intersection; the two facet kinds P and Q are kept apart by
 a kind tag and are never incident to each other. The face poset
-(``poset.FacePoset``) works on integer face ids. When the action of the
-building group is by automorphisms, the axiom and section checks run on
-one incident pair per orbit of the group, and ``flag_orbits`` counts flags
-through one vertex (McMullen and Schulte, *Abstract Regular Polytopes*,
-§2B and §4A): an automorphism carries a section onto an isomorphic section
-and a flag orbit onto itself.
+(``poset.FacePoset``) works on integer face ids. The building group acts
+on a build by automorphisms, by construction (``_assemble``), so the axiom
+and section checks run on one incident pair per orbit of the group, and
+``flag_orbits`` counts flags through one vertex (McMullen and Schulte,
+*Abstract Regular Polytopes*, §2B and §4A): an automorphism carries a
+section onto an isomorphic section and a flag orbit onto itself.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .ttgroup import (
     TailTriangleGroup,
     check_intersection_reduced,
     is_string_c_group,
+    verify_tail_triangle,
 )
 
 
@@ -37,13 +38,22 @@ def _assemble(G: FiniteGroup, levels):
     key holds the generator indices of the face subgroup.
 
     Faces of a kind are the cosets of ``coset_partition`` in ``cid`` order,
-    and the kinds of a rank come in name order; ``FacePoset.from_ids``
-    checks that this is ``Face.sort_key`` order. Two cosets are incident
-    exactly when they share an element, so the covers between consecutive
-    ranks are the pairs (cid_low[e], cid_high[e]) over all elements e. A
-    generator g moves the coset Hx to Hxg, the coset of the right-table
-    image of any element of Hx. The base faces are the cosets of element 0,
-    the identity.
+    which sorts them by the key of their least representative, and the
+    kinds of a rank come in name order, ranks ascending from the bottom to
+    the top. That is strictly increasing ``Face.sort_key`` order, the order
+    ``FacePoset.from_ids`` takes. Two cosets are incident exactly when they
+    share an element, so the covers between consecutive ranks are the pairs
+    (cid_low[e], cid_high[e]) over all elements e. A generator g moves the
+    coset Hx to Hxg, the coset of the right-table image of any element of
+    Hx, and fixes the bottom and top.
+
+    So Γ acts on the faces by right multiplication, and by automorphisms:
+    Hx ∩ Ky is empty exactly when Hxg ∩ Kyg is, so the action keeps
+    covers, and Hxg is a coset of the same H, so it keeps ranks and kinds.
+    It is transitive on the cosets of each kind, as Hx = (H·1)x. The base
+    faces are the cosets of element 0, the identity, one per kind, with
+    the bottom and the top: each face is the image of the base face of its
+    kind, and the stabilizer of H·1 is H (McMullen and Schulte, §2B).
     """
     nprop = len(levels)
     faces = [Face(-1, "bot", None)]
@@ -79,7 +89,7 @@ def _assemble(G: FiniteGroup, levels):
             for move, row in zip(moves, R):
                 for c, x in member.items():
                     move[first + c] = first + cid[row[x]]
-    base = [first + cid[0] for block in blocks for first, cid in block]
+    base = [bot, top] + [first + cid[0] for block in blocks for first, cid in block]
     return FacePoset.from_ids(faces, up, down, moves, base)
 
 
@@ -221,16 +231,18 @@ def two_sections(P: FacePoset) -> list[TwoSection]:
     """Each co-rank-2 section of the greatest face, with alternation check.
 
     One ``TwoSection`` per face of rank n-2 (n the facet rank), in face
-    order. With an automorphic action a section is computed once per orbit
-    of these faces, at its representative (the low faces of
-    ``P.pairs(n - 2, top)``), and copied along the orbit: an automorphism
-    keeps kinds, so it carries a section onto one of the same size, shape
-    and kind sequence.
+    order. On a Wythoff build a section is computed once per kind of these
+    faces, at the kind's base face (``P.base_ids``), and copied to the
+    other faces of the kind. The group acts on them transitively and by
+    automorphisms (``_assemble``), and an automorphism keeps kinds, so it
+    carries a section onto one of the same size, shape and kind sequence.
+    On any other poset every section is computed.
     """
-    bases = P.ids(P.top_rank - 3)
-    rep = P.orbit_reps() if P.action_is_automorphic() else range(len(P.face_list))
-    found = {x: _two_section(P, x) for x in {rep[b] for b in bases}}
-    return [TwoSection(P.face_list[b], *found[rep[b]]) for b in bases]
+    faces, bases = P.face_list, P.ids(P.top_rank - 3)
+    if P.moves:
+        found = {k: _two_section(P, x) for k, x in P.base_of(P.top_rank - 3).items()}
+        return [TwoSection(faces[b], *found[faces[b].kind]) for b in bases]
+    return [TwoSection(faces[b], *_two_section(P, b)) for b in bases]
 
 
 def _orbit_sizes(flags: list, moves) -> list[int]:
@@ -257,14 +269,16 @@ def _orbit_sizes(flags: list, moves) -> list[int]:
 def flag_orbits(P: FacePoset, G: TailTriangleGroup):
     """(orbit count, flag count, action is free) under the right Γ-action.
 
-    ``P`` must be a Wythoff build of ``G``: ``P.moves`` is the action of
-    Γ's generators, by automorphisms and transitive on the vertices V, and
-    the base vertex v is the coset of the identity. Raises ValueError
-    otherwise, or if the generators fixing v generate a subgroup Γ_0 of
-    order other than |Γ|/|V|. The flags are not listed. Γ_0 lies in the
-    stabilizer of v, whose order is |Γ|/|V|, so Γ_0 is the stabilizer
-    (for a build, v's stabilizer is the subgroup of its rank, which is
-    generated by the generators it holds; see ``FacePoset.orbit_reps``).
+    ``P`` must be a Wythoff build of ``G`` with one kind of vertex:
+    ``P.moves`` is then the action of Γ's generators, by automorphisms and
+    transitive on the vertices V (``_assemble``), and the base vertex v is
+    the coset of the identity. Raises ValueError if ``P`` has no single
+    base vertex (it is not a build, or not vertex-transitive), or if the
+    generators fixing v generate a subgroup Γ_0 of order other than
+    |Γ|/|V|. The flags are not listed. Γ_0 lies in the stabilizer of v,
+    whose order is |Γ|/|V|, so Γ_0 is the stabilizer (for a build, v's
+    stabilizer is the subgroup of its rank, which is generated by the
+    generators it holds; see ``FacePoset.pairs``).
     Every vertex lies in as many flags as v, so there are
     |V| × (flags through v). Each flag orbit meets the flags through v, and
     an element mapping one flag through v to another fixes v, so lies in
@@ -275,10 +289,9 @@ def flag_orbits(P: FacePoset, G: TailTriangleGroup):
     order = G.group.order
     moves = P.moves
     verts = P.ids(0)
-    base = [v for v in verts if v in P.base_ids]
-    rep = P.orbit_reps()
-    if not (base and P.action_is_automorphic() and len({rep[v] for v in verts}) == 1):
-        raise ValueError("flag_orbits needs a vertex-transitive action by automorphisms")
+    base = list(P.base_of(0).values())
+    if len(base) != 1:
+        raise ValueError("flag_orbits needs a Wythoff build with one kind of vertex")
     (v,) = base
     fix = [gi for gi, m in enumerate(moves) if m[v] == v]
     if len(G.group.span(fix)) * len(verts) != order:
@@ -325,8 +338,6 @@ def facet_section(P: FacePoset, f: Face) -> FacePoset:
 def verify_vertex_figure(P: FacePoset, G: TailTriangleGroup) -> bool:
     """Recursive cross-check: the vertex figure matches the rank-(n-1) build on
     Gamma_0 = <a1..a_{n-1},b> with the ring moved to a1."""
-    from .ttgroup import verify_tail_triangle
-
     if G.n < 2:
         return True
     v = P.faces(0)[0]
@@ -343,12 +354,6 @@ def verify_facet_sections(P: FacePoset, G: TailTriangleGroup) -> bool:
         if poset_isomorphic(facet_section(P, f), expected) is None:
             return False
     return True
-
-
-def vertex_transitive(P: FacePoset, G: TailTriangleGroup) -> bool:
-    """Every vertex lies in one orbit of the generators' action."""
-    rep = P.orbit_reps()
-    return len({rep[v] for v in P.ids(0)}) <= 1
 
 
 # ---- isomorphism -------------------------------------------------------------

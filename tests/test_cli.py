@@ -294,3 +294,11 @@ def test_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("POLYWYTHOFF_CAP", "10")
     code, _, err = run(capsys, "build", "--fixture", "m66_240a.tt")
     assert code == 1 and "CapExceeded" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("POLYWYTHOFF_CAP", value)
+    code, out, err = run(capsys, "verify", "--fixture", "tomotope.tt")
+    assert code == 2 and err.startswith("input error: ") and "POLYWYTHOFF_CAP" in err
+    assert "Traceback" not in out + err

@@ -3,15 +3,22 @@
 The oracle is the Face-keyed code the integer poset replaced: the diamond
 condition over every incident pair, strong connectivity over every section,
 every 2-section, and flag orbits by walking every flag. The production
-checks run on integer ids and, when the poset carries an action by
-automorphisms, on one incident pair per orbit and the flags through one
-vertex. Both paths must give the oracle's answers on the fixtures, star mod
-2 and mod 3 in all three ringings, ``selftest.random_quotients``, the toroid
-oracles, the polygons and broken posets.
+checks run on integer ids and, on a Wythoff build, on one incident pair per
+orbit and the flags through one vertex. Both paths must give the oracle's
+answers on the fixtures, star mod 2 and mod 3 in all three ringings,
+``selftest.random_quotients``, the toroid oracles, the polygons and broken
+posets.
+
+The orbit path rests on what a build is by construction
+(``wythoff._assemble``): its faces come in ``Face.sort_key`` order, its
+group acts by automorphisms, and each kind is one orbit with the kind's
+base face in it. The build oracles below check all three on every build by
+exhaustive scans.
 """
 
 import pytest
 
+from polywythoff.amalgam import AmalgamContext, enumerate_ball
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
 from polywythoff.oracles import polygon_poset, toroid_44, toroid_44_ss, toroid_434_330
@@ -142,10 +149,9 @@ def oracle_two_sections(P):
 
 
 def oracle_flag_orbits(P, G):
-    action = P.action
-    fid = {f: i for i, f in enumerate(action)}
-    moves = [[fid[imgs[gi]] for imgs in action.values()] for gi in range(len(G.gens))]
-    flags = [tuple(fid[f] for f in fl) for fl in P.flags()]
+    moves = P.moves
+    assert len(moves) == len(G.gens)
+    flags = P.flag_ids()
     index = {fl: i for i, fl in enumerate(flags)}
     seen = [False] * len(flags)
     sizes = []
@@ -162,6 +168,68 @@ def oracle_flag_orbits(P, G):
                     orbit.append(j)
         sizes.append(len(orbit))
     return len(sizes), len(flags), all(s == G.group.order for s in sizes)
+
+
+# ---- the build oracles: what a Wythoff build is by construction ----------------
+
+
+def oracle_action_is_automorphic(P):
+    """True iff the poset has moves and every generator is an automorphism:
+    it permutes the faces, keeps each face's rank and kind, and maps the
+    faces covering each face onto the faces covering its image. A bijection
+    that maps the finite cover set into itself maps it onto itself, so its
+    inverse keeps covers too."""
+    n = len(P.face_list)
+    up = P.up_ids
+    sig = [(f.rank, f.kind) for f in P.face_list]
+    return bool(P.moves) and all(
+        len(set(m)) == n
+        and all(sig[j] == s for j, s in zip(m, sig))
+        and all(up[m[i]] == tuple(sorted(map(m.__getitem__, u))) for i, u in enumerate(up))
+        for m in P.moves
+    )
+
+
+def oracle_orbit_reps(P):
+    """rep[i]: the representative of face i's orbit under the group the
+    generators generate, by a search over ``P.moves``: its base face if it
+    has one, else its lowest id."""
+    rep = [-1] * len(P.face_list)
+    for i in range(len(rep)):
+        if rep[i] >= 0:
+            continue
+        orbit = [i]
+        rep[i] = i
+        for x in orbit:  # grows while it is read: a queue
+            for m in P.moves:
+                y = m[x]
+                if rep[y] < 0:
+                    rep[y] = i
+                    orbit.append(y)
+        best = next((x for x in orbit if x in P.base_ids), i)
+        for x in orbit:
+            rep[x] = best
+    return rep
+
+
+def oracle_in_key_order(P):
+    """True iff the faces come in strictly increasing ``Face.sort_key``
+    order, the order the constructor gives a hand-built poset."""
+    keys = [f.sort_key() for f in P.face_list]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def assert_build_oracles(P):
+    """A build's faces are in key order, its generators act by
+    automorphisms, and each orbit is one kind of one rank, holding exactly
+    one base face, that kind's."""
+    assert oracle_in_key_order(P)
+    assert oracle_action_is_automorphic(P)
+    faces, rep = P.face_list, oracle_orbit_reps(P)
+    assert set(rep) == P.base_ids
+    for f, x in zip(faces, rep):
+        assert (faces[x].rank, faces[x].kind) == (f.rank, f.kind)
+    assert len({(faces[x].rank, faces[x].kind) for x in P.base_ids}) == len(P.base_ids)
 
 
 # ---- the corpus -----------------------------------------------------------------
@@ -232,6 +300,17 @@ def two_hexagons():
     return FacePoset(faces, covers)
 
 
+REGULAR = {
+    name: (lambda name=name: build_regular(builtin_fixture(name).gens))
+    for name in ("tet.sg", "oct.sg")
+}
+
+
+def wythoff_build(name):
+    """The build of a group in GROUPS, or a regular build in REGULAR."""
+    return REGULAR[name]() if name in REGULAR else build_polytope(GROUPS[name]())
+
+
 HAND_BUILT = {
     "toroid_44(2)": lambda: toroid_44(2),
     "toroid_44_ss(2)": lambda: toroid_44_ss(2),
@@ -240,8 +319,7 @@ HAND_BUILT = {
     **{f"polygon({m})": (lambda m=m: polygon_poset(m)) for m in (2, 3, 6)},
     "broken tomotope": broken_tomotope,
     "two hexagons": two_hexagons,
-    "tet.sg": lambda: build_regular(builtin_fixture("tet.sg").gens),
-    "oct.sg": lambda: build_regular(builtin_fixture("oct.sg").gens),
+    **REGULAR,
 }
 
 
@@ -261,11 +339,11 @@ def assert_checks_match_oracle(P):
 def test_group_builds_match_oracle(name):
     G = GROUPS[name]()
     P = build_polytope(G)
-    assert P.action_is_automorphic()
+    assert_build_oracles(P)
     assert_checks_match_oracle(P)
     assert flag_orbits(P, G) == oracle_flag_orbits(P, G)
     bare = without_action(P)
-    assert not bare.action_is_automorphic()
+    assert not bare.moves and not bare.base_ids
     assert_checks_match_oracle(bare)
 
 
@@ -273,7 +351,7 @@ def test_random_quotients_match_oracle():
     built = _verified_quotients()
     assert len(built) >= 15
     for G, P in built:
-        assert P.action_is_automorphic()
+        assert_build_oracles(P)
         assert_checks_match_oracle(P)
         assert flag_orbits(P, G) == oracle_flag_orbits(P, G)
         assert_checks_match_oracle(without_action(P))
@@ -282,6 +360,8 @@ def test_random_quotients_match_oracle():
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_posets_match_oracle(name):
     P = HAND_BUILT[name]()
+    if name in REGULAR:  # Wythoff builds of string C-groups
+        assert_build_oracles(P)
     assert_checks_match_oracle(P)
 
 
@@ -313,10 +393,10 @@ def _pair_orbits(P, r, s):
 
 @pytest.mark.parametrize(
     "name", ["tomotope.tt", "hexagon.tt", "d4-ringing-1", "star-mod2-ringing-1",
-             "star-mod2-ringing-2"]
+             "star-mod2-ringing-2", "star-mod3-ringing-1", "tet.sg", "oct.sg"]
 )
 def test_pairs_hold_one_pair_per_orbit(name):
-    P = build_polytope(GROUPS[name]())
+    P = wythoff_build(name)
     for r in range(P.bottom_rank, P.top_rank):
         for s in range(r + 1, P.top_rank + 1):
             orbit_of, count = _pair_orbits(P, r, s)
@@ -324,29 +404,24 @@ def test_pairs_hold_one_pair_per_orbit(name):
             assert sorted(listed) == list(range(count))
 
 
-def _hexagon_with_rotation(broken):
-    """The hexagon, with the rotation by one step as its action. With
-    ``broken``, edge 3 loses a vertex: the rotation then maps a cover to a
-    non-cover, and the diamond condition fails at that edge and at the
-    vertex it lost."""
+def _broken_hexagon():
+    """A hexagon built by hand, with no action, in which edge 3 has lost a
+    vertex: the diamond condition fails at that edge and at the vertex it
+    lost."""
     bot, top = Face(-1, "bot", None), Face(2, "top", None)
     verts = [Face(0, "G_0", ("v", i)) for i in range(6)]
     edges = [Face(1, "G_1", ("e", i)) for i in range(6)]
     covers = [(bot, v) for v in verts] + [(e, top) for e in edges]
     for i in range(6):
         covers.append((verts[i], edges[i]))
-        if not (broken and i == 3):
+        if i != 3:
             covers.append((verts[(i + 1) % 6], edges[i]))
-    action = {}
-    for i in range(6):
-        action[verts[i]] = (verts[(i + 1) % 6],)
-        action[edges[i]] = (edges[(i + 1) % 6],)
-    return FacePoset({-1: [bot], 0: verts, 1: edges, 2: [top]}, covers, action)
+    return FacePoset({-1: [bot], 0: verts, 1: edges, 2: [top]}, covers)
 
 
-def test_action_that_breaks_covers_takes_the_exhaustive_path():
-    P = _hexagon_with_rotation(broken=True)
-    assert not P.action_is_automorphic()
+def test_hand_built_broken_hexagon_takes_the_exhaustive_path():
+    P = _broken_hexagon()
+    assert not P.moves and not P.base_ids
     # every (bottom, edge) pair is listed, so the broken edge is seen
     assert len(P.pairs(-1, 1)) == 6
     ok, (low, high, count) = verify_diamond(P)
@@ -355,38 +430,34 @@ def test_action_that_breaks_covers_takes_the_exhaustive_path():
 
 
 def test_action_by_automorphisms_takes_the_orbit_path():
-    P = _hexagon_with_rotation(broken=False)
-    assert P.action_is_automorphic()
-    assert P.pairs(-1, 1) == [(0, P.ids(1)[0])]  # the rotation moves every edge
+    P = build_polytope(fixture_group("hexagon.tt"))
+    # Γ is transitive on the edges of each kind: one (bottom, edge) pair per kind
+    listed = P.pairs(-1, 1)
+    assert [P.face_list[high].kind for _, high in listed] == ["P", "Q"]
+    assert len(without_action(P).pairs(-1, 1)) == len(P.ids(1)) == 6
     assert_checks_match_oracle(P)
 
 
 def test_flag_orbits_needs_a_build_action():
     G = fixture_group("hexagon.tt")
     P = build_polytope(G)
-    for other in (without_action(P), _hexagon_with_rotation(broken=False),
-                  _hexagon_with_rotation(broken=True)):
+    tri = builtin_fixture("triangle.sg").gens
+    ball = enumerate_ball(AmalgamContext(tri, tri), 1).poset
+    edge = P.section(P.bottom(), P.faces(1)[0])
+    for other in (without_action(P), ball, edge):
         with pytest.raises(ValueError):
             flag_orbits(other, G)
 
 
-def test_from_ids_refuses_faces_out_of_key_order():
-    P = build_polytope(fixture_group("hexagon.tt"))
-    faces = list(P.face_list)
-    a, b = P.ids(0)[:2]
-    faces[a], faces[b] = faces[b], faces[a]
-    with pytest.raises(ValueError):
-        FacePoset.from_ids(faces, P.up_ids, P.down_ids, P.moves, P.base_ids)
-
-
 def test_face_views_are_mappings_over_their_keys():
     P = build_polytope(fixture_group("hexagon.tt"))
-    bot, top, v = P.bottom(), P.top(), P.faces(0)[0]
-    assert bot in P.up and top in P.down and len(P.up) == len(P.face_list)
-    assert bot not in P.action and top not in P.action and v in P.action
-    assert P.action.get(bot) is None and len(P.action) == len(P.face_list) - 2
+    bot, top = P.bottom(), P.top()
+    assert bot in P.up and top in P.down
+    assert list(P.up) == list(P.down) == list(P.face_list)
+    assert len(P.up) == len(P.down) == len(P.face_list)
+    assert P.up[top] == () and P.down[bot] == () and P.down[top] == P.faces(1)
+    stranger = Face(0, "G_0", None)
+    assert stranger not in P.up and P.up.get(stranger) is None
     with pytest.raises(KeyError):
-        P.action[top]
-    bare = without_action(P)
-    assert len(bare.action) == 0 and v not in bare.action and bare.action.get(v) is None
-    assert list(bare.up) == list(P.up)
+        P.down[stranger]
+    assert list(without_action(P).up) == list(P.up)

@@ -28,7 +28,6 @@ from polywythoff.wythoff import (
     verify_strong_connectivity,
     verify_vertex_figure,
     vertex_figure,
-    vertex_transitive,
 )
 
 
@@ -110,23 +109,22 @@ def test_common_representative_exists_on_flags(tomotope):
     # constructive check: each flag's cosets share a common group element.
     # The coset H_f of face f contains e iff f = H e, the image of the base
     # face of f's kind (the coset holding 1) under e; images under e are
-    # found by walking P.action along e's word.
+    # found by walking P.moves along e's word.
     G, P = tomotope
     keys = {"P": G.gamma_P(), "Q": G.gamma_Q()}
     keys.update({f"G_{j}": G.gamma(j) for j in range(G.n)})
     subgroup = {kind: G.group.sub(key) for kind, key in keys.items()}
-    base = {f.kind: f for f in P.action if f.rep in subgroup[f.kind]}
+    base = {f.kind: i for i, f in enumerate(P.face_list) if f.rep in subgroup.get(f.kind, ())}
     assert len(base) == len(subgroup)
     images = []
     for word in G.group.words():
         moved = dict(base)
         for gi in word:
-            moved = {k: P.action[f][gi] for k, f in moved.items()}
+            moved = {k: P.moves[gi][i] for k, i in moved.items()}
         images.append(moved)
     rng = random.Random(3)
-    flags = P.flags()
-    for fl in rng.sample(flags, 20):
-        assert any(all(moved[f.kind] == f for f in fl) for moved in images)
+    for fl in rng.sample(P.flag_ids(), 20):
+        assert any(all(moved[P.face_list[i].kind] == i for i in fl) for moved in images)
 
 
 def test_ridge_covers_exactly_p_and_q(tomotope):
@@ -137,8 +135,14 @@ def test_ridge_covers_exactly_p_and_q(tomotope):
 
 
 def test_vertex_transitivity(tomotope):
-    G, P = tomotope
-    assert vertex_transitive(P, G)
+    # the orbit of the first vertex under P.moves holds every vertex
+    _, P = tomotope
+    orbit = [P.ids(0)[0]]
+    for x in orbit:  # grows while it is read: a queue
+        for m in P.moves:
+            if m[x] not in orbit:
+                orbit.append(m[x])
+    assert sorted(orbit) == list(P.ids(0))
 
 
 def test_m66_240a_truncation():
