@@ -231,6 +231,8 @@ def cmd_amalgam(args):
             "(a_{n-1} b)^k = 1 satisfies the intersection condition is an "
             "open question, so this tool does not attempt it"
         )
+    if args.ball < 0:
+        raise InputError("radius must be >= 0")
     p_fx, q_fx = _load(args.p), _load(args.q)
     try:
         ctx = AmalgamContext(p_fx.gens, q_fx.gens, shared=args.shared)

@@ -9,6 +9,13 @@ homomorphism checks into integer lookups on element indices: the
 coset-table view of Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory*, ch. 5. A subgroup is named by the generator indices that
 generate it, its key. Element products are made only in the closure.
+
+After the closure a group is its indices and tables, and its elements are
+the kernel's codes (``FiniteGroup.keys``): image tuples for permutations,
+row-code tuples for matrices. Codes sort like element keys
+(``kernels``), so canonical representatives are chosen on codes. An
+element object is made only when one is asked for: ``FiniteGroup.element``
+makes one, and ``FiniteGroup.elements`` makes and keeps them all.
 """
 
 from __future__ import annotations
@@ -44,14 +51,20 @@ def closure_cap(cap: int | None = None) -> int:
 
 
 class FiniteGroup:
-    """A concrete finite group given by generators, fully enumerated."""
+    """A concrete finite group given by generators, fully enumerated.
 
-    def __init__(self, generators, elements, prods, right):
+    ``keys[i]`` is the code of element i and ``make`` turns a code into an
+    element object; ``make`` must hold no reference to the group.
+    """
+
+    def __init__(self, generators, keys, prods, right, make):
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
+        self.keys = tuple(keys)  # element codes, in element order
         self.prods = tuple(prods)  # (parent_index, generator_index) per element
         self.identity = identity_like(self.generators[0])
-        self._index: dict | None = None  # element -> index, built on first lookup
+        self._make = make
+        self._elements: tuple | None = None  # made on first use
+        self._index: dict | None = None  # code -> index, built on first lookup
         self._words: tuple | None = None
         self._right = tuple(right)
         self._masks: dict[frozenset, int] = {}
@@ -59,21 +72,35 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.prods)
+
+    def __len__(self) -> int:
+        return len(self.prods)
+
+    def element(self, i: int):
+        """Element i as an object, made from its code."""
+        return self._make(self.keys[i])
+
+    @property
+    def elements(self) -> tuple:
+        """Every element as an object, in element order, made on first use."""
+        if self._elements is None:
+            self._elements = tuple(map(self._make, self.keys))
+        return self._elements
 
     def _lookup(self) -> dict:
         if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
+            self._index = {code: i for i, code in enumerate(self.keys)}
         return self._index
 
     def __contains__(self, g) -> bool:
-        return g in self._lookup()
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        return same_kind(self.identity, g) and _element_code(g) in self._lookup()
 
     def index_of(self, g) -> int:
-        return self._lookup()[g]
+        """The index of element g, looked up by its code."""
+        if not same_kind(self.identity, g):
+            raise KeyError(g)
+        return self._lookup()[_element_code(g)]
 
     def sub(self, indices) -> "FiniteGroup":
         """The subgroup generated by the generators at ``indices`` as a group
@@ -89,12 +116,14 @@ class FiniteGroup:
         the same products in the same order as a fresh closure of those
         generators: it gives the same elements and productions, and its own
         right table in the same loop, with no element product. The
-        subgroup holds the group's element objects.
+        subgroup holds the group's codes and makes its elements the same way.
         """
         key = tuple(sorted(set(indices)))
         if key == tuple(range(len(self.generators))):
             return self
-        return self._close_sub(key) if key else trivial_group(self.identity)
+        if not key:
+            return FiniteGroup([self.identity], self.keys[:1], [(-1, -1)], [[0]], self._make)
+        return self._close_sub(key)
 
     def span(self, indices) -> list[int]:
         """The indices of the elements of ``sub(indices)``, in its element
@@ -141,8 +170,8 @@ class FiniteGroup:
                     members.append(y)
                     prods.append((i, gi))
                 out.append(j)
-        elements = [self.elements[x] for x in members]
-        return FiniteGroup([self.generators[i] for i in key], elements, prods, R)
+        keys = [self.keys[x] for x in members]
+        return FiniteGroup([self.generators[i] for i in key], keys, prods, R, self._make)
 
     def tree(self) -> tuple:
         """The productions, checked to form a BFS tree: element 0 is the
@@ -193,8 +222,26 @@ class FiniteGroup:
         return table
 
 
+def _element_code(g) -> tuple:
+    """The kernel's code of an element: its image tuple, or its row codes."""
+    if isinstance(g, MatModP):
+        return kernels.encode_matrix(g.entries, g.dim, g.p)
+    return g.images
+
+
+def _maker(first):
+    """The code -> element map for elements of the kind of ``first``. A
+    matrix decodes its rows through one memo (``kernels.RowDecoder``),
+    shared by every element it makes."""
+    if isinstance(first, Perm):
+        return Perm._raw
+    p, dim = first.p, first.dim
+    entries = kernels.RowDecoder(dim, p).entries
+    return lambda code: MatModP._raw(p, dim, entries(code))
+
+
 def trivial_group(identity) -> FiniteGroup:
-    return FiniteGroup([identity], [identity], [(-1, -1)], [[0]])
+    return closure([identity])
 
 
 def check_modulus(dim: int, p: int) -> None:
@@ -219,19 +266,17 @@ def closure(generators, cap: int | None = None) -> FiniteGroup:
     cap = closure_cap(cap)
     if isinstance(first, Perm):
         raw = kernels.close_perms([g.images for g in generators], cap)
-        make = Perm._raw
     elif isinstance(first, MatModP):
         check_modulus(first.dim, first.p)
         raw = kernels.close_mats(
             [g.entries for g in generators], first.dim, first.p, cap
         )
-        make = lambda entries: MatModP._raw(first.p, first.dim, entries)
     else:
         raise KindMismatch(f"unknown element kind: {type(first)!r}")
     if raw is None:
         raise CapExceeded(f"closure exceeded cap of {cap} elements")
-    elements, prods, R = raw
-    return FiniteGroup(generators, map(make, elements), prods, R)
+    keys, prods, R = raw
+    return FiniteGroup(generators, keys, prods, R, _maker(first))
 
 
 def coset_partition(G: FiniteGroup, key):
@@ -240,7 +285,9 @@ def coset_partition(G: FiniteGroup, key):
 
     Returns (reps, cid): the canonical (key-minimal) representative of each
     coset, sorted by key, and ``cid[i]``, the position in ``reps`` of the
-    coset holding ``G.elements[i]``.
+    coset holding element i. Minima and order are taken on ``G.keys``,
+    which sort like element keys (``kernels``); only the representatives
+    are made as elements.
 
     Elements are visited in BFS order. The first element x of a new coset
     has production (parent, g) with the parent earlier, so already placed,
@@ -264,13 +311,13 @@ def coset_partition(G: FiniteGroup, key):
         for i in coset:
             cid[i] = len(members)
         members.append(coset)
-    keys = [e.key for e in G.elements]
+    keys = G.keys
     mins = [min(coset, key=keys.__getitem__) for coset in members]
     order = sorted(range(len(members)), key=lambda c: keys[mins[c]])
     renumber = [0] * len(order)
     for pos, c in enumerate(order):
         renumber[c] = pos
-    return [G.elements[mins[c]] for c in order], [renumber[c] for c in cid]
+    return [G.element(mins[c]) for c in order], [renumber[c] for c in cid]
 
 
 def element_order(g, cap: int | None = None) -> int:

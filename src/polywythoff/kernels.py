@@ -3,19 +3,32 @@
 An element is a tuple of points and a generator is a map on points: the
 product of an element e with a generator m is ``tuple(m[x] for x in e)``.
 ``close`` runs the search on that form; ``close_perms`` and ``close_mats``
-put permutations and matrices into it and take them back out.
+put permutations and matrices into it. The tuples the search finds are the
+elements' codes, and they are what the kernel returns: a group keeps them
+(``groups.FiniteGroup.keys``) and makes an element object from a code only
+when one is asked for.
 
 - A permutation is the tuple of its images, and a generator g is the map
   x -> g(x) on {1..N}: image i of e*g is g(e(i)).
-- A matrix over Z_p is the tuple of its rows, each row vector coded as the
-  integer sum x_k p^k. Row i of e*g is (row i of e)*g, a function of that
-  row and g alone, so mapping every row through v -> v*g gives e*g exactly.
-  ``RowMap`` is that function for one generator, memoized on first use, so
-  each distinct row is multiplied once per generator however many elements
-  hold it. The coding is a bijection from Z_p^dim onto [0, p^dim), so two
-  row-code tuples are equal exactly when the matrices are, and the search
-  meets the same elements in the same order as one on entries. Rows are
-  decoded to entries only for the elements returned.
+- A matrix over Z_p is the tuple of its rows, each row vector coded
+  big-endian as the integer sum r_j p^(dim-1-j) (``encode_row``). Row i of
+  e*g is (row i of e)*g, a function of that row and g alone, so mapping
+  every row through v -> v*g gives e*g exactly. ``RowMap`` is that
+  function for one generator, memoized on first use, so each distinct row
+  is multiplied once per generator however many elements hold it. The
+  coding is a bijection from Z_p^dim onto [0, p^dim), so two row-code
+  tuples are equal exactly when the matrices are, and the search meets the
+  same elements in the same order, with the same productions and right
+  table, as one on entries: it does so under any bijective coding.
+
+The code of a matrix is also ordered like the matrix. A big-endian code is
+a number written in base p with the row's entries as its digits, most
+significant first, so codes compare like their rows in lexicographic
+order. Rows have a fixed length, so a tuple of row codes compares like the
+concatenation of the rows, which is the flat entry tuple ``MatModP.key``.
+So tuple order on codes is ``MatModP.key`` order, and for a permutation
+the code is its key. Canonical (key-least) coset representatives are
+chosen on codes, with no element made.
 """
 
 from __future__ import annotations
@@ -75,28 +88,44 @@ class RowMap(dict):
 
 
 def encode_row(row, p: int) -> int:
+    """The big-endian code sum r_j p^(dim-1-j) of a row of entries mod p."""
     code = 0
-    for x in reversed(row):
+    for x in row:
         code = code * p + x
     return code
 
 
 def decode_row(code: int, dim: int, p: int) -> tuple:
-    row = []
-    for _ in range(dim):
-        code, x = divmod(code, p)
-        row.append(x)
+    row = [0] * dim
+    for j in range(dim - 1, -1, -1):
+        code, row[j] = divmod(code, p)
     return tuple(row)
+
+
+def encode_matrix(entries, dim: int, p: int) -> tuple:
+    """The code of a matrix given as a row-major entry tuple: its row codes."""
+    return tuple(encode_row(entries[i : i + dim], p) for i in range(0, dim * dim, dim))
+
+
+class RowDecoder(dict):
+    """Row code -> entry tuple for dim and p, filled on first use, so a row
+    held by many elements is decoded once."""
+
+    def __init__(self, dim: int, p: int):
+        super().__init__()
+        self.dim, self.p = dim, p
+
+    def __missing__(self, code: int) -> tuple:
+        self[code] = row = decode_row(code, self.dim, self.p)
+        return row
+
+    def entries(self, code: tuple) -> tuple:
+        """The row-major entry tuple of a matrix code."""
+        return sum(map(self.__getitem__, code), ())
 
 
 def close_mats(gens, dim: int, p: int, cap: int):
     """``close`` on dim x dim matrices mod p given as row-major entry tuples;
-    the elements come back as entry tuples too."""
-    identity = tuple(p**i for i in range(dim))  # row i is the unit vector e_i
-    raw = close([RowMap(g, dim, p) for g in gens], identity, cap)
-    if raw is None:
-        return None
-    elements, prods, R = raw
-    codes = {code for e in elements for code in e}
-    get = {code: decode_row(code, dim, p) for code in codes}.__getitem__
-    return [sum(map(get, e), ()) for e in elements], prods, R
+    the elements come back as their codes, tuples of row codes."""
+    identity = tuple(p ** (dim - 1 - i) for i in range(dim))  # row i is e_i
+    return close([RowMap(g, dim, p) for g in gens], identity, cap)

@@ -217,7 +217,7 @@ def _subset_pair_ok(G: FiniteGroup, I: frozenset, J: frozenset):
     if not bad:
         return None
     small = I if mI.bit_count() <= mJ.bit_count() else J
-    return next(G.elements[x] for x in G.span(small) if bad >> x & 1)
+    return G.element(next(x for x in G.span(small) if bad >> x & 1))
 
 
 def _first_failure(G: FiniteGroup, pairs):

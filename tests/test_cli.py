@@ -175,6 +175,12 @@ def test_amalgam_normalize_and_ball(capsys):
     assert "ridge section: open" in out
 
 
+def test_amalgam_negative_ball_rejected_before_output(capsys):
+    code, out, err = run(capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg", "--ball", "-1")
+    assert code == 2 and out == ""
+    assert err == "input error: radius must be >= 0\n"
+
+
 def test_amalgam_close_up_rejected(capsys):
     code, _, err = run(
         capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg", "--close-up", "4",

@@ -12,6 +12,12 @@ and ``is_string_c_group`` make only a bounded number of products to check
 their generators, and every pair order is read from the right table
 (``ttgroup.pair_order``); ``test_star_verify_makes_eight_products`` pins
 that count.
+
+Elements stay the kernel's codes after the closure, too: an element object
+is made (``MatModP._raw``, ``Perm._raw``) only to be printed or returned.
+The ``made`` counter shows that the screen makes one witness per failing
+check and nothing else, that a star build makes at most one element per
+face, its representative, and that neither makes the group's element tuple.
 """
 
 from collections import Counter
@@ -48,17 +54,19 @@ from polywythoff.wythoff import (
 
 
 class AfterClosure:
-    """Counts element hashes, products and inverses made once the closures
-    it waits for have returned."""
+    """Counts element hashes, products and inverses (``calls``) and element
+    objects made (``made``) once the closures it waits for have returned."""
 
     def __init__(self):
         self.calls = Counter()
+        self.made = Counter()
         self.reset()
 
     def reset(self, closures=1):
         self.armed = False
         self.waiting = closures
         self.calls.clear()
+        self.made.clear()
 
 
 @pytest.fixture
@@ -73,6 +81,13 @@ def after_closure(monkeypatch):
                 return _original(self, *args)
 
             monkeypatch.setattr(cls, name, counted)
+
+        def made(cls, *args, _original=cls.__dict__["_raw"].__func__):
+            if probe.armed:
+                probe.made[f"{cls.__name__}._raw"] += 1
+            return _original(cls, *args)
+
+        monkeypatch.setattr(cls, "_raw", classmethod(made))
     closure = ttgroup.closure
 
     def arming(*args, **kwargs):
@@ -103,8 +118,13 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
     assert summary == "fvec = (27, 162, 216, 27+54) flags=2592 orbits=2 class=TwoOrbit"
     export_hasse(P, summary=summary)
     assert after_closure.calls == Counter()
+    faces = sum(len(P.faces(r)) for r in P.proper_ranks())
+    assert faces == 486
+    assert set(after_closure.made) <= {"MatModP._raw"}
+    assert 0 < after_closure.made["MatModP._raw"] <= faces
     assert G.group._index is None
     assert G.group._words is None
+    assert G.group._elements is None
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -130,14 +150,20 @@ def test_star_verify_makes_eight_products(after_closure, monkeypatch, p):
 def test_quotient_screen_hashes_and_multiplies_no_element(after_closure):
     quotients = random_quotients(primes=(2, 3))
     assert {type(G.beta) for G in quotients} == {MatModP}
+    failing = 0
     for Q in quotients:
         after_closure.reset()
         G = verify_tail_triangle(Q.alphas, Q.beta, cap=10_000)
         assert after_closure.armed
-        check_intersection_full(G)
-        check_intersection_reduced(G)
+        results = check_intersection_full(G), check_intersection_reduced(G)
         assert after_closure.calls == Counter()
+        # a failing check makes its one witness; a passing one makes nothing
+        fails = sum(not r.ok for r in results)
+        assert after_closure.made == Counter({"MatModP._raw": fails} if fails else {})
+        failing += fails
         assert G.group._index is None
+        assert G.group._elements is None
+    assert failing  # the corpus holds failing checks
 
 
 @pytest.mark.parametrize("name", ["tet.sg", "oct.sg", "hexagon.sg"])

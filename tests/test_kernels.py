@@ -1,9 +1,13 @@
 """The closure kernel against the element oracle.
 
 The oracle is a breadth-first closure written on matrix entries and
-permutation images, one product per element and generator. The kernel must
-give the same elements in the same order and the same productions, and its
-right table must agree with the element products x * g.
+permutation images, one product per element and generator. The kernel
+returns element codes (image tuples, or tuples of big-endian row codes);
+decoded, they must be the oracle's elements in the same order, with the
+same productions, and the right table must agree with the element products
+x * g. Codes sort like element keys: ``encode_row`` is order-isomorphic to
+lexicographic order on rows, and on every group of the corpus sorting the
+element indices by ``G.keys`` sorts them by ``G.elements[i].key``.
 """
 
 from importlib import resources
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from polywythoff import kernels
 from polywythoff.elements import MatModP, Perm
 from polywythoff.fixtureio import builtin_fixture
+from polywythoff.groups import closure
 from polywythoff.modred import reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import parse_diagram
@@ -69,16 +74,19 @@ def check_kernel(gens, cap=CAP):
     if isinstance(first, Perm):
         got = kernels.close_perms([g.images for g in gens], cap)
         want = oracle_close_perms([g.images for g in gens], cap)
+        decode = lambda code: code
         make = Perm._raw
     else:
         dim, p = first.dim, first.p
         got = kernels.close_mats([g.entries for g in gens], dim, p, cap)
         want = oracle_close_mats([g.entries for g in gens], dim, p, cap)
+        decode = lambda code: sum((kernels.decode_row(c, dim, p) for c in code), ())
         make = lambda entries: MatModP._raw(p, dim, entries)
     if want is None:
         assert got is None
         return
-    elements, prods, R = got
+    codes, prods, R = got
+    elements = [decode(code) for code in codes]
     assert (elements, prods) == want
     objs = [make(e) for e in elements]
     index = {x: i for i, x in enumerate(objs)}
@@ -154,6 +162,34 @@ def test_kernel_matches_oracle_on_random_quotients():
     assert quotients
     for G in quotients:
         check_kernel(G.gens, cap=G.group.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 4))
+def test_encode_row_order_is_lexicographic_row_order(data, p, dim):
+    row = st.tuples(*[st.integers(0, p - 1)] * dim)
+    u, v = data.draw(row), data.draw(row)
+    cu, cv = kernels.encode_row(u, p), kernels.encode_row(v, p)
+    assert 0 <= cu < p**dim and kernels.decode_row(cu, dim, p) == u
+    assert (cu < cv) == (u < v) and (cu == cv) == (u == v)
+
+
+def key_order_corpus():
+    star = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    corpus = [builtin_fixture(name).gens for name in FIXTURES]
+    corpus += [reduce_mod_p(star, p).generators for p in (2, 3)]
+    corpus += [Q.gens for Q in random_quotients(primes=(2, 3))]
+    return corpus
+
+
+def test_code_order_is_key_order():
+    corpus = key_order_corpus()
+    assert {type(gens[0]) for gens in corpus} == {MatModP, Perm}
+    for gens in corpus:
+        G = closure(gens)
+        by_code = sorted(range(G.order), key=G.keys.__getitem__)
+        by_key = sorted(range(G.order), key=lambda i: G.elements[i].key)
+        assert by_code == by_key
 
 
 def test_kernel_cap():

@@ -191,6 +191,22 @@ def test_dropped_group_is_freed_without_gc():
     assert ref() is None
 
 
+@pytest.mark.parametrize("source", ["tomotope.tt", "star mod 2"])
+def test_group_with_made_elements_is_freed_without_gc(source):
+    # the code -> element map must not reference the group that holds it
+    if source == "star mod 2":
+        star = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+        gens = reduce_mod_p(star, 2).generators
+    else:
+        gens = builtin_fixture(source).gens
+    G = closure(gens)
+    assert all(G.index_of(g) == i for i, g in enumerate(G.elements))
+    assert G.element(G.order - 1) in G and G.sub([0]).elements[1] == G.generators[0]
+    ref = weakref.ref(G)
+    del G  # freed by its reference count: nothing allocates in between
+    assert ref() is None
+
+
 def element_pair_ok(G, I, J):
     """The subset-pair check on elements: the first element of the smaller
     of <I>, <J> that lies in the larger and not in <I cap J>, or None."""
@@ -230,8 +246,10 @@ def test_bitmask_checks_match_element_oracle(monkeypatch):
     want = [check(G) for G in groups for check in checks]
     assert got == want
     assert not all(want)  # the corpus holds failures, with witnesses
-    for g, w in zip(got, want):
-        assert g.witness is None or g.witness[2] is w.witness[2]
+    # a witness is made from its element code on demand, so it equals the
+    # oracle's element and lies in the group, but is not the same object
+    for G, g, w in zip([G for G in groups for _ in checks], got, want):
+        assert g.witness is None or (g.witness[2] == w.witness[2] and g.witness[2] in G.group)
     want_strings = [is_string_c_group(gens) for gens in strings]
     assert [(r.ok, r.reason, r.schlafli) for r in got_strings] == [
         (r.ok, r.reason, r.schlafli) for r in want_strings
