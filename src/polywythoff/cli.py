@@ -239,12 +239,13 @@ def cmd_amalgam(args):
     except (NotCGroup, FacetMismatch) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
+    # an unknown letter is refused before any output
+    w = None if args.normalize is None else ctx.normalize(args.normalize.split())
     print(f"factors: P order {ctx.P.order}, Q order {ctx.Q.order}, shared K order {ctx.K.order}")
     print(f"transversals: |T_P| = {len(ctx.towers['P'][0])}, |T_Q| = {len(ctx.towers['Q'][0])}")
     cls = universal_is_regular(ctx)
     print(f"universal polytope class: {cls.kind}  aut: {cls.aut}")
-    if args.normalize is not None:
-        w = ctx.normalize(args.normalize.split())
+    if w is not None:
         print(f"normal form: {w}")
         print("letters: " + (" ".join(ctx.word_letters(w)) or "(identity)"))
     sec = ridge_section(ctx, max(args.ball, 2))

@@ -2,9 +2,11 @@
 
 An element is a tuple of points and a generator is a map on points: the
 product of an element e with a generator m is ``tuple(m[x] for x in e)``.
-``close`` runs the search on that form; ``close_perms`` and ``close_mats``
-put permutations and matrices into it. The tuples the search finds are the
-elements' codes, and they are what the kernel returns: a group keeps them
+``close`` runs the search on that form and fills the right table as it
+goes, where an involution's pair {x, x*g} fills two entries with one
+lookup; ``close_perms`` and ``close_mats`` put permutations and matrices
+into it. The tuples the search finds are the elements' codes, and they
+are what the kernel returns: a group keeps them
 (``groups.FiniteGroup.keys``) and makes an element object from a code only
 when one is asked for.
 
@@ -43,17 +45,34 @@ def close(maps, identity: tuple, cap: int):
     are found. ``elements`` is in BFS insertion order with the identity
     first. ``prods[i]`` is the (parent index, generator index) that first
     reached element i, and (-1, -1) for the identity. ``R[gi][i]`` is the
-    index of ``elements[i]`` times generator gi: the search looks up every
-    product, new or already seen, and elements are taken in index order,
-    so row gi is filled entry by entry.
+    index of ``elements[i]`` times generator gi.
+
+    An involution's pair fills two entries with one lookup. A generator g
+    is an involution when mapping ``identity`` through it twice gives
+    ``identity`` back, which is exact for permutations and row maps alike.
+    For such g, x*g = y gives y*g = x, so the pass for x sets
+    ``R[g][y] = x`` as well, and the pass for y skips its lookup: an
+    involution costs |G|/2 lookups instead of |G|. Every row grows by one
+    -1 per new element, so an entry is -1 exactly while it is unknown. The
+    output cannot change. A lookup is skipped only when its result is x, an
+    element found earlier, and a lookup that finds a known element appends
+    nothing. So the elements are appended in the same order, with the same
+    ``prods``, the same ``R`` and the same cap point as when every product
+    is looked up.
     """
     elements = [identity]
     prods = [(-1, -1)]
     index = {identity: 0}
-    getters = [m.__getitem__ for m in maps]
-    R = [[] for _ in maps]
+    R = [[-1] for _ in maps]
+    gens = []
+    for gi, m in enumerate(maps):
+        get = m.__getitem__
+        twice = tuple(map(get, tuple(map(get, identity))))
+        gens.append((gi, get, R[gi], twice == identity))
     for i, e in enumerate(elements):  # grows while it is read: a queue
-        for gi, (get, row) in enumerate(zip(getters, R)):
+        for gi, get, row, involution in gens:
+            if row[i] >= 0:
+                continue
             prod = tuple(map(get, e))
             n = len(elements)
             j = index.setdefault(prod, n)
@@ -62,7 +81,11 @@ def close(maps, identity: tuple, cap: int):
                     return None
                 elements.append(prod)
                 prods.append((i, gi))
-            row.append(j)
+                for r in R:
+                    r.append(-1)
+            row[i] = j
+            if involution:
+                row[j] = i
     return elements, prods, R
 
 

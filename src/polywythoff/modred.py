@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from .elements import MatModP
 from .groups import check_modulus, closure
@@ -136,9 +137,12 @@ def rescale(d: TailTriangleDiagram, squared_lengths) -> IntegralReflectionSystem
     gram = tuple(tuple(Fraction(x, den) for x in row) for row in W)
 
     sys_ = IntegralReflectionSystem(d, s, tuple(map(tuple, l)), tuple(matrices), gram)
+    # explicit raises, not asserts, so that ``python -O`` keeps the checks
     for M in sys_.matrices:
-        assert _mat_mul(M, M) == _identity(m), "reflection is not an involution"
-        assert _mat_mul(_transpose(M), _mat_mul(W, M)) == W, "form not preserved"
+        if _mat_mul(M, M) != _identity(m):
+            raise AssertionError("reflection is not an involution")
+        if _mat_mul(_transpose(M), _mat_mul(W, M)) != W:
+            raise AssertionError("form not preserved")
     return sys_
 
 
@@ -152,9 +156,7 @@ def _transpose(M):
 
 def _mat_mul(A, B):
     cols = _transpose(B)
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def _det_mod_p(M, p: int) -> int:

@@ -181,6 +181,14 @@ def test_amalgam_negative_ball_rejected_before_output(capsys):
     assert err == "input error: radius must be >= 0\n"
 
 
+def test_amalgam_unknown_letter_rejected_before_output(capsys):
+    code, out, err = run(
+        capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg", "--normalize", "a0 a9",
+    )
+    assert code == 2 and out == ""
+    assert err == "input error: unknown generator 'a9'\n"
+
+
 def test_amalgam_close_up_rejected(capsys):
     code, _, err = run(
         capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg", "--close-up", "4",

@@ -10,6 +10,7 @@ lexicographic order on rows, and on every group of the corpus sorting the
 element indices by ``G.keys`` sorts them by ``G.elements[i].key``.
 """
 
+import itertools
 from importlib import resources
 
 import pytest
@@ -162,6 +163,72 @@ def test_kernel_matches_oracle_on_random_quotients():
     assert quotients
     for G in quotients:
         check_kernel(G.gens, cap=G.group.order)
+
+
+class CountingMap:
+    """A generator map that counts its point lookups."""
+
+    def __init__(self, m):
+        self.m, self.calls = m, 0
+
+    def __getitem__(self, x):
+        self.calls += 1
+        return self.m[x]
+
+
+def counted_products(maps, identity, cap=10**6):
+    """Run ``close`` on counting maps: (result, products per generator).
+    A product of an element with a generator is one lookup per point."""
+    counting = [CountingMap(m) for m in maps]
+    out = kernels.close(counting, identity, cap)
+    return out, [c.calls // len(identity) for c in counting]
+
+
+@pytest.mark.parametrize("p, products", [(3, 2600), (5, 57608)])
+def test_involution_pairs_take_one_product(p, products):
+    # |G|/2 products per involution, plus 2 for the involution test
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    gens = [g.entries for g in reduce_mod_p(system, p).generators]
+    maps = [kernels.RowMap(g, 4, p) for g in gens]
+    identity = tuple(p ** (3 - i) for i in range(4))
+    out, counts = counted_products(maps, identity)
+    order = len(out[0])
+    assert counts == [order // 2 + 2] * 4
+    assert sum(counts) == products
+    assert out == kernels.close_mats(gens, 4, p, 10**6)
+
+
+def test_non_involution_takes_a_product_per_element():
+    cycle, swap = Perm([2, 3, 1, 4]), Perm([2, 1, 3, 4])
+    identity = (1, 2, 3, 4)
+    out, counts = counted_products([(0,) + g.images for g in (cycle, swap)], identity)
+    assert len(out[0]) == 6
+    assert counts == [6 + 2, 3 + 2]
+    check_kernel([cycle, swap])
+
+
+def test_identity_generator_matches_oracle():
+    one, cycle, swap = Perm([1, 2, 3, 4]), Perm([2, 3, 4, 1]), Perm([2, 1, 3, 4])
+    check_kernel([one, cycle, swap])
+    check_kernel([cycle, one, swap])
+    _, counts = counted_products([(0,) + g.images for g in (one, swap)], (1, 2, 3, 4))
+    assert counts == [2 + 2, 1 + 2]  # the identity fixes each element: one lookup
+    star = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    gens = list(reduce_mod_p(star, 2).generators)
+    check_kernel([MatModP(2, 4, [int(i == j) for i in range(4) for j in range(4)])] + gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(2, 4))
+def test_row_map_matches_entry_products(data, p, dim):
+    entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
+    g = data.draw(
+        entries.map(lambda e: MatModP(p, dim, e, check=False)).filter(MatModP._invertible)
+    ).entries
+    m = kernels.RowMap(g, dim, p)
+    for v in itertools.product(range(p), repeat=dim):
+        vg = [sum(v[k] * g[k * dim + j] for k in range(dim)) % p for j in range(dim)]
+        assert m[kernels.encode_row(v, p)] == kernels.encode_row(vg, p)
 
 
 @settings(max_examples=200, deadline=None)

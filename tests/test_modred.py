@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
 from polywythoff.elements import MatModP
+from polywythoff import modred
 from polywythoff.groups import check_modulus, closure, element_order
 from polywythoff.modred import (
     _COS2,
@@ -115,6 +120,30 @@ def test_rescale_non_integral():
 def test_rescale_scale_invariance():
     half = tuple(Fraction(x, 2) for x in LENGTHS)
     assert rescale(STAR, half).l == rescale(STAR, LENGTHS).l
+
+
+RESCALE_UNDER_O = """
+import sys
+from polywythoff import modred
+from polywythoff.ttgroup import parse_diagram
+print(sys.flags.optimize)
+modred._identity = lambda m: ()
+modred.rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+"""
+
+
+def test_rescale_checks_survive_python_O():
+    # a broken identity makes the involution check fail; under -O a bare
+    # assert would be gone and rescale would return a system
+    src = str(Path(modred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", RESCALE_UNDER_O],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.stdout == "1\n"
+    assert run.returncode == 1
+    assert run.stderr.rstrip().endswith("AssertionError: reflection is not an involution")
 
 
 def test_rescale_rejects_non_crystallographic():
