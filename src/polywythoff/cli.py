@@ -69,6 +69,18 @@ def _load(name):
     )
 
 
+def _check_output(path):
+    """Refuse an output path that cannot be written, before any work: its
+    directory must exist, and it must not be a directory itself."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise InputError(f"cannot write {path}: no directory {target.parent}")
+
+
 def _tt_group(args, report):
     """Resolve the input group from --fixture or --modred flags."""
     if getattr(args, "fixture", None):
@@ -159,6 +171,7 @@ def _hasse_summary(report):
 
 
 def cmd_build(args):
+    _check_output(args.export_hasse)
     report = RunReport(source="")
     G = _tt_group(args, report)
     P = _build_report(G, report)
@@ -225,6 +238,7 @@ def cmd_modred(args):
 
 
 def cmd_amalgam(args):
+    _check_output(args.export_hasse)
     if args.close_up is not None:
         raise InputError(
             "--close-up is not supported: whether the quotient by "
@@ -266,6 +280,7 @@ def cmd_amalgam(args):
 def cmd_selftest(args):
     from .selftest import render, run_selftest, to_json
 
+    _check_output(args.json_report)
     rows = run_selftest(quick=args.quick)
     print(render(rows))
     if args.json_report:
@@ -275,6 +290,7 @@ def cmd_selftest(args):
 
 
 def cmd_export_hasse(args):
+    _check_output(args.out)
     report = RunReport(source="")
     G = _tt_group(args, report)
     P = _build_report(G, report)

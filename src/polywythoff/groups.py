@@ -16,6 +16,7 @@ row-code tuples for matrices. Codes sort like element keys
 (``kernels``), so canonical representatives are chosen on codes. An
 element object is made only when one is asked for: ``FiniteGroup.element``
 makes one, and ``FiniteGroup.elements`` makes and keeps them all.
+``FiniteGroup.text`` prints an element from its code, with no matrix made.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class FiniteGroup:
         self._elements: tuple | None = None  # made on first use
         self._index: dict | None = None  # code -> index, built on first lookup
         self._words: tuple | None = None
+        self._key_order: list | None = None
+        self._text = None  # code -> text, made on first use
         self._right = tuple(right)
         self._masks: dict[frozenset, int] = {}
         self._tree_checked = False
@@ -80,6 +83,22 @@ class FiniteGroup:
     def element(self, i: int):
         """Element i as an object, made from its code."""
         return self._make(self.keys[i])
+
+    def text(self, i: int) -> str:
+        """``str(self.element(i))``, formatted from the code of element i. A
+        matrix is printed from its row codes through one memo of row texts,
+        so no matrix is made; a permutation is printed by ``Perm``."""
+        if self._text is None:
+            self._text = _texter(self.identity)
+        return self._text(self.keys[i])
+
+    def key_order(self) -> list[int]:
+        """The element indices sorted by code, which is key order
+        (``kernels``): one sort per group, made on first use and shared by
+        every coset partition of the group."""
+        if self._key_order is None:
+            self._key_order = sorted(range(self.order), key=self.keys.__getitem__)
+        return self._key_order
 
     @property
     def elements(self) -> tuple:
@@ -240,8 +259,26 @@ def _maker(first):
     return lambda code: MatModP._raw(p, dim, entries(code))
 
 
-def trivial_group(identity) -> FiniteGroup:
-    return closure([identity])
+class _RowText(dict):
+    """Row code -> the row's entries as text, filled on first use."""
+
+    def __init__(self, dim: int, p: int):
+        super().__init__()
+        self.dim, self.p = dim, p
+
+    def __missing__(self, code: int) -> str:
+        self[code] = text = " ".join(map(str, kernels.decode_row(code, self.dim, self.p)))
+        return text
+
+
+def _texter(first):
+    """The code -> text map for elements of the kind of ``first``: ``str`` of
+    the element the code makes. ``MatModP.__str__`` joins the row-major
+    entries with spaces, which is the row texts joined with spaces."""
+    if isinstance(first, Perm):
+        return lambda code: str(Perm._raw(code))
+    head, rows = f"mod {first.p} dim {first.dim} [", _RowText(first.dim, first.p)
+    return lambda code: head + " ".join(map(rows.__getitem__, code)) + "]"
 
 
 def check_modulus(dim: int, p: int) -> None:
@@ -283,17 +320,20 @@ def coset_partition(G: FiniteGroup, key):
     """Right cosets Hx of H in G, on element indices, where H is the
     subgroup generated by the generators of G at the indices ``key``.
 
-    Returns (reps, cid): the canonical (key-minimal) representative of each
-    coset, sorted by key, and ``cid[i]``, the position in ``reps`` of the
-    coset holding element i. Minima and order are taken on ``G.keys``,
-    which sort like element keys (``kernels``); only the representatives
-    are made as elements.
+    Returns (reps, cid): the element index of the canonical (key-minimal)
+    representative of each coset, sorted by key, and ``cid[i]``, the
+    position in ``reps`` of the coset holding element i. Keys are compared
+    as codes (``G.keys``), which sort like element keys (``kernels``), and
+    no element is made.
 
     Elements are visited in BFS order. The first element x of a new coset
     has production (parent, g) with the parent earlier, so already placed,
     and Hx = (H parent) g: the coset is the parent's coset moved by one row
     of the right table. Walking the BFS word of x from H's indices gives the
-    same coset; sharing the parent's coset does it in |H| lookups.
+    same coset; sharing the parent's coset does it in |H| lookups. Then the
+    elements are swept in key order (``G.key_order``): the first element
+    met in a coset is its least, and the cosets are met in the order of
+    their least elements, so numbering them as they are met sorts them.
     """
     prods = G.tree()
     R = G.right_table()
@@ -308,16 +348,20 @@ def coset_partition(G: FiniteGroup, key):
             parent, gi = prods[x]
             row = R[gi]
             coset = [row[i] for i in members[cid[parent]]]
+        c = len(members)
         for i in coset:
-            cid[i] = len(members)
+            cid[i] = c
         members.append(coset)
-    keys = G.keys
-    mins = [min(coset, key=keys.__getitem__) for coset in members]
-    order = sorted(range(len(members)), key=lambda c: keys[mins[c]])
-    renumber = [0] * len(order)
-    for pos, c in enumerate(order):
-        renumber[c] = pos
-    return [G.element(mins[c]) for c in order], [renumber[c] for c in cid]
+    renumber = [-1] * len(members)
+    reps: list[int] = []
+    for x in G.key_order():
+        c = cid[x]
+        if renumber[c] < 0:
+            renumber[c] = len(reps)
+            reps.append(x)
+            if len(reps) == len(members):
+                break
+    return reps, [renumber[c] for c in cid]
 
 
 def element_order(g, cap: int | None = None) -> int:

@@ -4,10 +4,12 @@ its group action.
 A poset is purely combinatorial: faces and their covering relations, so
 sections, axiom checks and isomorphism tests work alike on the Wythoff
 builds, the amalgam balls and posets built by hand (toroid oracles, broken
-examples). Faces are integer ids; covers, the group action and flags are
-tuples of ids, and ``Face`` objects are looked up only to print, export,
-take sections or answer the Face-keyed views. Only a Wythoff build
-(``wythoff._assemble``) has an action, and its group acts by automorphisms
+examples). Faces are integer ids with a rank and a kind each; covers, the
+group action and flags are tuples of ids, and ``Face`` objects are looked
+up only to print, take sections or answer the Face-keyed views. A Wythoff
+build keeps each face's representative as an element index of its group
+and makes its ``Face`` objects only when one is asked for. Only a Wythoff
+build (``wythoff._assemble``) has an action, and its group acts by automorphisms
 by construction, so on a build ``FacePoset.pairs`` lists one incident pair
 per orbit of the group (McMullen and Schulte, *Abstract Regular Polytopes*,
 §2B and §4A): an automorphism carries a section onto an isomorphic section.
@@ -56,13 +58,13 @@ class FacePoset:
 
     Faces are ids 0..N-1, numbered rank by rank, each rank in
     ``Face.sort_key`` order, so ``all_faces()`` is ``face_list`` in id
-    order. ``rank_of[i]`` is the rank of face i, ``up_ids[i]`` and
-    ``down_ids[i]`` the sorted ids of the faces covering it and covered by
-    it. A Wythoff build (``from_ids``) also has ``moves[gi][i]``, the image
-    of face i under generator gi of its group, and its base faces
-    ``base_ids``: the bottom, the top and the cosets holding the identity.
-    Any other poset has neither. ``up`` and ``down`` are Face-keyed views
-    of the same tables.
+    order. ``rank_of[i]`` and ``kind_of[i]`` are the rank and kind of face
+    i, ``up_ids[i]`` and ``down_ids[i]`` the sorted ids of the faces
+    covering it and covered by it. A Wythoff build (``from_ids``) also has
+    ``moves[gi][i]``, the image of face i under generator gi of its group,
+    and its base faces ``base_ids``: the bottom, the top and the cosets
+    holding the identity. Any other poset has neither. ``up`` and ``down``
+    are Face-keyed views of the same tables.
     """
 
     def __init__(self, faces_by_rank: dict, covers):
@@ -86,40 +88,84 @@ class FacePoset:
             a, b = index[low], index[high]
             up[a].append(b)
             down[b].append(a)
-        self._setup(faces, up, down, (), (), faces_by_rank, index)
+        self._setup(
+            tuple(f.rank for f in faces),
+            tuple(f.kind for f in faces),
+            tuple(tuple(sorted(u)) for u in up),
+            tuple(tuple(sorted(d)) for d in down),
+            (),
+            (),
+            faces_by_rank,
+        )
+        self._faces, self._index = tuple(faces), index
 
     @classmethod
-    def from_ids(cls, faces, up, down, moves, base) -> "FacePoset":
-        """A Wythoff build: faces already in strictly increasing
-        ``Face.sort_key`` order, the numbering the constructor gives (see
-        ``wythoff._assemble`` for why its faces come in that order), with
-        id-level cover lists, the moves of the group's generators, and the
-        base faces."""
+    def from_ids(cls, group, ranks, kinds, reps, up, down, moves, base) -> "FacePoset":
+        """A Wythoff build of ``group``: per face its rank, its kind and its
+        representative as an element index of the group (None for the
+        bottom and top), in strictly increasing ``Face.sort_key`` order, the
+        numbering the constructor gives (see ``wythoff._assemble`` for why
+        its faces come in that order). Then the sorted id tuples of the
+        covers above and below each face, the moves of the group's
+        generators, and the base faces. The ``Face`` objects and their
+        representatives are made on first use (``face_list``)."""
         P = cls.__new__(cls)
-        P._setup(faces, up, down, moves, base, (), None)
+        P._setup(tuple(ranks), tuple(kinds), up, down, moves, base, ())
+        P._group, P._reps = group, tuple(reps)
         return P
 
-    def _setup(self, faces, up, down, moves, base, ranks, index):
-        self.face_list = tuple(faces)
-        self.rank_of = tuple(f.rank for f in faces)
-        self.up_ids = tuple(tuple(sorted(u)) for u in up)
-        self.down_ids = tuple(tuple(sorted(d)) for d in down)
+    def _setup(self, ranks, kinds, up, down, moves, base, given):
+        self.rank_of, self.kind_of = ranks, kinds
+        self.up_ids, self.down_ids = tuple(up), tuple(down)
         self.moves = tuple(tuple(m) for m in moves)
         self.base_ids = frozenset(base)
-        spans = {r: range(0) for r in ranks}  # ranks given without faces stay
+        spans = {r: range(0) for r in given}  # ranks given without faces stay
         start = 0
-        for r, run in groupby(self.rank_of):
+        for r, run in groupby(ranks):
             stop = start + sum(1 for _ in run)
             spans[r] = range(start, stop)
             start = stop
         self._spans = spans
-        self.faces_by_rank = {r: self.face_list[s.start : s.stop] for r, s in spans.items()}
         self.bottom_rank = min(spans)
         self.top_rank = max(spans)
-        self._index = index
+        self._faces: tuple | None = None
+        self._by_rank: dict | None = None
+        self._index: dict | None = None
+        self._group = self._reps = None
         self._flags: list | None = None
         self._adj: list | None = None
         self._above: dict = {}
+
+    # ---- faces as objects ----------------------------------------------------
+
+    @property
+    def face_list(self) -> tuple:
+        """Every face as a ``Face``, in id order. A build makes them, with
+        their representatives, on first use."""
+        if self._faces is None:
+            element = self._group.element
+            self._faces = tuple(
+                Face(r, k, None if x is None else element(x))
+                for r, k, x in zip(self.rank_of, self.kind_of, self._reps)
+            )
+        return self._faces
+
+    @property
+    def faces_by_rank(self) -> dict:
+        """Rank -> its faces as a ``Face`` tuple in id order."""
+        if self._by_rank is None:
+            faces = self.face_list
+            self._by_rank = {r: faces[s.start : s.stop] for r, s in self._spans.items()}
+        return self._by_rank
+
+    def rep_texts(self):
+        """The text of each face's representative, in id order, as an f-string
+        prints it: an iterator. A build formats them from its group's codes
+        (``FiniteGroup.text``) and makes no ``Face``."""
+        if self._reps is None:
+            return (f"{f.rep}" for f in self.face_list)
+        text = self._group.text
+        return ("None" if x is None else text(x) for x in self._reps)
 
     # ---- basic structure -------------------------------------------------
 
@@ -127,12 +173,12 @@ class FacePoset:
         return self._spans.get(rank, range(0))
 
     def bottom(self) -> Face:
-        (f,) = self.faces_by_rank[self.bottom_rank]
-        return f
+        (i,) = self.ids(self.bottom_rank)
+        return self.face_list[i]
 
     def top(self) -> Face:
-        (f,) = self.faces_by_rank[self.top_rank]
-        return f
+        (i,) = self.ids(self.top_rank)
+        return self.face_list[i]
 
     def proper_ranks(self) -> range:
         return range(self.bottom_rank + 1, self.top_rank)
@@ -144,14 +190,14 @@ class FacePoset:
         return iter(self.face_list)
 
     def f_vector(self) -> tuple:
-        return tuple(len(self.faces_by_rank[r]) for r in self.proper_ranks())
+        return tuple(len(self._spans[r]) for r in self.proper_ranks())
 
     def facet_split(self):
         """(count_P, count_Q) at the top proper rank, if kinds are split."""
-        tops = self.faces_by_rank[self.top_rank - 1]
-        kinds = {f.kind for f in tops}
-        if kinds == {"P", "Q"}:
-            nP = sum(1 for f in tops if f.kind == "P")
+        span = self._spans[self.top_rank - 1]
+        tops = self.kind_of[span.start : span.stop]
+        if set(tops) == {"P", "Q"}:
+            nP = tops.count("P")
             return nP, len(tops) - nP
         return None
 
@@ -282,8 +328,8 @@ class FacePoset:
     def base_of(self, r: int) -> dict:
         """On a Wythoff build, kind -> the base face of that kind at rank r;
         empty on any other poset."""
-        faces, rank = self.face_list, self.rank_of
-        return {faces[x].kind: x for x in self.base_ids if rank[x] == r}
+        kind, rank = self.kind_of, self.rank_of
+        return {kind[x]: x for x in self.base_ids if rank[x] == r}
 
     def pairs(self, r: int, s: int) -> list[tuple]:
         """Incident id pairs (low, high), low of rank r below high of rank s.

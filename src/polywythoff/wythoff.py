@@ -13,7 +13,7 @@ section onto an isomorphic section and a flag orbit onto itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
 from .poset import Face, FacePoset
@@ -22,7 +22,6 @@ from .ttgroup import (
     TailTriangleGroup,
     check_intersection_reduced,
     is_string_c_group,
-    verify_tail_triangle,
 )
 
 
@@ -41,11 +40,12 @@ def _assemble(G: FiniteGroup, levels):
     which sorts them by the key of their least representative, and the
     kinds of a rank come in name order, ranks ascending from the bottom to
     the top. That is strictly increasing ``Face.sort_key`` order, the order
-    ``FacePoset.from_ids`` takes. Two cosets are incident exactly when they
-    share an element, so the covers between consecutive ranks are the pairs
-    (cid_low[e], cid_high[e]) over all elements e. A generator g moves the
-    coset Hx to Hxg, the coset of the right-table image of any element of
-    Hx, and fixes the bottom and top.
+    ``FacePoset.from_ids`` takes. A face is kept as its rank, its kind and
+    the element index of its representative; no ``Face`` and no element is
+    made. Two cosets are incident exactly when they share an element. A
+    generator g moves the coset Hx to Hxg, the coset of the right-table
+    image of any element of Hx, its representative say, and fixes the
+    bottom and top.
 
     So Γ acts on the faces by right multiplication, and by automorphisms:
     Hx ∩ Ky is empty exactly when Hxg ∩ Kyg is, so the action keeps
@@ -54,43 +54,71 @@ def _assemble(G: FiniteGroup, levels):
     faces are the cosets of element 0, the identity, one per kind, with
     the bottom and the top: each face is the image of the base face of its
     kind, and the stabilizer of H·1 is H (McMullen and Schulte, §2B).
+
+    Covers by transport. The cosets of K on the next rank that meet the
+    base face H·1 are the cosets K·h for h in H, so the covers above H·1
+    are {cid_K[h] : h in H}: |H| lookups per kind K, with no pass over Γ.
+    An automorphism g carries the faces covering F onto the faces covering
+    F·g, so a search from H·1 along ``moves`` fills the covers of every
+    face of the kind, each from the face it was reached from. The search
+    reaches them all, as the generators move H·1 to every coset of H. The
+    faces of the top proper rank are covered by the top alone, and the
+    bottom by the vertices. The covers below each face follow by reading
+    the covers above in id order, which leaves them sorted.
     """
     nprop = len(levels)
-    faces = [Face(-1, "bot", None)]
-    blocks = []  # per proper rank: [(first id, cid)] per kind
-    for rank, kinds in enumerate(levels):
+    ranks, kinds, reps = [-1], ["bot"], [None]
+    blocks = []  # per proper rank: [(first id, key, cid, reps)] per kind
+    for rank, level in enumerate(levels):
         block = []
-        for kind, key in sorted(kinds):
-            reps, cid = coset_partition(G, key)
-            block.append((len(faces), cid))
-            faces += [Face(rank, kind, r) for r in reps]
+        for kind, key in sorted(level):
+            kind_reps, cid = coset_partition(G, key)
+            block.append((len(ranks), key, cid, kind_reps))
+            ranks += [rank] * len(kind_reps)
+            kinds += [kind] * len(kind_reps)
+            reps += kind_reps
         blocks.append(block)
-    faces.append(Face(nprop, "top", None))
-    bot, top = 0, len(faces) - 1
+    top = len(ranks)
+    ranks.append(nprop)
+    kinds.append("top")
+    reps.append(None)
 
-    starts = [block[0][0] for block in blocks] + [top]
-    covers = [(bot, v) for v in range(starts[0], starts[1])]
-    covers += [(f, top) for f in range(starts[-2], top)]
+    moves = []
+    for row in G.right_table():
+        move = [0]
+        for block in blocks:
+            for first, _, cid, kind_reps in block:
+                move += [first + cid[row[x]] for x in kind_reps]
+        move.append(top)
+        moves.append(move)
+
+    starts = [block[0][0] for block in blocks] + [top]  # first id per rank
+    up: list = [None] * (top + 1)
+    up[0], up[top] = tuple(range(starts[0], starts[1])), ()
     for lows, highs in zip(blocks, blocks[1:]):
-        for lo, low_cid in lows:
-            for hi, high_cid in highs:
-                covers += [(lo + a, hi + b) for a, b in set(zip(low_cid, high_cid))]
-    up: list[list[int]] = [[] for _ in faces]
-    down: list[list[int]] = [[] for _ in faces]
-    for a, b in covers:
-        up[a].append(b)
-        down[b].append(a)
+        for first, key, cid, _ in lows:
+            H = G.span(key)
+            covers = []
+            for high_first, _, high_cid, _ in highs:
+                covers += sorted({high_first + high_cid[h] for h in H})
+            x = first + cid[0]
+            up[x] = tuple(covers)
+            queue = [x]
+            for f in queue:  # grows while it is read: a queue
+                ups = up[f]
+                for move in moves:
+                    y = move[f]
+                    if up[y] is None:
+                        up[y] = tuple(sorted(map(move.__getitem__, ups)))
+                        queue.append(y)
+    up[starts[-2] : top] = [(top,)] * (top - starts[-2])
+    down: list[list[int]] = [[] for _ in up]
+    for a, ups in enumerate(up):
+        for b in ups:
+            down[b].append(a)
 
-    R = G.right_table()
-    moves = [list(range(len(faces))) for _ in R]
-    for block in blocks:
-        for first, cid in block:
-            member = dict(zip(cid, range(len(cid))))  # coset -> one of its elements
-            for move, row in zip(moves, R):
-                for c, x in member.items():
-                    move[first + c] = first + cid[row[x]]
-    base = [bot, top] + [first + cid[0] for block in blocks for first, cid in block]
-    return FacePoset.from_ids(faces, up, down, moves, base)
+    base = [0, top] + [first + cid[0] for block in blocks for first, _, cid, _ in block]
+    return FacePoset.from_ids(G, ranks, kinds, reps, up, map(tuple, down), moves, base)
 
 
 def build_polytope(
@@ -183,12 +211,20 @@ def verify_strong_connectivity(P: FacePoset) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class TwoSection:
-    base: Face
+    """The section top/base of the face ``base_id`` of rank n-2."""
+
+    poset: FacePoset = field(repr=False, compare=False)
+    base_id: int
     size: int  # number of top-rank faces around the polygon
     is_polygon: bool
     alternating: bool  # facet kinds P,Q,P,Q,... (when kinds are tagged)
+
+    @property
+    def base(self) -> Face:
+        """The face the section sits on, made on first read."""
+        return self.poset.face_list[self.base_id]
 
 
 def _two_section(P: FacePoset, base: int) -> tuple:
@@ -220,7 +256,7 @@ def _two_section(P: FacePoset, base: int) -> tuple:
         if ok and len(seq) != len(facets):
             ok = False  # more than one cycle: not a polygon
         if ok:
-            kinds = [P.face_list[f].kind for f in seq]
+            kinds = [P.kind_of[f] for f in seq]
             alternating = all(
                 kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds))
             )
@@ -238,11 +274,11 @@ def two_sections(P: FacePoset) -> list[TwoSection]:
     carries a section onto one of the same size, shape and kind sequence.
     On any other poset every section is computed.
     """
-    faces, bases = P.face_list, P.ids(P.top_rank - 3)
+    kind, bases = P.kind_of, P.ids(P.top_rank - 3)
     if P.moves:
         found = {k: _two_section(P, x) for k, x in P.base_of(P.top_rank - 3).items()}
-        return [TwoSection(faces[b], *found[faces[b].kind]) for b in bases]
-    return [TwoSection(faces[b], *_two_section(P, b)) for b in bases]
+        return [TwoSection(P, b, *found[kind[b]]) for b in bases]
+    return [TwoSection(P, b, *_two_section(P, b)) for b in bases]
 
 
 def _orbit_sizes(flags: list, moves) -> list[int]:
@@ -335,27 +371,6 @@ def facet_section(P: FacePoset, f: Face) -> FacePoset:
     return P.section(P.bottom(), f)
 
 
-def verify_vertex_figure(P: FacePoset, G: TailTriangleGroup) -> bool:
-    """Recursive cross-check: the vertex figure matches the rank-(n-1) build on
-    Gamma_0 = <a1..a_{n-1},b> with the ring moved to a1."""
-    if G.n < 2:
-        return True
-    v = P.faces(0)[0]
-    sub = verify_tail_triangle(G.alphas[1:], G.beta)
-    expected = build_polytope(sub)
-    return poset_isomorphic(vertex_figure(P, v), expected) is not None
-
-
-def verify_facet_sections(P: FacePoset, G: TailTriangleGroup) -> bool:
-    """Facet sections are the regular polytopes of the facet subgroups."""
-    for kind, gens in (("P", G.alphas), ("Q", G.alphas[:-1] + (G.beta,))):
-        expected = build_regular(gens)
-        f = next(x for x in P.faces(P.top_rank - 1) if x.kind == kind)
-        if poset_isomorphic(facet_section(P, f), expected) is None:
-            return False
-    return True
-
-
 # ---- isomorphism -------------------------------------------------------------
 
 
@@ -442,22 +457,28 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
 
 
 def export_hasse(P: FacePoset, summary: str | None = None) -> str:
-    """Line-oriented text export: faces, covers, optional summary line."""
-    faces = P.face_list
-    number = [-1] * len(faces)  # export number per face id; bot and top have none
+    """Line-oriented text export: faces, covers, optional summary line.
+
+    Representatives are printed by ``P.rep_texts``, so a build's export
+    makes no ``Face`` and no element. The cover lines of a face are joined
+    into one string, which keeps the list of parts short."""
+    kinds = P.kind_of
+    number = [-1] * len(kinds)  # export number per face id; bot and top have none
     lines = []
-    for i, f in enumerate(faces):
-        if f.kind in ("bot", "top"):
+    for i, (rank, kind, rep) in enumerate(zip(P.rank_of, kinds, P.rep_texts())):
+        if kind in ("bot", "top"):
             continue
         number[i] = len(lines)
-        lines.append(f"face {number[i]} rank={f.rank} kind={f.kind} rep={f.rep}")
+        lines.append(f"face {number[i]} rank={rank} kind={kind} rep={rep}")
+    text = list(map(str, number))
     for i, ups in enumerate(P.up_ids):
         if number[i] < 0:
             continue
-        for j in ups:
-            if faces[j].kind == "top":
-                continue
-            lines.append(f"cover {number[i]} {number[j]}")
+        head = f"cover {text[i]} "
+        covers = [head + text[j] for j in ups if kinds[j] != "top"]
+        if covers:
+            lines.append("\n".join(covers))
     if summary:
         lines.append(summary)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, with no copy of the text
+    return "\n".join(lines)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from polywythoff import kernels
+from polywythoff import cli, kernels, selftest
 from polywythoff.cli import main
 from polywythoff.kernels import close
 
@@ -302,6 +302,33 @@ def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, target
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and err.startswith("input error: ") and str(path) in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv, module, stage",
+    [
+        (["build", "--fixture", "tomotope.tt", "--export-hasse"], cli, "_tt_group"),
+        (["export-hasse", "--fixture", "tomotope.tt", "--out"], cli, "_tt_group"),
+        (["amalgam", "--p", "triangle.sg", "--q", "triangle.sg", "--export-hasse"], cli, "_load"),
+        (["selftest", "--quick", "--json-report"], selftest, "run_selftest"),
+    ],
+    ids=["build", "export-hasse", "amalgam", "selftest"],
+)
+def test_bad_output_path_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, module, stage, target
+):
+    """The path is checked first: no group is read, nothing is built and
+    nothing is printed."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    monkeypatch.setattr(module, stage, work)
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_cap_env(capsys, monkeypatch):

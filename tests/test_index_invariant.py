@@ -16,15 +16,18 @@ that count.
 Elements stay the kernel's codes after the closure, too: an element object
 is made (``MatModP._raw``, ``Perm._raw``) only to be printed or returned.
 The ``made`` counter shows that the screen makes one witness per failing
-check and nothing else, that a star build makes at most one element per
-face, its representative, and that neither makes the group's element tuple.
+check and nothing else, and that neither it nor a star build makes the
+group's element tuple. A star build keeps its faces as coset ids and
+prints its representatives from their codes, so through the export it
+makes no element and no ``Face`` at all; asking for a face (a vertex
+figure, the Face-keyed views) makes them then.
 """
 
 from collections import Counter
 
 import pytest
 
-from polywythoff import ttgroup
+from polywythoff import poset, ttgroup
 from polywythoff.amalgam import (
     AmalgamContext,
     enumerate_ball,
@@ -50,6 +53,7 @@ from polywythoff.wythoff import (
     two_sections,
     verify_diamond,
     verify_strong_connectivity,
+    vertex_figure,
 )
 
 
@@ -88,6 +92,13 @@ def after_closure(monkeypatch):
             return _original(cls, *args)
 
         monkeypatch.setattr(cls, "_raw", classmethod(made))
+
+    def face(self, *args, _original=poset.Face.__init__):
+        if probe.armed:
+            probe.made["Face"] += 1
+        _original(self, *args)
+
+    monkeypatch.setattr(poset.Face, "__init__", face)
     closure = ttgroup.closure
 
     def arming(*args, **kwargs):
@@ -116,12 +127,18 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
     kind = classify(P, G).kind
     summary = f"fvec = {P.f_vector_str()} flags={flags} orbits={orbits} class={kind}"
     assert summary == "fvec = (27, 162, 216, 27+54) flags=2592 orbits=2 class=TwoOrbit"
-    export_hasse(P, summary=summary)
+    lines = export_hasse(P, summary=summary).splitlines()
+    assert sum(line.startswith("face ") for line in lines) == 486
     assert after_closure.calls == Counter()
-    faces = sum(len(P.faces(r)) for r in P.proper_ranks())
-    assert faces == 486
-    assert set(after_closure.made) <= {"MatModP._raw"}
-    assert 0 < after_closure.made["MatModP._raw"] <= faces
+    assert after_closure.made == Counter()
+    # faces are made when asked for, one per face with its representative
+    v = P.faces(0)[0]
+    assert vertex_figure(P, v).f_vector_str() == "(12, 24, 6+8)"
+    assert len(P.up[v]) == 12 and all(e.rank == 1 for e in P.up[v])
+    faces = len(P.face_list)
+    assert faces == 486 + 2
+    assert after_closure.made["MatModP._raw"] == faces - 2
+    assert after_closure.made["Face"] >= faces
     assert G.group._index is None
     assert G.group._words is None
     assert G.group._elements is None

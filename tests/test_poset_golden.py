@@ -3,7 +3,8 @@
 For each build: the SHA-256 of ``export_hasse`` with the CLI's summary line,
 the ``two_sections`` size list and the ``flag_orbits`` triple. The values
 were taken before the poset moved to integer face ids, so any change in
-face numbering, cover order or section order shows here.
+face numbering, cover order or section order shows here. The star mod 5
+row was taken from the element-level build, before faces became coset ids.
 """
 
 import hashlib
@@ -55,6 +56,12 @@ GOLDEN = {
         [4] * 162,
         (2, 2592, True),
     ),
+    "star-mod5": (
+        "12f6dfb430fbb5235382c1af7bb00d678bfc70d027a469784cfeaf23c93fc5f8",
+        "fvec = (120, 3600, 4800, 600+240) flags=57600 orbits=2 class=TwoOrbit",
+        [4] * 3600,
+        (2, 57600, True),
+    ),
 }
 
 
@@ -62,6 +69,9 @@ def group(name):
     if name.startswith("star-mod3-ringing-"):
         spec = reduce_mod_p(rescale(parse_diagram(STAR), (1, 1, 2, 4)), 3)
         return build_tail_triangle_modp(spec, ringing=int(name[-1]))
+    if name == "star-mod5":  # order 28 800, 22 times star mod 3
+        spec = reduce_mod_p(rescale(parse_diagram(STAR), (1, 1, 2, 4)), 5)
+        return build_tail_triangle_modp(spec)
     fx = builtin_fixture(name)
     return verify_tail_triangle(fx.alphas, fx.beta)
 

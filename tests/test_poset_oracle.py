@@ -14,22 +14,32 @@ The orbit path rests on what a build is by construction
 group acts by automorphisms, and each kind is one orbit with the kind's
 base face in it. The build oracles below check all three on every build by
 exhaustive scans.
+
+The build itself carries covers from each kind's base face along the
+group action. The cover oracle builds the same tables the element-level
+way: the covers between two kinds are the coset id pairs of every element
+of the group, and a generator moves a coset through any of its elements.
+Every build of the corpus, star mod 5 included, must give its tables. A
+build prints its representatives from their codes; on every build its
+export must equal that of the same poset built by hand from ``Face``
+objects, whose representatives print by ``str``.
 """
 
 import pytest
 
 from polywythoff.amalgam import AmalgamContext, enumerate_ball
 from polywythoff.fixtureio import builtin_fixture
+from polywythoff.groups import coset_partition
 from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
 from polywythoff.oracles import polygon_poset, toroid_44, toroid_44_ss, toroid_434_330
 from polywythoff.selftest import random_quotients
 from polywythoff.poset import Face, FacePoset
-from polywythoff.ttgroup import parse_diagram, verify_tail_triangle
+from polywythoff.ttgroup import is_string_c_group, parse_diagram, verify_tail_triangle
 from polywythoff.wythoff import (
-    TwoSection,
     UnverifiedGroup,
     build_polytope,
     build_regular,
+    export_hasse,
     flag_orbits,
     two_sections,
     verify_diamond,
@@ -110,6 +120,7 @@ def oracle_strong_connectivity(P):
 
 
 def oracle_two_sections(P):
+    """(base face, size, is polygon, alternating) of each 2-section."""
     up, down = P.up, P.down
     facet_rank = P.top_rank - 1
     out = []
@@ -144,7 +155,7 @@ def oracle_two_sections(P):
                 alternating = all(
                     kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds))
                 )
-        out.append(TwoSection(base, len(facets), ok, alternating))
+        out.append((base, len(facets), ok, alternating))
     return out
 
 
@@ -230,6 +241,70 @@ def assert_build_oracles(P):
     for f, x in zip(faces, rep):
         assert (faces[x].rank, faces[x].kind) == (f.rank, f.kind)
     assert len({(faces[x].rank, faces[x].kind) for x in P.base_ids}) == len(P.base_ids)
+
+
+# ---- the cover oracle: coset id pairs over every element ------------------------
+
+
+def tail_triangle_levels(G):
+    """The kinds and subgroup keys of ``build_polytope``, per proper rank."""
+    levels = [[(f"G_{j}", G.gamma(j))] for j in range(G.n)]
+    return levels + [[("P", G.gamma_P()), ("Q", G.gamma_Q())]]
+
+
+def regular_levels(r):
+    """The kinds and subgroup keys of ``build_regular`` on r generators."""
+    return [[(f"G_{j}", [i for i in range(r) if i != j])] for j in range(r)]
+
+
+def oracle_build_tables(G, levels):
+    """(up_ids, down_ids, moves, base_ids) of the Wythoff build of the group
+    G on ``levels``, made over all of G: the covers between two kinds on
+    adjacent ranks are the pairs (cid_low[e], cid_high[e]) over every
+    element e, as two cosets are incident exactly when they share an
+    element, and generator g moves each coset Hx to the coset of x·g for
+    one of its elements x, found by a scan of ``cid``."""
+    blocks = []  # per proper rank: [(first id, cid)] per kind
+    count = 1  # the bottom is face 0
+    for kinds in levels:
+        block = []
+        for _, key in sorted(kinds):
+            reps, cid = coset_partition(G, key)
+            block.append((count, cid))
+            count += len(reps)
+        blocks.append(block)
+    bot, top = 0, count
+    starts = [block[0][0] for block in blocks] + [top]
+    covers = [(bot, v) for v in range(starts[0], starts[1])]
+    covers += [(f, top) for f in range(starts[-2], top)]
+    for lows, highs in zip(blocks, blocks[1:]):
+        for lo, low_cid in lows:
+            for hi, high_cid in highs:
+                covers += [(lo + a, hi + b) for a, b in set(zip(low_cid, high_cid))]
+    up: list[list[int]] = [[] for _ in range(top + 1)]
+    down: list[list[int]] = [[] for _ in range(top + 1)]
+    for a, b in covers:
+        up[a].append(b)
+        down[b].append(a)
+    R = G.right_table()
+    moves = [list(range(top + 1)) for _ in R]
+    for block in blocks:
+        for first, cid in block:
+            member = dict(zip(cid, range(len(cid))))  # coset -> one of its elements
+            for move, row in zip(moves, R):
+                for c, x in member.items():
+                    move[first + c] = first + cid[row[x]]
+    base = {bot, top} | {first + cid[0] for block in blocks for first, cid in block}
+    return (
+        tuple(tuple(sorted(u)) for u in up),
+        tuple(tuple(sorted(d)) for d in down),
+        tuple(map(tuple, moves)),
+        frozenset(base),
+    )
+
+
+def assert_tables_match_oracle(P, G, levels):
+    assert (P.up_ids, P.down_ids, P.moves, P.base_ids) == oracle_build_tables(G, levels)
 
 
 # ---- the corpus -----------------------------------------------------------------
@@ -324,6 +399,8 @@ HAND_BUILT = {
 
 
 def assert_checks_match_oracle(P):
+    """The checks against the oracle; the sections also as Face-level
+    tuples, so each section's face is read as well."""
     ok, witness = verify_diamond(P)
     want_ok, _ = oracle_diamond(P)
     assert ok == want_ok
@@ -332,35 +409,58 @@ def assert_checks_match_oracle(P):
         assert oracle_diamond_counts(P)[(low, high)] == count != 2
     assert verify_strong_connectivity(P) == oracle_strong_connectivity(P)
     if want_ok:  # the section walk presumes the diamond condition
-        assert two_sections(P) == oracle_two_sections(P)
+        sections = [(s.base, s.size, s.is_polygon, s.alternating) for s in two_sections(P)]
+        assert sections == oracle_two_sections(P)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_group_builds_match_oracle(name):
     G = GROUPS[name]()
     P = build_polytope(G)
+    assert_tables_match_oracle(P, G.group, tail_triangle_levels(G))
     assert_build_oracles(P)
     assert_checks_match_oracle(P)
     assert flag_orbits(P, G) == oracle_flag_orbits(P, G)
     bare = without_action(P)
     assert not bare.moves and not bare.base_ids
     assert_checks_match_oracle(bare)
+    assert export_hasse(bare, summary="s") == export_hasse(P, summary="s")
 
 
 def test_random_quotients_match_oracle():
     built = _verified_quotients()
     assert len(built) >= 15
     for G, P in built:
+        assert_tables_match_oracle(P, G.group, tail_triangle_levels(G))
         assert_build_oracles(P)
         assert_checks_match_oracle(P)
         assert flag_orbits(P, G) == oracle_flag_orbits(P, G)
-        assert_checks_match_oracle(without_action(P))
+        bare = without_action(P)
+        assert_checks_match_oracle(bare)
+        assert export_hasse(bare) == export_hasse(P)
+
+
+def test_star_mod5_tables_match_oracle():
+    """The cover oracle on a group 22 times larger than star mod 3."""
+    G = star_group(5, 1)
+    assert G.group.order == 28800
+    assert_tables_match_oracle(build_polytope(G), G.group, tail_triangle_levels(G))
+
+
+@pytest.mark.parametrize(
+    "name", ["tomotope.tt", "m66_240a.tt", "b3_digon.tt", "hexagon.tt", "star-mod3-ringing-1"]
+)
+def test_rep_text_is_str_of_the_element(name):
+    G = GROUPS[name]().group
+    assert all(G.text(i) == str(G.element(i)) for i in range(G.order))
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_posets_match_oracle(name):
     P = HAND_BUILT[name]()
     if name in REGULAR:  # Wythoff builds of string C-groups
+        gens = builtin_fixture(name).gens
+        assert_tables_match_oracle(P, is_string_c_group(gens).group, regular_levels(len(gens)))
         assert_build_oracles(P)
     assert_checks_match_oracle(P)
 

@@ -24,11 +24,30 @@ from polywythoff.wythoff import (
     poset_isomorphic,
     two_sections,
     verify_diamond,
-    verify_facet_sections,
     verify_strong_connectivity,
-    verify_vertex_figure,
     vertex_figure,
 )
+
+
+def verify_vertex_figure(P, G) -> bool:
+    """Recursive cross-check: the vertex figure matches the rank-(n-1) build on
+    Gamma_0 = <a1..a_{n-1},b> with the ring moved to a1."""
+    if G.n < 2:
+        return True
+    v = P.faces(0)[0]
+    sub = verify_tail_triangle(G.alphas[1:], G.beta)
+    expected = build_polytope(sub)
+    return poset_isomorphic(vertex_figure(P, v), expected) is not None
+
+
+def verify_facet_sections(P, G) -> bool:
+    """Facet sections are the regular polytopes of the facet subgroups."""
+    for kind, gens in (("P", G.alphas), ("Q", G.alphas[:-1] + (G.beta,))):
+        expected = build_regular(gens)
+        f = next(x for x in P.faces(P.top_rank - 1) if x.kind == kind)
+        if poset_isomorphic(facet_section(P, f), expected) is None:
+            return False
+    return True
 
 
 def build(name):
