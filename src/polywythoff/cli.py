@@ -58,15 +58,21 @@ class VerificationFailure(Exception):
     pass
 
 
-def _load(name):
+def _load(name, kind):
+    """The fixture at the path ``name``, else the builtin of that name; it
+    must be of ``kind``."""
     path = Path(name)
     if path.exists():
-        return load_fixture(path)
-    if name in builtin_fixture_names():
-        return builtin_fixture(name)
-    raise InputError(
-        f"unknown fixture {name!r}; builtins: {', '.join(builtin_fixture_names())}"
-    )
+        fx = load_fixture(path)
+    elif name in builtin_fixture_names():
+        fx = builtin_fixture(name)
+    else:
+        raise InputError(
+            f"unknown fixture {name!r}; builtins: {', '.join(builtin_fixture_names())}"
+        )
+    if fx.kind != kind:
+        raise InputError(f"{name} is not a {kind} fixture")
+    return fx
 
 
 def _check_output(path):
@@ -84,9 +90,7 @@ def _check_output(path):
 def _tt_group(args, report):
     """Resolve the input group from --fixture or --modred flags."""
     if getattr(args, "fixture", None):
-        fx = _load(args.fixture)
-        if fx.kind != "tail-triangle":
-            raise InputError(f"{args.fixture} is not a tail-triangle fixture")
+        fx = _load(args.fixture, "tail-triangle")
         report.source = f"fixture {args.fixture}"
         with report.phase("verify"):
             G = verify_tail_triangle(fx.alphas, fx.beta)
@@ -247,7 +251,7 @@ def cmd_amalgam(args):
         )
     if args.ball < 0:
         raise InputError("radius must be >= 0")
-    p_fx, q_fx = _load(args.p), _load(args.q)
+    p_fx, q_fx = _load(args.p, "string-cgroup"), _load(args.q, "string-cgroup")
     try:
         ctx = AmalgamContext(p_fx.gens, q_fx.gens, shared=args.shared)
     except (NotCGroup, FacetMismatch) as e:

@@ -2,7 +2,9 @@
 
 Both kinds are immutable, hashable and totally ordered by their serialized
 form (image tuple / flattened entry tuple), which is what makes canonical
-coset representatives well defined.
+coset representatives well defined. ``row_reduce`` is the one elimination
+mod p: it inverts matrices here and gives ``modred`` the discriminant and
+the radical of a reduced form.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class Perm:
 
     def is_identity(self) -> bool:
         return all(img == i + 1 for i, img in enumerate(self.images))
-
-    def apply(self, point: int) -> int:
-        return self.images[point - 1]
 
     @property
     def key(self) -> tuple:
@@ -136,6 +135,42 @@ def parse_perm(text: str, degree: int) -> Perm:
     return Perm(images)
 
 
+def row_reduce(rows: list, cols: int, p: int) -> tuple[int, int]:
+    """Gauss-Jordan elimination mod the prime p on the first ``cols``
+    columns of ``rows``, a list of lists of entries in [0, p), in place.
+
+    Each column takes as pivot the first row, among those not yet pivoted,
+    with a nonzero entry there; that row moves up to the next pivot place,
+    is scaled to a leading 1 and is subtracted from every other row. So the
+    pivoted rows come first, in reduced echelon form on those columns, and
+    the rest are zero on them. Returns (rank, det): the number of pivots,
+    and when ``cols`` is the number of rows, the determinant of that square
+    block mod p (0 when the rank falls short), the product of the pivots
+    before scaling with one sign change per swap. Scaling a row and adding
+    multiples of one row to another do not change which rows are zero in a
+    column, so the pivots are those of forward elimination.
+    """
+    rank, det = 0, 1
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        lead = rows[rank][c]
+        det = det * lead % p
+        inv = pow(lead, -1, p)
+        rows[rank] = row = [x * inv % p for x in rows[rank]]
+        for r, other in enumerate(rows):
+            f = other[c]
+            if r != rank and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(other, row)]
+        rank += 1
+    return rank, det % p
+
+
 class MatModP:
     """Square matrix over Z_p, entries stored row-major as a flat tuple."""
 
@@ -185,31 +220,21 @@ class MatModP:
         return MatModP._raw(p, d, tuple(out))
 
     def _invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except ValueError:
-            return False
+        d = self.dim
+        rows = [list(self.entries[i : i + d]) for i in range(0, d * d, d)]
+        return row_reduce(rows, d, self.p)[0] == d
 
     def inverse(self) -> "MatModP":
-        # Gauss-Jordan over the prime field
+        """Row-reduce [M | I]: M is invertible iff it has rank d, and then the
+        right half is M^-1."""
         d, p = self.dim, self.p
         aug = [
             list(self.entries[i * d : (i + 1) * d])
             + [1 if i == j else 0 for j in range(d)]
             for i in range(d)
         ]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if aug[r][col] % p), None)
-            if piv is None:
-                raise ValueError(f"matrix singular mod {p}")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(aug[col][col], -1, p)
-            aug[col] = [(x * inv) % p for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+        if row_reduce(aug, d, p)[0] < d:
+            raise ValueError(f"matrix singular mod {p}")
         ent = tuple(aug[i][d + j] for i in range(d) for j in range(d))
         return MatModP._raw(p, d, ent)
 
@@ -220,10 +245,6 @@ class MatModP:
             for i in range(d)
             for j in range(d)
         )
-
-    def rows(self) -> list[tuple[int, ...]]:
-        d = self.dim
-        return [self.entries[i * d : (i + 1) * d] for i in range(d)]
 
     @property
     def key(self) -> tuple:

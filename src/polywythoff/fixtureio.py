@@ -3,8 +3,10 @@
 Two headers are supported:
   tail-triangle n=<n> degree=<N>   with lines  alpha<i> = <cycles>, beta = <cycles>
   string-cgroup n=<n> degree=<N>   with lines  rho<i> = <cycles>
-plus an optional trailing ``expect order=<m>``. Parsing and printing
-round-trip bit-exactly for canonical files.
+plus an optional trailing ``expect order=<m>``. Parsing is all the program
+needs; the tests print fixtures back and check that canonical files
+round-trip bit-exactly. Only a tail-triangle fixture has ``alphas`` and
+``beta``.
 """
 
 from __future__ import annotations
@@ -23,14 +25,17 @@ class Fixture:
     gens: tuple  # alphas + (beta,) for tail-triangle; rhos for string-cgroup
     expect_order: int | None = None
 
+    # explicit raises, not asserts, so that ``python -O`` keeps the checks
     @property
     def alphas(self) -> tuple:
-        assert self.kind == "tail-triangle"
+        if self.kind != "tail-triangle":
+            raise ValueError(f"a {self.kind} fixture has no alphas")
         return self.gens[:-1]
 
     @property
     def beta(self) -> Perm:
-        assert self.kind == "tail-triangle"
+        if self.kind != "tail-triangle":
+            raise ValueError(f"a {self.kind} fixture has no beta")
         return self.gens[-1]
 
 
@@ -73,20 +78,6 @@ def parse_fixture(text: str) -> Fixture:
     if missing or extra:
         raise ValueError(f"fixture generators mismatch: missing={missing} extra={extra}")
     return Fixture(kind, n, degree, tuple(body[w] for w in want), expect_order)
-
-
-def format_fixture(fx: Fixture) -> str:
-    out = [f"{fx.kind} n={fx.n} degree={fx.degree}"]
-    if fx.kind == "tail-triangle":
-        for i, g in enumerate(fx.gens[:-1]):
-            out.append(f"alpha{i} = {g}")
-        out.append(f"beta = {fx.gens[-1]}")
-    else:
-        for i, g in enumerate(fx.gens):
-            out.append(f"rho{i} = {g}")
-    if fx.expect_order is not None:
-        out.append(f"expect order={fx.expect_order}")
-    return "\n".join(out) + "\n"
 
 
 def load_fixture(path: str) -> Fixture:

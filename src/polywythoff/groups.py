@@ -77,9 +77,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.prods)
 
-    def __len__(self) -> int:
-        return len(self.prods)
-
     def element(self, i: int):
         """Element i as an object, made from its code."""
         return self._make(self.keys[i])
@@ -112,9 +109,6 @@ class FiniteGroup:
             self._index = {code: i for i, code in enumerate(self.keys)}
         return self._index
 
-    def __contains__(self, g) -> bool:
-        return same_kind(self.identity, g) and _element_code(g) in self._lookup()
-
     def index_of(self, g) -> int:
         """The index of element g, looked up by its code."""
         if not same_kind(self.identity, g):
@@ -128,21 +122,26 @@ class FiniteGroup:
 
         Its generators are ``[generators[i] for i in sorted(indices)]``, so
         its element order does not depend on how the indices are given. All
-        the indices give the group itself and none the trivial group. The
-        subgroup is a breadth-first search from the identity over the
-        group's right-table rows ``R[i]``, i in that order. ``R[i][x]`` is
-        the index of ``elements[x] * generators[i]``, so the search meets
-        the same products in the same order as a fresh closure of those
-        generators: it gives the same elements and productions, and its own
-        right table in the same loop, with no element product. The
-        subgroup holds the group's codes and makes its elements the same way.
+        the indices give the group itself and none the trivial group.
+        Otherwise the subgroup is the closure kernel (``kernels.close``) run
+        from the identity over the group's right-table rows ``R[i]``, i in
+        that order, with the 1-tuple (x,) of an element index as an element:
+        row i maps it to (R[i][x],), the index of ``elements[x] *
+        generators[i]``. So the search meets the same products in the same
+        order as a fresh closure of those generators: it gives the same
+        elements and productions, and its own right table in the same loop,
+        with no element product. Its involution test is exact here too:
+        ``R[i][R[i][0]] == 0`` iff generator i squares to 1. The subgroup
+        holds the group's codes and makes its elements the same way.
         """
         key = tuple(sorted(set(indices)))
         if key == tuple(range(len(self.generators))):
             return self
         if not key:
             return FiniteGroup([self.identity], self.keys[:1], [(-1, -1)], [[0]], self._make)
-        return self._close_sub(key)
+        elements, prods, R = kernels.close([self._right[i] for i in key], (0,), self.order)
+        keys = [self.keys[x] for (x,) in elements]
+        return FiniteGroup([self.generators[i] for i in key], keys, prods, R, self._make)
 
     def span(self, indices) -> list[int]:
         """The indices of the elements of ``sub(indices)``, in its element
@@ -174,23 +173,6 @@ class FiniteGroup:
                 bits[x] = 49  # ord("1")
             got = self._masks[key] = int(bits[::-1], 2)
         return got
-
-    def _close_sub(self, key: tuple) -> "FiniteGroup":
-        rows = [self._right[i] for i in key]
-        members = [0]  # indices in this group, in the subgroup's BFS order
-        local = {0: 0}
-        prods = [(-1, -1)]
-        R: list[list[int]] = [[] for _ in key]
-        for i, x in enumerate(members):  # grows while it is read: a queue
-            for gi, (row, out) in enumerate(zip(rows, R)):
-                y, n = row[x], len(members)
-                j = local.setdefault(y, n)
-                if j == n:
-                    members.append(y)
-                    prods.append((i, gi))
-                out.append(j)
-        keys = [self.keys[x] for x in members]
-        return FiniteGroup([self.generators[i] for i in key], keys, prods, R, self._make)
 
     def tree(self) -> tuple:
         """The productions, checked to form a BFS tree: element 0 is the

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .elements import MatModP
+from .elements import MatModP, row_reduce
 from .groups import check_modulus, closure
 from .ttgroup import (
     INF,
@@ -159,26 +159,6 @@ def _mat_mul(A, B):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
-def _det_mod_p(M, p: int) -> int:
-    """Determinant of an integer matrix mod the prime p, by elimination in GF(p)."""
-    M = [[x % p for x in row] for row in M]
-    m, det = len(M), 1
-    for c in range(m):
-        piv = next((r for r in range(c, m) if M[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det = det * M[c][c] % p
-        inv = pow(M[c][c], -1, p)
-        for r in range(c + 1, m):
-            f = M[r][c] * inv % p
-            if f:
-                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[c])]
-    return det % p
-
-
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -196,10 +176,6 @@ class ModPGroupSpec:
     gram_mod_p: tuple
     det_mod_p: int
     disc_class: str  # "zero", "square" or "nonsquare" (mod squares)
-
-    @property
-    def singular(self):
-        return self.det_mod_p == 0
 
 
 def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
@@ -226,7 +202,7 @@ def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
         if mod_p(_mat_mul(_transpose(M), _mat_mul(gram_int, M))) != gram_int:
             raise ValueError("reduced form not preserved")
 
-    det = _det_mod_p(gram_int, p)
+    det = row_reduce([list(row) for row in gram_int], m, p)[1]
     if det == 0:
         cls = "zero"
     elif p == 2:
@@ -318,25 +294,12 @@ def group_order_modp(spec: ModPGroupSpec) -> int:
 
 
 def form_radical(spec: ModPGroupSpec):
-    """Basis (row vectors) of the radical of the reduced Gram form."""
+    """Basis (row vectors) of the radical of the reduced Gram form: row-reduce
+    [Gram | I]. Each row of the result is v·[Gram | I] = [v·Gram | v] for the
+    v in its right half, and the rows past the rank are zero on the left, so
+    their right halves are independent vectors with v·Gram = 0, as many as
+    the dimension of the radical."""
     p, m = spec.p, len(spec.gram_mod_p)
-    rows = [list(r) for r in spec.gram_mod_p]
-    basis = [[int(i == j) for j in range(m)] for i in range(m)]
-    # column-reduce the Gram matrix while tracking the change of basis
-    rank = 0
-    for c in range(m):
-        piv = next((r for r in range(rank, m) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        basis[rank], basis[piv] = basis[piv], basis[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        basis[rank] = [x * inv % p for x in basis[rank]]
-        for r in range(m):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-                basis[r] = [(x - f * y) % p for x, y in zip(basis[r], basis[rank])]
-        rank += 1
-    return [tuple(v) for v in basis[rank:]]
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(spec.gram_mod_p)]
+    rank, _ = row_reduce(rows, m, p)
+    return [tuple(row[m:]) for row in rows[rank:]]

@@ -5,11 +5,12 @@ A poset is purely combinatorial: faces and their covering relations, so
 sections, axiom checks and isomorphism tests work alike on the Wythoff
 builds, the amalgam balls and posets built by hand (toroid oracles, broken
 examples). Faces are integer ids with a rank and a kind each; covers, the
-group action and flags are tuples of ids, and ``Face`` objects are looked
-up only to print, take sections or answer the Face-keyed views. A Wythoff
-build keeps each face's representative as an element index of its group
-and makes its ``Face`` objects only when one is asked for. Only a Wythoff
-build (``wythoff._assemble``) has an action, and its group acts by automorphisms
+group action, flags and isomorphisms are tuples or maps of ids, and
+``Face`` objects are looked up only to print, take sections or answer the
+one Face-keyed view, ``up``. A Wythoff build keeps each face's
+representative as an element index of its group and makes its ``Face``
+objects only when one is asked for. Only a Wythoff build
+(``wythoff._assemble``) has an action, and its group acts by automorphisms
 by construction, so on a build ``FacePoset.pairs`` lists one incident pair
 per orbit of the group (McMullen and Schulte, *Abstract Regular Polytopes*,
 §2B and §4A): an automorphism carries a section onto an isomorphic section.
@@ -57,14 +58,14 @@ class FacePoset:
     """Ranked face set with covering incidences (rank j to j+1 only).
 
     Faces are ids 0..N-1, numbered rank by rank, each rank in
-    ``Face.sort_key`` order, so ``all_faces()`` is ``face_list`` in id
-    order. ``rank_of[i]`` and ``kind_of[i]`` are the rank and kind of face
-    i, ``up_ids[i]`` and ``down_ids[i]`` the sorted ids of the faces
-    covering it and covered by it. A Wythoff build (``from_ids``) also has
-    ``moves[gi][i]``, the image of face i under generator gi of its group,
-    and its base faces ``base_ids``: the bottom, the top and the cosets
-    holding the identity. Any other poset has neither. ``up`` and ``down``
-    are Face-keyed views of the same tables.
+    ``Face.sort_key`` order, the order of ``face_list``. ``rank_of[i]``
+    and ``kind_of[i]`` are the rank and kind of face i, ``up_ids[i]`` and
+    ``down_ids[i]`` the sorted ids of the faces covering it and covered by
+    it. A Wythoff build (``from_ids``) also has ``moves[gi][i]``, the image
+    of face i under generator gi of its group, and its base faces
+    ``base_ids``: the bottom, the top and the cosets holding the identity.
+    Any other poset has neither. ``up`` is a Face-keyed view of ``up_ids``;
+    everything else reads the ids.
     """
 
     def __init__(self, faces_by_rank: dict, covers):
@@ -186,9 +187,6 @@ class FacePoset:
     def faces(self, rank: int) -> tuple:
         return self.faces_by_rank.get(rank, ())
 
-    def all_faces(self):
-        return iter(self.face_list)
-
     def f_vector(self) -> tuple:
         return tuple(len(self._spans[r]) for r in self.proper_ranks())
 
@@ -223,7 +221,7 @@ class FacePoset:
             self._above[i] = got
         return got
 
-    # ---- Face-keyed views ----------------------------------------------------
+    # ---- the Face-keyed view ------------------------------------------------
 
     def _face_index(self) -> dict:
         if self._index is None:
@@ -234,11 +232,6 @@ class FacePoset:
     def up(self) -> Mapping:
         """Face -> the faces covering it."""
         return _FaceView(self.face_list, self._face_index(), self.up_ids)
-
-    @property
-    def down(self) -> Mapping:
-        """Face -> the faces it covers."""
-        return _FaceView(self.face_list, self._face_index(), self.down_ids)
 
     # ---- flags -----------------------------------------------------------
 
@@ -260,11 +253,6 @@ class FacePoset:
             (bot,) = self.ids(self.bottom_rank)
             self._flags = self.chains_up([(v,) for v in self.up_ids[bot]])
         return self._flags
-
-    def flags(self) -> list[tuple]:
-        """All maximal proper chains as Face tuples, in lexicographic order."""
-        faces = self.face_list
-        return [tuple(faces[i] for i in fl) for fl in self.flag_ids()]
 
     def flag_adjacency(self) -> list[tuple]:
         """adj[i][j] = index of the unique j-adjacent flag of flag i.

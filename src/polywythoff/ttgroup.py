@@ -141,9 +141,6 @@ class TailTriangleGroup:
     def gens(self) -> tuple:
         return self.alphas + (self.beta,)
 
-    def gen_name(self, i: int) -> str:
-        return gen_name(i, self.n)
-
     # distinguished subgroups of Definition-style Wythoff construction, as keys
     def gamma_P(self) -> tuple:
         return tuple(range(self.n))

@@ -13,7 +13,7 @@ section onto an isomorphic section and a flag orbit onto itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
 from .poset import Face, FacePoset
@@ -215,51 +215,36 @@ def verify_strong_connectivity(P: FacePoset) -> bool:
 class TwoSection:
     """The section top/base of the face ``base_id`` of rank n-2."""
 
-    poset: FacePoset = field(repr=False, compare=False)
     base_id: int
     size: int  # number of top-rank faces around the polygon
     is_polygon: bool
     alternating: bool  # facet kinds P,Q,P,Q,... (when kinds are tagged)
 
-    @property
-    def base(self) -> Face:
-        """The face the section sits on, made on first read."""
-        return self.poset.face_list[self.base_id]
-
 
 def _two_section(P: FacePoset, base: int) -> tuple:
-    """(size, is_polygon, alternating) of the section top/base."""
+    """(size, is_polygon, alternating) of the section top/base.
+
+    Its ridges are the faces covering ``base`` and its facets the faces
+    covering those. It is a polygon when every ridge lies in exactly two
+    facets and every facet holds exactly two ridges, so the facet-ridge
+    graph is 2-regular, and that graph is connected
+    (``_section_connected``): a connected 2-regular graph is one cycle.
+    Consecutive facets around the cycle share a ridge, and each ridge joins
+    two consecutive facets, so the facet kinds alternate around the cycle
+    exactly when the two facets of every ridge differ in kind.
+    """
     up, down = P.up_ids, P.down_ids
     ridges = up[base]
     ridge_set = set(ridges)
-    facets = sorted({f for r in ridges for f in up[r]})
-    ok = bool(facets) and all(len(up[r]) == 2 for r in ridges) and all(
-        sum(1 for x in down[f] if x in ridge_set) == 2 for f in facets
+    facets = {f for r in ridges for f in up[r]}
+    ok = (
+        bool(facets)
+        and all(len(up[r]) == 2 for r in ridges)
+        and all(sum(1 for x in down[f] if x in ridge_set) == 2 for f in facets)
+        and _section_connected(P, base, P.ids(P.top_rank)[0])
     )
-    alternating = False
-    if ok:
-        # walk the cycle facet -> ridge -> facet, collecting facet kinds
-        start = facets[0]
-        seq = [start]
-        prev_ridge = None
-        cur = start
-        while True:
-            nxt_ridges = [r for r in down[cur] if r in ridge_set and r != prev_ridge]
-            if not nxt_ridges:
-                ok = False
-                break
-            prev_ridge = nxt_ridges[0]
-            cur = next(f for f in up[prev_ridge] if f != cur)
-            if cur == start:
-                break
-            seq.append(cur)
-        if ok and len(seq) != len(facets):
-            ok = False  # more than one cycle: not a polygon
-        if ok:
-            kinds = [P.kind_of[f] for f in seq]
-            alternating = all(
-                kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds))
-            )
+    kind = P.kind_of
+    alternating = ok and all(kind[a] != kind[b] for a, b in map(up.__getitem__, ridges))
     return len(facets), ok, alternating
 
 
@@ -277,8 +262,8 @@ def two_sections(P: FacePoset) -> list[TwoSection]:
     kind, bases = P.kind_of, P.ids(P.top_rank - 3)
     if P.moves:
         found = {k: _two_section(P, x) for k, x in P.base_of(P.top_rank - 3).items()}
-        return [TwoSection(P, b, *found[kind[b]]) for b in bases]
-    return [TwoSection(P, b, *_two_section(P, b)) for b in bases]
+        return [TwoSection(b, *found[kind[b]]) for b in bases]
+    return [TwoSection(b, *_two_section(P, b)) for b in bases]
 
 
 def _orbit_sizes(flags: list, moves) -> list[int]:
@@ -391,7 +376,8 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
     j-adjacency and determines the whole map; every flag of P2 is tried as
     the image of a fixed base flag of P1. Both posets must satisfy the
     diamond condition (flag adjacency must be well defined). The map is
-    returned as a Face -> Face dict.
+    returned as a dict from the face ids of P1 to those of P2, the bottom
+    and the top included.
     """
     if _invariants(P1) != _invariants(P2):
         return None
@@ -445,11 +431,9 @@ def poset_isomorphic(P1: FacePoset, P2: FacePoset):
             continue
         # covers preserved (flags cover the proper part; improper are forced)
         if all(fmap[b] in up2[fmap[a]] for a in fmap for b in up1[a] if b != top1):
-            faces1, faces2 = P1.face_list, P2.face_list
-            out = {faces1[a]: faces2[b] for a, b in fmap.items()}
-            out[P1.bottom()] = P2.bottom()
-            out[P1.top()] = P2.top()
-            return out
+            fmap[P1.ids(P1.bottom_rank)[0]] = P2.ids(P2.bottom_rank)[0]
+            fmap[top1] = P2.ids(P2.top_rank)[0]
+            return fmap
     return None
 
 

@@ -196,9 +196,30 @@ def test_amalgam_close_up_rejected(capsys):
     assert code == 2 and "open question" in err
 
 
-def test_amalgam_facet_mismatch(capsys):
-    code, _, err = run(capsys, "amalgam", "--p", "tet.sg", "--q", "sc2_fail.tt")
+def test_amalgam_facet_mismatch(capsys, tmp_path):
+    # the generators of sc2_fail.tt, given as a string C-group
+    path = tmp_path / "sc2_fail.sg"
+    path.write_text(
+        "string-cgroup n=3 degree=6\n"
+        "rho0 = (1,4)(2,5)(3,6)\nrho1 = (2,6)(3,5)\nrho2 = (1,2)(3,6)(4,5)\n"
+    )
+    code, _, err = run(capsys, "amalgam", "--p", "tet.sg", "--q", str(path))
     assert code == 1 and "verification failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv, bad, kind",
+    [
+        (["amalgam", "--p", "hexagon.tt", "--q", "hexagon.tt"], "hexagon.tt", "string-cgroup"),
+        (["amalgam", "--p", "tet.sg", "--q", "sc2_fail.tt"], "sc2_fail.tt", "string-cgroup"),
+        (["build", "--fixture", "hexagon.sg"], "hexagon.sg", "tail-triangle"),
+    ],
+    ids=["amalgam-p", "amalgam-q", "build"],
+)
+def test_fixture_of_the_wrong_kind_is_refused_before_output(capsys, argv, bad, kind):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {bad} is not a {kind} fixture\n"
 
 
 # the whole file, pinned before the normal-form arithmetic moved onto

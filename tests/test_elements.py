@@ -13,8 +13,8 @@ def test_perm_right_action():
     a = parse_perm("(1,2,3)", 3)
     b = parse_perm("(1,2)", 3)
     # point^(ab) = (point^a)^b
-    assert (a * b).apply(1) == b.apply(a.apply(1))
-    assert (a * b).apply(3) == 2
+    assert (a * b).images[0] == b.images[a.images[0] - 1]
+    assert (a * b).images[2] == 2
 
 
 def test_perm_parse_print_roundtrip():

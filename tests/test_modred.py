@@ -34,8 +34,10 @@ from polywythoff.ttgroup import (
     TailTriangleDiagram,
     parse_diagram,
 )
+from polywythoff.fixtureio import builtin_fixture
 from polywythoff.wythoff import (
     build_polytope,
+    build_regular,
     classify,
     poset_isomorphic,
     vertex_figure,
@@ -323,14 +325,14 @@ def test_reduce_orders_and_discriminant():
     sys_ = rescale(STAR, LENGTHS)
     for p, order, det in [(2, 96, 0), (3, 1296, 0)]:
         spec = reduce_mod_p(sys_, p)
-        assert spec.det_mod_p == det and spec.singular
+        assert spec.det_mod_p == det == 0
         assert group_order_modp(spec) == order
 
 
 def test_reduce_large_primes_match_orthogonal_orders():
     sys_ = rescale(STAR, LENGTHS)
     spec5 = reduce_mod_p(sys_, 5)
-    assert not spec5.singular and spec5.disc_class == "square"
+    assert spec5.det_mod_p != 0 and spec5.disc_class == "square"
     # full orthogonal group of plus type: 2 * p^2 * (p^2-1)^2 at p=5
     assert group_order_modp(spec5) == 28800
     spec7 = reduce_mod_p(sys_, 7)
@@ -365,7 +367,7 @@ def test_g2_polytope():
     assert element_order(G.alphas[1] * G.beta) == 4
     P = build_polytope(G)
     assert P.f_vector_str() == "(3, 12, 16, 4+4)"
-    assert len(P.flags()) == 192
+    assert len(P.flag_ids()) == 192
     c = classify(P, G)
     assert c.kind == "Regular" and c.aut_order == 192
     # all eight hemioctahedral facets pass through every vertex
@@ -407,6 +409,29 @@ def test_g3_three_ringings(ringings3):
 
 def test_g3_regular_ringing_is_cubic_toroid(ringings3):
     assert poset_isomorphic(ringings3.posets[1], toroid_434_330()) is not None
+
+
+def assert_isomorphism(fmap, P1, P2):
+    """``fmap`` is a bijection of the face ids, bottom and top included, that
+    keeps ranks and sends every cover to a cover."""
+    assert sorted(fmap) == list(range(len(P1.rank_of)))
+    assert sorted(fmap.values()) == list(range(len(P2.rank_of)))
+    assert all(P2.rank_of[fmap[i]] == P1.rank_of[i] for i in fmap)
+    assert all(fmap[b] in P2.up_ids[fmap[a]] for a in fmap for b in P1.up_ids[a])
+    assert sum(map(len, P1.up_ids)) == sum(map(len, P2.up_ids))  # so onto
+
+
+def test_isomorphism_is_a_map_of_face_ids(ringings3):
+    tet = builtin_fixture("tet.sg").gens
+    G2 = build_tail_triangle_modp(star_spec(2))
+    P2 = build_polytope(G2)
+    pairs = [
+        (build_regular(tet), build_regular(tet)),
+        (ringings3.posets[1], toroid_434_330()),
+        (vertex_figure(P2, P2.faces(0)[0]), toroid_44_ss(2)),
+    ]
+    for P1, Q in pairs:
+        assert_isomorphism(poset_isomorphic(P1, Q), P1, Q)
 
 
 def test_g3_tetrahedra_octahedra_split(ringings3):
@@ -456,14 +481,13 @@ def test_g3_translation_subgroup():
 
 
 def test_intersection_failure_reported():
-    from polywythoff.fixtureio import builtin_fixture
     from polywythoff.modred import ModPGroupSpec
 
     fx = builtin_fixture("sc2_fail.tt")
     p = 2
     mats = tuple(
         MatModP(p, g.degree, tuple(
-            int(g.apply(j + 1) == i + 1) for i in range(g.degree) for j in range(g.degree)
+            int(g.images[j] == i + 1) for i in range(g.degree) for j in range(g.degree)
         ))
         for g in fx.gens
     )

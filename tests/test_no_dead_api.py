@@ -1,0 +1,108 @@
+"""Static check that the package has no dead API.
+
+Every function, method and property defined in ``src/polywythoff`` must be
+referenced somewhere in the package outside its own definition, or in the
+benchmark scripts (``perfbench/*.py``). A function counts as referenced
+when its name is read as a name, or as an attribute of its module
+(``kernels.close``); a method or a property when its name is read as an
+attribute. Calls from the tests do not count: production code that only
+tests reach belongs in the tests. A name may instead sit in ``ALLOWED``,
+with the reason it is kept.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polywythoff"
+
+ALLOWED = {
+    "modred.form_radical": "the radical of a degenerate reduced form, kept for ROADMAP item 17",
+    "wythoff.build_regular": "the regular Wythoff build, shared by several test files",
+    "wythoff.facet_section": "the facet section, shared by several test files",
+    "oracles.toroid_44": "the {4,4} torus oracle, shared by several test files",
+    "amalgam.AmalgamContext.in_pi_plus": "held in amalgam.py until ROADMAP item 1",
+    "amalgam.AmalgamContext.in_gamma": "rebound by name in perfbench/tracing.py (item 1)",
+    "amalgam.AmalgamContext.in_facet": "rebound by name in perfbench/tracing.py (item 1)",
+    "amalgam.AmalgamWord.length": "held in amalgam.py until ROADMAP item 1",
+}
+
+
+def _sources(paths):
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _definitions(path, tree):
+    """(qualified name, name, node, is_method) for each top-level function,
+    and each method or property of a top-level class."""
+    module = path.stem
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{node.name}", node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item, True
+
+
+def _references(trees):
+    """(kind, name) -> the (file, line) of each read of it: "name" for a name
+    read, "attr" for an attribute read, and "module" with "<module>.<name>"
+    for an attribute read of a name, as in ``kernels.close``."""
+    refs = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(("name", node.id), []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(("attr", node.attr), []).append((path, node.lineno))
+                owner = node.value
+                owner = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if owner:
+                    key = ("module", f"{owner}.{node.attr}")
+                    refs.setdefault(key, []).append((path, node.lineno))
+    return refs
+
+
+def _public_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unreferenced():
+    """(location, qualified name) of each definition that nothing outside it
+    reads; dunders and the package's public names (``__init__.__all__``)
+    are exempt."""
+    package = _sources(sorted(PACKAGE.rglob("*.py")))
+    bench = _sources(sorted((ROOT / "perfbench").glob("*.py")))
+    refs = _references({**package, **bench})
+    public = _public_names()
+    out = []
+    for path, tree in package.items():
+        for qualified, name, node, is_method in _definitions(path, tree):
+            if name.startswith("__") and name.endswith("__") or name in public:
+                continue
+            if is_method:
+                wanted = [("attr", name)]
+            else:
+                wanted = [("name", name), ("module", f"{path.stem}.{name}")]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                where != path or line not in own
+                for key in wanted
+                for where, line in refs.get(key, ())
+            ):
+                out.append((f"{path.relative_to(ROOT)}:{node.lineno}", qualified))
+    return out
+
+
+def test_every_function_and_method_is_used_or_allowed():
+    found = unreferenced()
+    assert [(where, name) for where, name in found if name not in ALLOWED] == []
+    # an entry that something reads again leaves the list
+    assert set(ALLOWED) - {name for _, name in found} == set()

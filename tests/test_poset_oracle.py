@@ -65,10 +65,16 @@ def _closure(view, f):
     return frozenset(acc)
 
 
+def down_view(P):
+    """Face -> the faces it covers, read from ``P.down_ids``."""
+    faces = P.face_list
+    return {f: tuple(faces[j] for j in P.down_ids[i]) for i, f in enumerate(faces)}
+
+
 def oracle_diamond_counts(P):
-    up, down = P.up, P.down
+    up, down = P.up, down_view(P)
     counts = {}
-    for mid in P.all_faces():
+    for mid in P.face_list:
         if mid.kind in ("bot", "top"):
             continue
         for low in down[mid]:
@@ -85,8 +91,8 @@ def oracle_diamond(P):
 
 
 def oracle_strong_connectivity(P):
-    up, down = P.up, P.down
-    for low in P.all_faces():
+    up, down = P.up, down_view(P)
+    for low in P.face_list:
         ups = _closure(up, low)
         for high in ups:
             if high.rank - low.rank < 3:
@@ -121,7 +127,7 @@ def oracle_strong_connectivity(P):
 
 def oracle_two_sections(P):
     """(base face, size, is polygon, alternating) of each 2-section."""
-    up, down = P.up, P.down
+    up, down = P.up, down_view(P)
     facet_rank = P.top_rank - 1
     out = []
     for base in P.faces(facet_rank - 2):
@@ -409,7 +415,9 @@ def assert_checks_match_oracle(P):
         assert oracle_diamond_counts(P)[(low, high)] == count != 2
     assert verify_strong_connectivity(P) == oracle_strong_connectivity(P)
     if want_ok:  # the section walk presumes the diamond condition
-        sections = [(s.base, s.size, s.is_polygon, s.alternating) for s in two_sections(P)]
+        sections = [
+            (P.face_list[s.base_id], s.size, s.is_polygon, s.alternating) for s in two_sections(P)
+        ]
         assert sections == oracle_two_sections(P)
 
 
@@ -552,12 +560,14 @@ def test_flag_orbits_needs_a_build_action():
 def test_face_views_are_mappings_over_their_keys():
     P = build_polytope(fixture_group("hexagon.tt"))
     bot, top = P.bottom(), P.top()
-    assert bot in P.up and top in P.down
-    assert list(P.up) == list(P.down) == list(P.face_list)
-    assert len(P.up) == len(P.down) == len(P.face_list)
-    assert P.up[top] == () and P.down[bot] == () and P.down[top] == P.faces(1)
+    (bot_id,), (top_id,) = P.ids(-1), P.ids(2)
+    assert bot in P.up and top in P.up
+    assert list(P.up) == list(P.face_list)
+    assert len(P.up) == len(P.down_ids) == len(P.face_list)
+    assert P.up[top] == () and P.down_ids[bot_id] == () and P.down_ids[top_id] == tuple(P.ids(1))
+    assert P.up[bot] == P.faces(0)
     stranger = Face(0, "G_0", None)
     assert stranger not in P.up and P.up.get(stranger) is None
     with pytest.raises(KeyError):
-        P.down[stranger]
+        P.up[stranger]
     assert list(without_action(P).up) == list(P.up)

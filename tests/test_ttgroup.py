@@ -8,7 +8,6 @@ from polywythoff.elements import parse_perm
 from polywythoff.fixtureio import (
     builtin_fixture,
     builtin_fixture_names,
-    format_fixture,
     parse_fixture,
 )
 from polywythoff.groups import closure, element_order
@@ -236,12 +235,36 @@ def test_parse_diagram_grammar():
         parse_diagram("triangle=(3,3)")
 
 
+def format_fixture(fx) -> str:
+    out = [f"{fx.kind} n={fx.n} degree={fx.degree}"]
+    if fx.kind == "tail-triangle":
+        for i, g in enumerate(fx.gens[:-1]):
+            out.append(f"alpha{i} = {g}")
+        out.append(f"beta = {fx.gens[-1]}")
+    else:
+        for i, g in enumerate(fx.gens):
+            out.append(f"rho{i} = {g}")
+    if fx.expect_order is not None:
+        out.append(f"expect order={fx.expect_order}")
+    return "\n".join(out) + "\n"
+
+
 def test_fixture_roundtrip_bit_exact():
     from importlib import resources
 
     for name in ["tomotope.tt", "m66_240a.tt", "tet.sg", "hexagon.tt"]:
         raw = resources.files("polywythoff.fixtures").joinpath(name).read_text()
         assert format_fixture(parse_fixture(raw)) == raw
+
+
+def test_string_cgroup_fixture_has_no_alphas_or_beta():
+    fx = builtin_fixture("hexagon.sg")
+    with pytest.raises(ValueError, match="no alphas"):
+        fx.alphas
+    with pytest.raises(ValueError, match="no beta"):
+        fx.beta
+    tt = builtin_fixture("hexagon.tt")
+    assert tt.alphas + (tt.beta,) == tt.gens
 
 
 def test_fixture_expect_orders():
