@@ -88,8 +88,13 @@ def _check_output(path):
 
 
 def _tt_group(args, report):
-    """Resolve the input group from --fixture or --modred flags."""
+    """Resolve the input group from --fixture or --modred flags. A fixture
+    takes none of the --modred flags."""
     if getattr(args, "fixture", None):
+        flags = ("modred", "lengths", "prime", "ringing")
+        given = [f"--{f}" for f in flags if getattr(args, f) is not None]
+        if given:
+            raise InputError(f"--fixture does not take {', '.join(given)}")
         fx = _load(args.fixture, "tail-triangle")
         report.source = f"fixture {args.fixture}"
         with report.phase("verify"):

@@ -179,10 +179,10 @@ class ModPGroupSpec:
 
 
 def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
+    m = sys_.dim
+    check_modulus(m, p)  # before the primality test, any output or closure
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = sys_.dim
-    check_modulus(m, p)  # before any output or closure, which could never enumerate G^p
 
     # clear Gram denominators; a unit scale factor keeps invariance intact
     den = lcm(*(x.denominator for row in sys_.gram for x in row))
@@ -244,11 +244,10 @@ def build_tail_triangle_modp(spec: ModPGroupSpec, ringing: int = 1) -> TailTrian
 class RingingReport:
     groups: tuple  # TailTriangleGroup per ringing
     posets: tuple  # FacePoset per ringing
-    isomorphic: dict  # (i, j) -> bool for 1 <= i < j <= 3
 
 
 def three_ringings(spec: ModPGroupSpec) -> RingingReport:
-    from .wythoff import build_polytope, poset_isomorphic
+    from .wythoff import build_polytope
 
     if spec.diagram.n != 3 or spec.diagram.tail != (spec.diagram.tail[0],):
         raise ValueError("three ringings require the rank-3 star diagram")
@@ -257,12 +256,7 @@ def three_ringings(spec: ModPGroupSpec) -> RingingReport:
         G = build_tail_triangle_modp(spec, ringing=r)
         groups.append(G)
         posets.append(build_polytope(G))
-    iso = {
-        (i + 1, j + 1): poset_isomorphic(posets[i], posets[j]) is not None
-        for i in range(3)
-        for j in range(i + 1, 3)
-    }
-    return RingingReport(tuple(groups), tuple(posets), iso)
+    return RingingReport(tuple(groups), tuple(posets))
 
 
 def search_lengths(d: TailTriangleDiagram, values=(1, 2, 3, 4, 6)):

@@ -4,16 +4,16 @@ its group action.
 A poset is purely combinatorial: faces and their covering relations, so
 sections, axiom checks and isomorphism tests work alike on the Wythoff
 builds, the amalgam balls and posets built by hand (toroid oracles, broken
-examples). Faces are integer ids with a rank and a kind each; covers, the
-group action, flags and isomorphisms are tuples or maps of ids, and
-``Face`` objects are looked up only to print, take sections or answer the
-one Face-keyed view, ``up``. A Wythoff build keeps each face's
-representative as an element index of its group and makes its ``Face``
-objects only when one is asked for. Only a Wythoff build
-(``wythoff._assemble``) has an action, and its group acts by automorphisms
-by construction, so on a build ``FacePoset.pairs`` lists one incident pair
-per orbit of the group (McMullen and Schulte, *Abstract Regular Polytopes*,
-§2B and §4A): an automorphism carries a section onto an isomorphic section.
+examples). Every poset is made on one path, ``FacePoset.from_ids``, as
+integer face ids with a rank, a kind and a representative each; covers,
+the group action, flags and isomorphisms are tuples or maps of ids, and a
+section is an id slice of its parent. ``Face`` objects are made only when
+one is asked for: to print, to name a face or to answer the Face-keyed
+view ``up``. Only a Wythoff build (``wythoff._assemble``) has an action,
+and its group acts by automorphisms by construction, so on a build
+``FacePoset.pairs`` lists one incident pair per orbit of the group
+(McMullen and Schulte, *Abstract Regular Polytopes*, §2B and §4A): an
+automorphism carries a section onto an isomorphic section.
 """
 
 from __future__ import annotations
@@ -61,15 +61,16 @@ class FacePoset:
     ``Face.sort_key`` order, the order of ``face_list``. ``rank_of[i]``
     and ``kind_of[i]`` are the rank and kind of face i, ``up_ids[i]`` and
     ``down_ids[i]`` the sorted ids of the faces covering it and covered by
-    it. A Wythoff build (``from_ids``) also has ``moves[gi][i]``, the image
-    of face i under generator gi of its group, and its base faces
-    ``base_ids``: the bottom, the top and the cosets holding the identity.
-    Any other poset has neither. ``up`` is a Face-keyed view of ``up_ids``;
-    everything else reads the ids.
+    it. A Wythoff build also has ``moves[gi][i]``, the image of face i
+    under generator gi of its group, and its base faces ``base_ids``: the
+    bottom, the top and the cosets holding the identity. Any other poset,
+    a section of a build included, has neither. ``up`` is a Face-keyed
+    view of ``up_ids``; everything else reads the ids.
     """
 
     def __init__(self, faces_by_rank: dict, covers):
-        """Faces per rank and (low, high) Face pairs for the covers.
+        """Faces per rank and (low, high) Face pairs for the covers, numbered
+        here and handed to the one id path (``from_ids``).
 
         Distinct faces have distinct sort keys (rank, kind, k). Here k is
         the rep's own key, which determines the rep: the images of a Perm,
@@ -84,67 +85,54 @@ class FacePoset:
         ]
         index = {f: i for i, f in enumerate(faces)}
         up: list[list[int]] = [[] for _ in faces]
-        down: list[list[int]] = [[] for _ in faces]
         for low, high in covers:
-            a, b = index[low], index[high]
-            up[a].append(b)
-            down[b].append(a)
-        self._setup(
-            tuple(f.rank for f in faces),
-            tuple(f.kind for f in faces),
-            tuple(tuple(sorted(u)) for u in up),
-            tuple(tuple(sorted(d)) for d in down),
-            (),
-            (),
-            faces_by_rank,
-        )
+            up[index[low]].append(index[high])
+        cols = [f.rank for f in faces], [f.kind for f in faces], [f.rep for f in faces]
+        self._setup(None, *cols, [tuple(sorted(u)) for u in up], given=faces_by_rank)
         self._faces, self._index = tuple(faces), index
 
     @classmethod
-    def from_ids(cls, group, ranks, kinds, reps, up, down, moves, base) -> "FacePoset":
-        """A Wythoff build of ``group``: per face its rank, its kind and its
-        representative as an element index of the group (None for the
-        bottom and top), in strictly increasing ``Face.sort_key`` order, the
-        numbering the constructor gives (see ``wythoff._assemble`` for why
-        its faces come in that order). Then the sorted id tuples of the
-        covers above and below each face, the moves of the group's
-        generators, and the base faces. The ``Face`` objects and their
-        representatives are made on first use (``face_list``)."""
+    def from_ids(cls, group, ranks, kinds, reps, up, moves=(), base=()) -> "FacePoset":
+        """The one construction path: per face its rank, kind and rep, in
+        strictly increasing ``Face.sort_key`` order (``wythoff._assemble``
+        and ``section`` say why theirs are), and the sorted ids of the faces
+        covering it; the down lists are read off these. A rep is an element
+        index of ``group``, or the rep itself where ``group`` is None, and
+        None for a build's bottom and top. A build also gives the moves of
+        its group's generators and its base faces. ``Face`` objects are
+        made on first use (``face_list``)."""
         P = cls.__new__(cls)
-        P._setup(tuple(ranks), tuple(kinds), up, down, moves, base, ())
-        P._group, P._reps = group, tuple(reps)
+        P._setup(group, ranks, kinds, reps, up, moves, base)
         return P
 
-    def _setup(self, ranks, kinds, up, down, moves, base, given):
-        self.rank_of, self.kind_of = ranks, kinds
-        self.up_ids, self.down_ids = tuple(up), tuple(down)
+    def _setup(self, group, ranks, kinds, reps, up, moves=(), base=(), given=()):
+        self.rank_of, self.kind_of = tuple(ranks), tuple(kinds)
+        self._group, self._reps, self.up_ids = group, tuple(reps), tuple(up)
+        down: list[list[int]] = [[] for _ in self.up_ids]
+        for a, ups in enumerate(self.up_ids):  # ids ascending: each list comes sorted
+            for b in ups:
+                down[b].append(a)
+        self.down_ids = tuple(map(tuple, down))
         self.moves = tuple(tuple(m) for m in moves)
         self.base_ids = frozenset(base)
-        spans = {r: range(0) for r in given}  # ranks given without faces stay
+        self._spans = spans = {r: range(0) for r in given}  # ranks given without faces stay
         start = 0
-        for r, run in groupby(ranks):
+        for r, run in groupby(self.rank_of):
             stop = start + sum(1 for _ in run)
             spans[r] = range(start, stop)
             start = stop
-        self._spans = spans
-        self.bottom_rank = min(spans)
-        self.top_rank = max(spans)
-        self._faces: tuple | None = None
-        self._by_rank: dict | None = None
-        self._index: dict | None = None
-        self._group = self._reps = None
-        self._flags: list | None = None
-        self._adj: list | None = None
+        self.bottom_rank, self.top_rank = min(spans), max(spans)
+        self._faces = self._by_rank = self._index = self._flags = self._adj = None
         self._above: dict = {}
 
     # ---- faces as objects ----------------------------------------------------
 
     @property
     def face_list(self) -> tuple:
-        """Every face as a ``Face``, in id order. A build makes them, with
-        their representatives, on first use."""
+        """Every face as a ``Face``, in id order, made on first use: an element
+        index stands for its group's element, any other rep for itself."""
         if self._faces is None:
-            element = self._group.element
+            element = (lambda x: x) if self._group is None else self._group.element
             self._faces = tuple(
                 Face(r, k, None if x is None else element(x))
                 for r, k, x in zip(self.rank_of, self.kind_of, self._reps)
@@ -161,11 +149,9 @@ class FacePoset:
 
     def rep_texts(self):
         """The text of each face's representative, in id order, as an f-string
-        prints it: an iterator. A build formats them from its group's codes
-        (``FiniteGroup.text``) and makes no ``Face``."""
-        if self._reps is None:
-            return (f"{f.rep}" for f in self.face_list)
-        text = self._group.text
+        prints it: an iterator. Element indices are formatted from their
+        group's codes (``FiniteGroup.text``); no ``Face`` is made."""
+        text = str if self._group is None else self._group.text
         return ("None" if x is None else text(x) for x in self._reps)
 
     # ---- basic structure -------------------------------------------------
@@ -286,30 +272,33 @@ class FacePoset:
     # ---- sections ----------------------------------------------------------
 
     def section(self, low: Face, high: Face) -> "FacePoset":
-        """The polytope-style section high/low, re-ranked from -1."""
+        """The polytope-style section high/low, re-ranked from -1, as an id
+        slice: the faces between low and high, in id order. The ids order
+        faces by ``Face.sort_key``, (rank, kind, rep key), and every
+        member's rank drops by the same amount, so the section's faces come
+        in that order too. Covers run from rank j to j + 1, so the members'
+        ids lie between those of low and high. The renumbering increases,
+        which keeps the up lists sorted, and the reps and group are this
+        poset's: no ``Face`` is made and nothing is sorted or re-indexed."""
         index = self._face_index()
         lo, hi = index[low], index[high]
         above = set().union(*self.levels_above(lo)[1:])
         if hi not in above:
             raise ValueError("section requires low < high")
-        below = {hi}
-        frontier = [hi]
-        while frontier:
-            frontier = [g for f in frontier for g in self.down_ids[f] if g not in below]
-            below.update(frontier)
-        members = (above & below) | {lo}
-        shift = low.rank + 1
-        remap = {}
-        for i in members:
-            f = self.face_list[i]
-            remap[i] = Face(f.rank - shift, f.kind, f.rep)
-        faces_by_rank: dict[int, list] = {}
-        for new in remap.values():
-            faces_by_rank.setdefault(new.rank, []).append(new)
-        covers = [
-            (remap[a], remap[b]) for a in members for b in self.up_ids[a] if b in members
-        ]
-        return FacePoset(faces_by_rank, covers)
+        keep, frontier, down = {lo, hi}, [hi], self.down_ids
+        while frontier:  # the faces below high that lie above low
+            frontier = [g for f in frontier for g in down[f] if g in above and g not in keep]
+            keep.update(frontier)
+        members = [i for i in range(lo, hi + 1) if i in keep]
+        new = {i: j for j, i in enumerate(members)}
+        rank, up = self.rank_of, self.up_ids
+        return FacePoset.from_ids(
+            self._group,
+            [rank[i] - rank[lo] - 1 for i in members],
+            [self.kind_of[i] for i in members],
+            [self._reps[i] for i in members],
+            [tuple(new[j] for j in up[i] if j in new) for i in members],
+        )
 
     # ---- group action ------------------------------------------------------
 

@@ -108,7 +108,7 @@ def _row3():
     P, orbits, flags, c = _pipeline(G)
     secs = two_sections(P)
     arith = all(
-        len(P.faces(j)) == G.group.order // len(G.group.span(G.gamma(j)))
+        len(P.ids(j)) == G.group.order // len(G.group.span(G.gamma(j)))
         for j in range(G.n - 1)
     )
     want = "order=48 fvec=(8, 24, 6+12) sections=6-gon arithmetic=ok"
@@ -173,7 +173,7 @@ def _rows6():
     G2 = build_tail_triangle_modp(spec2)
     P, orbits, flags, c = _pipeline(G2)
     got2 = (
-        f"order={G2.group.order} class={c.kind} vertices={len(P.faces(0))} "
+        f"order={G2.group.order} class={c.kind} vertices={len(P.ids(0))} "
         f"flags={flags} order(r1s2)={pair_order(G2.group, 1, 3)}"
     )
     want2 = "order=96 class=Regular vertices=3 flags=192 order(r1s2)=4"
@@ -195,16 +195,13 @@ def _rows6():
 def _row7():
     spec = reduce_mod_p(rescale(parse_diagram(STAR), (1, 1, 2, 4)), 3)
     rep = three_ringings(spec)
-    P3 = rep.posets[2]
-    split = {"P": 0, "Q": 0}
-    for f in P3.faces(3):
-        split[f.kind] += 1
+    split = rep.posets[2].facet_split() or (0, 0)
     G2, P2 = rep.groups[1], rep.posets[1]
     c2 = classify(P2, G2)
     tor = poset_isomorphic(P2, toroid_434_330()) is not None
     want = "facets=54+27 regular-ringing=Regular toroid-isomorphic=yes"
     got = (
-        f"facets={split['P']}+{split['Q']} regular-ringing={c2.kind} "
+        f"facets={split[0]}+{split[1]} regular-ringing={c2.kind} "
         f"toroid-isomorphic={'yes' if tor else 'no'}"
     )
     return [Row(7, "mod-3 ringings", want, got)]

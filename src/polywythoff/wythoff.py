@@ -63,8 +63,8 @@ def _assemble(G: FiniteGroup, levels):
     face of the kind, each from the face it was reached from. The search
     reaches them all, as the generators move H·1 to every coset of H. The
     faces of the top proper rank are covered by the top alone, and the
-    bottom by the vertices. The covers below each face follow by reading
-    the covers above in id order, which leaves them sorted.
+    bottom by the vertices. ``from_ids`` reads the covers below each face
+    off these.
     """
     nprop = len(levels)
     ranks, kinds, reps = [-1], ["bot"], [None]
@@ -112,13 +112,9 @@ def _assemble(G: FiniteGroup, levels):
                         up[y] = tuple(sorted(map(move.__getitem__, ups)))
                         queue.append(y)
     up[starts[-2] : top] = [(top,)] * (top - starts[-2])
-    down: list[list[int]] = [[] for _ in up]
-    for a, ups in enumerate(up):
-        for b in ups:
-            down[b].append(a)
 
     base = [0, top] + [first + cid[0] for block in blocks for first, _, cid, _ in block]
-    return FacePoset.from_ids(G, ranks, kinds, reps, up, map(tuple, down), moves, base)
+    return FacePoset.from_ids(G, ranks, kinds, reps, up, moves, base)
 
 
 def build_polytope(
@@ -360,7 +356,8 @@ def facet_section(P: FacePoset, f: Face) -> FacePoset:
 
 
 def _invariants(P: FacePoset):
-    ranks = sorted(P.faces_by_rank)
+    """Rank spans, up degrees and the flag count: ids only, no ``Face``."""
+    ranks = range(P.bottom_rank, P.top_rank + 1)
     return (
         ranks,
         [len(P.ids(r)) for r in ranks],

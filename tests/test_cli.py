@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from polywythoff import cli, kernels, selftest
+from polywythoff import cli, kernels, modred, selftest
 from polywythoff.cli import main
 from polywythoff.kernels import close
 
@@ -163,6 +163,36 @@ def test_build_modulus_too_large_fails_fast(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_modred_huge_prime_is_refused_before_the_primality_test(capsys, monkeypatch):
+    # 2^61 - 1 is prime; trial division up to its square root would not end
+    def no_huge_trial_division(p, _is_prime=modred.is_prime):
+        assert p < 2**40, "is_prime called on a modulus past the bound"
+        return _is_prime(p)
+
+    monkeypatch.setattr(modred, "is_prime", no_huge_trial_division)
+    code, out, err = run(
+        capsys, "modred", "--diagram", "tail=[3] triangle=(4,inf,2)",
+        "--lengths", "1,1,2,4", "--prime", str(2**61 - 1),
+    )
+    assert code == 2 and "too large" in err and "Traceback" not in err + out
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "classify", "export-hasse"])
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--modred", "tail=[3] triangle=(4,inf,2)"], "--modred"),
+        (["--lengths", "1,1,2,4", "--prime", "3"], "--lengths, --prime"),
+        (["--ringing", "2"], "--ringing"),
+    ],
+    ids=["modred", "lengths-prime", "ringing"],
+)
+def test_fixture_refuses_modred_flags_before_output(capsys, command, extra, named):
+    code, out, err = run(capsys, command, "--fixture", "tomotope.tt", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"input error: --fixture does not take {named}\n"
+
+
 def test_amalgam_normalize_and_ball(capsys):
     code, out, _ = run(
         capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg",
@@ -196,7 +226,7 @@ def test_amalgam_close_up_rejected(capsys):
     assert code == 2 and "open question" in err
 
 
-def test_amalgam_facet_mismatch(capsys, tmp_path):
+def test_amalgam_q_not_a_string_cgroup(capsys, tmp_path):
     # the generators of sc2_fail.tt, given as a string C-group
     path = tmp_path / "sc2_fail.sg"
     path.write_text(
@@ -204,7 +234,19 @@ def test_amalgam_facet_mismatch(capsys, tmp_path):
         "rho0 = (1,4)(2,5)(3,6)\nrho1 = (2,6)(3,5)\nrho2 = (1,2)(3,6)(4,5)\n"
     )
     code, _, err = run(capsys, "amalgam", "--p", "tet.sg", "--q", str(path))
-    assert code == 1 and "verification failure" in err
+    assert (code, err) == (1, "verification failure: factor Q is not a string C-group\n")
+
+
+def test_amalgam_facet_mismatch(capsys, tmp_path):
+    # oct.sg's generators in reverse order: the cube {4,3}, whose facet
+    # group (the square's, order 8) is not the tetrahedron's (order 6)
+    path = tmp_path / "cube.sg"
+    path.write_text(
+        "string-cgroup n=3 degree=6\nrho0 = (1,4)\nrho1 = (1,2)(4,5)\nrho2 = (2,3)(5,6)\n"
+    )
+    code, out, err = run(capsys, "amalgam", "--p", "tet.sg", "--q", str(path))
+    assert (code, out) == (1, "")
+    assert err == "verification failure: facet subgroups have different orders\n"
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,9 @@ The ``made`` counter shows that the screen makes one witness per failing
 check and nothing else, and that neither it nor a star build makes the
 group's element tuple. A star build keeps its faces as coset ids and
 prints its representatives from their codes, so through the export it
-makes no element and no ``Face`` at all; asking for a face (a vertex
-figure, the Face-keyed views) makes them then.
+makes no element and no ``Face`` at all; asking for a face (to name a
+vertex, the Face-keyed views) makes them then. A section is an id slice of
+its parent and the isomorphism test reads ids, so neither makes any.
 """
 
 from collections import Counter
@@ -49,7 +50,9 @@ from polywythoff.wythoff import (
     build_regular,
     classify,
     export_hasse,
+    facet_section,
     flag_orbits,
+    poset_isomorphic,
     two_sections,
     verify_diamond,
     verify_strong_connectivity,
@@ -142,6 +145,21 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
     assert G.group._index is None
     assert G.group._words is None
     assert G.group._elements is None
+
+
+def test_sections_and_isomorphism_make_no_face_or_element(after_closure):
+    P, Q = build_polytope(star_mod3()), build_polytope(star_mod3())
+    assert after_closure.armed
+    v = P.face_list[P.ids(0)[0]]
+    facets = {P.kind_of[i]: P.face_list[i] for i in P.ids(3)}
+    after_closure.made.clear()
+    assert vertex_figure(P, v).f_vector_str() == "(12, 24, 6+8)"
+    got = {kind: facet_section(P, f).f_vector() for kind, f in facets.items()}
+    assert got == {"P": (6, 12, 8), "Q": (4, 6, 4)}
+    assert after_closure.made == Counter()
+    assert poset_isomorphic(P, Q) is not None
+    assert Q._faces is None
+    assert after_closure.made == Counter()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

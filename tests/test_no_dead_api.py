@@ -8,6 +8,11 @@ when its name is read as a name, or as an attribute of its module
 attribute. Calls from the tests do not count: production code that only
 tests reach belongs in the tests. A name may instead sit in ``ALLOWED``,
 with the reason it is kept.
+
+Every field of a dataclass defined in the package must likewise be read as
+an attribute (``spec.det_mod_p``) somewhere in the package, the benchmark
+scripts or the tests, or sit in ``ALLOWED_FIELDS``: a result that nothing
+reads is work that nobody needs.
 """
 
 import ast
@@ -25,6 +30,10 @@ ALLOWED = {
     "amalgam.AmalgamContext.in_gamma": "rebound by name in perfbench/tracing.py (item 1)",
     "amalgam.AmalgamContext.in_facet": "rebound by name in perfbench/tracing.py (item 1)",
     "amalgam.AmalgamWord.length": "held in amalgam.py until ROADMAP item 1",
+}
+
+ALLOWED_FIELDS = {
+    "amalgam.Ball.radius": "held with the rest of amalgam.py until ROADMAP item 1",
 }
 
 
@@ -99,6 +108,44 @@ def unreferenced():
             ):
                 out.append((f"{path.relative_to(ROOT)}:{node.lineno}", qualified))
     return out
+
+
+def _is_dataclass(cls):
+    return any(
+        isinstance(f, ast.Name) and f.id == "dataclass"
+        for f in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    )
+
+
+def unread_fields():
+    """(location, qualified name) of each dataclass field of the package that
+    nothing reads as an attribute in the package, the benchmark scripts or
+    the tests."""
+    package = _sources(sorted(PACKAGE.rglob("*.py")))
+    others = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    reads = {
+        node.attr
+        for tree in {**package, **_sources(others)}.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    out = []
+    for path, tree in package.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in reads:
+                        where = f"{path.relative_to(ROOT)}:{item.lineno}"
+                        out.append((where, f"{path.stem}.{cls.name}.{item.target.id}"))
+    return out
+
+
+def test_every_dataclass_field_is_read_or_allowed():
+    found = unread_fields()
+    assert [(where, name) for where, name in found if name not in ALLOWED_FIELDS] == []
+    assert set(ALLOWED_FIELDS) - {name for _, name in found} == set()
 
 
 def test_every_function_and_method_is_used_or_allowed():

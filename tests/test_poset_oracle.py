@@ -557,6 +557,68 @@ def test_flag_orbits_needs_a_build_action():
             flag_orbits(other, G)
 
 
+# ---- sections: id slices against the Face-remap oracle -------------------------
+
+
+def oracle_section(P, low, high):
+    """The section high/low as it was taken before sections became id
+    slices: every member remade as a re-ranked ``Face``, then sorted and
+    numbered again by the hand-built front door."""
+    above, below = _closure(P.up, low), _closure(down_view(P), high)
+    assert high in above
+    members = (above & below) | {low, high}
+    shift = low.rank + 1
+    remap = {f: Face(f.rank - shift, f.kind, f.rep) for f in members}
+    faces_by_rank = {}
+    for f in remap.values():
+        faces_by_rank.setdefault(f.rank, []).append(f)
+    covers = [(remap[a], remap[b]) for a in members for b in P.up[a] if b in members]
+    return FacePoset(faces_by_rank, covers)
+
+
+def assert_section_matches_oracle(P, low, high):
+    got, want = P.section(low, high), oracle_section(P, low, high)
+    assert got.rank_of == want.rank_of and got.kind_of == want.kind_of
+    assert got.up_ids == want.up_ids and got.down_ids == want.down_ids
+    assert export_hasse(got, summary="s") == export_hasse(want, summary="s")
+    assert got.face_list == want.face_list
+    return got
+
+
+def sample_sections(P):
+    """The vertex figure at the first vertex, one facet section per facet
+    kind, and the section two ranks above the first vertex."""
+    v = P.faces(0)[0]
+    facets = {}
+    for f in P.faces(P.top_rank - 1):
+        facets.setdefault(f.kind, f)
+    two_up = min((f for f in _closure(P.up, v) if f.rank == 2), key=Face.sort_key)
+    return [(v, P.top()), (v, two_up)] + [(P.bottom(), f) for f in facets.values()]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + sorted(REGULAR))
+def test_build_sections_match_oracle(name):
+    P = wythoff_build(name)
+    for low, high in sample_sections(P):
+        S = assert_section_matches_oracle(P, low, high)
+        if S.top_rank >= 2:  # a section of a section keeps the build's group
+            assert_section_matches_oracle(S, S.faces(0)[0], S.top())
+
+
+@pytest.mark.parametrize("name", ["toroid_44(2)", "toroid_44_ss(3)", "toroid_434_330"])
+def test_toroid_sections_match_oracle(name):
+    P = HAND_BUILT[name]()
+    for low, high in sample_sections(P):
+        assert_section_matches_oracle(P, low, high)
+
+
+def test_ball_sections_match_oracle():
+    ctx = AmalgamContext(builtin_fixture("tet.sg").gens, builtin_fixture("oct.sg").gens)
+    P = enumerate_ball(ctx, 2).poset
+    for low, high in sample_sections(P):
+        assert_section_matches_oracle(P, low, high)
+
+
 def test_face_views_are_mappings_over_their_keys():
     P = build_polytope(fixture_group("hexagon.tt"))
     bot, top = P.bottom(), P.top()
