@@ -54,6 +54,8 @@ def parse_fixture(text: str) -> Fixture:
         raise ValueError(f"bad fixture header: {lines[0]!r}") from None
     if n < 1:
         raise ValueError(f"bad fixture header: {lines[0]!r}: n must be >= 1")
+    if degree < 1:
+        raise ValueError(f"bad fixture header: {lines[0]!r}: degree must be >= 1")
 
     expect_order = None
     body: dict[str, Perm] = {}

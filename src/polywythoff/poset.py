@@ -2,18 +2,20 @@
 its group action.
 
 A poset is purely combinatorial: faces and their covering relations, so
-sections, axiom checks and isomorphism tests work alike on the Wythoff
-builds, the amalgam balls and posets built by hand (toroid oracles, broken
-examples). Every poset is made on one path, ``FacePoset.from_ids``, as
-integer face ids with a rank, a kind and a representative each; covers,
-the group action, flags and isomorphisms are tuples or maps of ids, and a
-section is an id slice of its parent. ``Face`` objects are made only when
-one is asked for: to print, to name a face or to answer the Face-keyed
-view ``up``. Only a Wythoff build (``wythoff._assemble``) has an action,
-and its group acts by automorphisms by construction, so on a build
-``FacePoset.pairs`` lists one incident pair per orbit of the group
-(McMullen and Schulte, *Abstract Regular Polytopes*, §2B and §4A): an
-automorphism carries a section onto an isomorphic section.
+sections, flags and isomorphism tests work alike on the Wythoff builds, the
+amalgam balls and posets built by hand (toroid oracles, broken examples).
+Every poset is made on one path, ``FacePoset.from_ids``, as integer face
+ids with a rank, a kind and a representative each; covers, the group
+action, flags and isomorphisms are tuples or maps of ids, and a section is
+an id slice of its parent, named by the ids of its least and greatest
+faces. ``Face`` objects are made only when one is asked for: to print, to
+report a witness or to answer the Face-keyed view ``up``. Only a Wythoff
+build (``wythoff._assemble``) has an action, and its group acts by
+automorphisms by construction, so ``FacePoset.pairs`` lists one incident
+pair per orbit of the group (McMullen and Schulte, *Abstract Regular
+Polytopes*, §2B and §4A): an automorphism carries a section onto an
+isomorphic section. The axiom and section checks run on these pairs only,
+so they refuse a poset without an action (``base_of``).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class FacePoset:
             spans[r] = range(start, stop)
             start = stop
         self.bottom_rank, self.top_rank = min(spans), max(spans)
-        self._faces = self._by_rank = self._index = self._flags = self._adj = None
+        self._faces = self._index = self._flags = self._adj = None
         self._above: dict = {}
 
     # ---- faces as objects ----------------------------------------------------
@@ -139,13 +141,10 @@ class FacePoset:
             )
         return self._faces
 
-    @property
-    def faces_by_rank(self) -> dict:
-        """Rank -> its faces as a ``Face`` tuple in id order."""
-        if self._by_rank is None:
-            faces = self.face_list
-            self._by_rank = {r: faces[s.start : s.stop] for r, s in self._spans.items()}
-        return self._by_rank
+    def faces(self, rank: int) -> tuple:
+        """The faces of a rank as a ``Face`` tuple in id order."""
+        span = self.ids(rank)
+        return self.face_list[span.start : span.stop]
 
     def rep_texts(self):
         """The text of each face's representative, in id order, as an f-string
@@ -159,19 +158,8 @@ class FacePoset:
     def ids(self, rank: int) -> range:
         return self._spans.get(rank, range(0))
 
-    def bottom(self) -> Face:
-        (i,) = self.ids(self.bottom_rank)
-        return self.face_list[i]
-
-    def top(self) -> Face:
-        (i,) = self.ids(self.top_rank)
-        return self.face_list[i]
-
     def proper_ranks(self) -> range:
         return range(self.bottom_rank + 1, self.top_rank)
-
-    def faces(self, rank: int) -> tuple:
-        return self.faces_by_rank.get(rank, ())
 
     def f_vector(self) -> tuple:
         return tuple(len(self._spans[r]) for r in self.proper_ranks())
@@ -209,15 +197,12 @@ class FacePoset:
 
     # ---- the Face-keyed view ------------------------------------------------
 
-    def _face_index(self) -> dict:
-        if self._index is None:
-            self._index = {f: i for i, f in enumerate(self.face_list)}
-        return self._index
-
     @property
     def up(self) -> Mapping:
         """Face -> the faces covering it."""
-        return _FaceView(self.face_list, self._face_index(), self.up_ids)
+        if self._index is None:
+            self._index = {f: i for i, f in enumerate(self.face_list)}
+        return _FaceView(self.face_list, self._index, self.up_ids)
 
     # ---- flags -----------------------------------------------------------
 
@@ -271,22 +256,21 @@ class FacePoset:
 
     # ---- sections ----------------------------------------------------------
 
-    def section(self, low: Face, high: Face) -> "FacePoset":
-        """The polytope-style section high/low, re-ranked from -1, as an id
-        slice: the faces between low and high, in id order. The ids order
-        faces by ``Face.sort_key``, (rank, kind, rep key), and every
-        member's rank drops by the same amount, so the section's faces come
-        in that order too. Covers run from rank j to j + 1, so the members'
-        ids lie between those of low and high. The renumbering increases,
-        which keeps the up lists sorted, and the reps and group are this
-        poset's: no ``Face`` is made and nothing is sorted or re-indexed."""
-        index = self._face_index()
-        lo, hi = index[low], index[high]
+    def section(self, lo: int, hi: int) -> "FacePoset":
+        """The polytope-style section hi/lo of the faces with ids lo and hi,
+        re-ranked from -1, as an id slice: the faces between them, in id
+        order. The ids order faces by ``Face.sort_key``, (rank, kind, rep
+        key), and every member's rank drops by the same amount, so the
+        section's faces come in that order too. Covers run from rank j to
+        j + 1, so the members' ids lie between lo and hi. The renumbering
+        increases, which keeps the up lists sorted, and the reps and group
+        are this poset's: no ``Face`` is made and nothing is sorted or
+        hashed."""
         above = set().union(*self.levels_above(lo)[1:])
         if hi not in above:
-            raise ValueError("section requires low < high")
+            raise ValueError("section requires lo < hi")
         keep, frontier, down = {lo, hi}, [hi], self.down_ids
-        while frontier:  # the faces below high that lie above low
+        while frontier:  # the faces below hi that lie above lo
             frontier = [g for f in frontier for g in down[f] if g in above and g not in keep]
             keep.update(frontier)
         members = [i for i in range(lo, hi + 1) if i in keep]
@@ -303,54 +287,59 @@ class FacePoset:
     # ---- group action ------------------------------------------------------
 
     def base_of(self, r: int) -> dict:
-        """On a Wythoff build, kind -> the base face of that kind at rank r;
-        empty on any other poset."""
+        """On a Wythoff build, kind -> the base face of that kind at rank r.
+        Raises ValueError on any other poset: the checks that list faces
+        through it (``pairs``, ``wythoff.two_sections``, ``flag_orbits``)
+        run on one face per orbit of the group, so they need its action."""
+        if not self.moves:
+            raise ValueError("the poset checks need a Wythoff build; this poset has no action")
         kind, rank = self.kind_of, self.rank_of
         return {kind[x]: x for x in self.base_ids if rank[x] == r}
 
     def pairs(self, r: int, s: int) -> list[tuple]:
-        """Incident id pairs (low, high), low of rank r below high of rank s.
+        """Incident id pairs (low, high) of a Wythoff build, low of rank r below
+        high of rank s, one pair per orbit of its group Γ.
 
-        On a poset that is not a Wythoff build (no ``moves``) this is every
-        such pair. On a build, the group Γ acts by automorphisms and
-        transitively on the faces of each kind (``wythoff._assemble``), so
-        the list holds exactly one pair per Γ-orbit: the pairs (x, y) with
-        x the base face of a kind of rank r (``base_ids``; the bottom and
-        top faces are their own base) and y the least id of its orbit,
-        under the generators that fix x, among the faces of rank s above x.
-        A pair (u, v) with u = x·g is carried by g⁻¹ to (x, v·g⁻¹), and
-        (x, v·g⁻¹) and (x, w) lie in one orbit exactly when an element of
-        the stabilizer of x carries one to the other. The stabilizer of the
-        base face H·1 is H, generated by the generators it holds, which are
-        the generators fixing H·1; that of the bottom or top is Γ. So there
-        are at most two listed pairs per pair of ranks when there are at
-        most two flag orbits (McMullen and Schulte, §2B and §4A). An
-        automorphism keeps incidence, kinds and sections, so a check that
-        holds for a listed pair holds for its whole orbit.
+        Γ acts by automorphisms and transitively on the faces of each kind
+        (``wythoff._assemble``), so the list holds the pairs (x, y) with x
+        the base face of a kind of rank r (``base_of``; the bottom and top
+        faces are their own base) and y the first of its orbit, under the
+        generators that fix x, among the faces of rank s above x
+        (``orbits``). A pair (u, v) with u = x·g is carried by g⁻¹ to
+        (x, v·g⁻¹), and (x, v·g⁻¹) and (x, w) lie in one orbit exactly when
+        an element of the stabilizer of x carries one to the other. The
+        stabilizer of the base face H·1 is H, generated by the generators it
+        holds, which are the generators fixing H·1; that of the bottom or top
+        is Γ. So there are at most two listed pairs per pair of ranks when
+        there are at most two flag orbits (McMullen and Schulte, §2B and
+        §4A). An automorphism keeps incidence, kinds and sections, so a check
+        that holds for a listed pair holds for its whole orbit.
         """
-        build = bool(self.moves)
-        lows = sorted(self.base_of(r).values()) if build else self.ids(r)
         out = []
-        for x in lows:
+        for x in sorted(self.base_of(r).values()):
             levels = self.levels_above(x)
-            if s - r >= len(levels):
-                continue
-            highs = sorted(levels[s - r])
-            if not build:
-                out += [(x, y) for y in highs]
-                continue
-            fix = [m for m in self.moves if m[x] == x]
-            seen: set = set()
-            for y in highs:
-                if y in seen:
-                    continue
-                out.append((x, y))
-                seen.add(y)
-                orbit = [y]
-                for z in orbit:  # grows while it is read: a queue
-                    for m in fix:
-                        w = m[z]
-                        if w not in seen:
-                            seen.add(w)
-                            orbit.append(w)
+            if s - r < len(levels):
+                fix = [m.__getitem__ for m in self.moves if m[x] == x]
+                out += [(x, orbit[0]) for orbit in orbits(sorted(levels[s - r]), fix)]
         return out
+
+
+def orbits(points, maps) -> list[list]:
+    """The orbits of the group that ``maps`` generate on ``points``, which
+    they must keep: one list per orbit, led by its first point in the order
+    of ``points``. Each map is a function from point to point."""
+    seen: set = set()
+    out = []
+    for p in points:
+        if p in seen:
+            continue
+        seen.add(p)
+        orbit = [p]
+        for q in orbit:  # grows while it is read: a queue
+            for m in maps:
+                w = m(q)
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
+        out.append(orbit)
+    return out

@@ -177,7 +177,7 @@ def _rows6():
         f"flags={flags} order(r1s2)={pair_order(G2.group, 1, 3)}"
     )
     want2 = "order=96 class=Regular vertices=3 flags=192 order(r1s2)=4"
-    vf = vertex_figure(P, P.faces(0)[0])
+    vf = vertex_figure(P, P.ids(0)[0])
     # Regular with 192 flags on 3 vertices: each vertex figure has 64 flags,
     # and a rank-3 polytope has 4 * f1 flags, so f1 = 16. That is the torus
     # {4,4}_(2,2) (64 flags), not {4,4}_(2,0) (32 flags).

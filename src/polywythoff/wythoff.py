@@ -5,10 +5,10 @@ nonempty coset intersection; the two facet kinds P and Q are kept apart by
 a kind tag and are never incident to each other. The face poset
 (``poset.FacePoset``) works on integer face ids. The building group acts
 on a build by automorphisms, by construction (``_assemble``), so the axiom
-and section checks run on one incident pair per orbit of the group, and
-``flag_orbits`` counts flags through one vertex (McMullen and Schulte,
-*Abstract Regular Polytopes*, §2B and §4A): an automorphism carries a
-section onto an isomorphic section and a flag orbit onto itself.
+and section checks run on builds only, on one incident pair per orbit of
+the group, and ``flag_orbits`` counts flags through one vertex (McMullen
+and Schulte, *Abstract Regular Polytopes*, §2B and §4A): an automorphism
+carries a section onto an isomorphic section and a flag orbit onto itself.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
-from .poset import Face, FacePoset
+from .poset import FacePoset, orbits
 from .ttgroup import (
     IntersectionResult,
     TailTriangleGroup,
@@ -150,7 +150,8 @@ def build_regular(gens) -> FacePoset:
 
 
 def verify_diamond(P: FacePoset):
-    """Axiom B: incident faces two ranks apart have exactly two middles.
+    """Axiom B on a Wythoff build: incident faces two ranks apart have
+    exactly two middles.
 
     Checked on ``P.pairs(r, r + 2)``: an automorphism carries the middles
     of a pair onto the middles of its image, so the count is the same along
@@ -193,7 +194,8 @@ def _section_connected(P: FacePoset, low: int, high: int) -> bool:
 
 
 def verify_strong_connectivity(P: FacePoset) -> bool:
-    """Axiom C via facet-ridge graph connectivity of every section.
+    """Axiom C on a Wythoff build, via facet-ridge graph connectivity of
+    every section.
 
     Sections of rank <= 1 are trivially connected and skipped. Checked on
     ``P.pairs(r, s)``: an automorphism maps a section onto an isomorphic
@@ -245,42 +247,19 @@ def _two_section(P: FacePoset, base: int) -> tuple:
 
 
 def two_sections(P: FacePoset) -> list[TwoSection]:
-    """Each co-rank-2 section of the greatest face, with alternation check.
+    """Each co-rank-2 section of the greatest face of a Wythoff build, with
+    alternation check.
 
     One ``TwoSection`` per face of rank n-2 (n the facet rank), in face
-    order. On a Wythoff build a section is computed once per kind of these
-    faces, at the kind's base face (``P.base_ids``), and copied to the
-    other faces of the kind. The group acts on them transitively and by
-    automorphisms (``_assemble``), and an automorphism keeps kinds, so it
-    carries a section onto one of the same size, shape and kind sequence.
-    On any other poset every section is computed.
+    order. A section is computed once per kind of these faces, at the
+    kind's base face (``P.base_of``), and copied to the other faces of the
+    kind. The group acts on them transitively and by automorphisms
+    (``_assemble``), and an automorphism keeps kinds, so it carries a
+    section onto one of the same size, shape and kind sequence.
     """
-    kind, bases = P.kind_of, P.ids(P.top_rank - 3)
-    if P.moves:
-        found = {k: _two_section(P, x) for k, x in P.base_of(P.top_rank - 3).items()}
-        return [TwoSection(b, *found[kind[b]]) for b in bases]
-    return [TwoSection(b, *_two_section(P, b)) for b in bases]
-
-
-def _orbit_sizes(flags: list, moves) -> list[int]:
-    """Sizes of the orbits of the id-tuple flags under the face maps."""
-    index = {fl: i for i, fl in enumerate(flags)}
-    seen = [False] * len(flags)
-    sizes = []
-    for i0 in range(len(flags)):
-        if seen[i0]:
-            continue
-        seen[i0] = True
-        orbit = [i0]
-        for i in orbit:  # grows while it is read: a queue
-            fl = flags[i]
-            for m in moves:
-                j = index[tuple(map(m.__getitem__, fl))]
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.append(j)
-        sizes.append(len(orbit))
-    return sizes
+    kind = P.kind_of
+    found = {k: _two_section(P, x) for k, x in P.base_of(P.top_rank - 3).items()}
+    return [TwoSection(b, *found[kind[b]]) for b in P.ids(P.top_rank - 3)]
 
 
 def flag_orbits(P: FacePoset, G: TailTriangleGroup):
@@ -299,22 +278,23 @@ def flag_orbits(P: FacePoset, G: TailTriangleGroup):
     Every vertex lies in as many flags as v, so there are
     |V| × (flags through v). Each flag orbit meets the flags through v, and
     an element mapping one flag through v to another fixes v, so lies in
-    Γ_0: the Γ-orbits are the Γ_0-orbits on the flags through v. A flag's
-    stabilizer fixes v too, so its Γ-orbit has |V| × (its Γ_0-orbit size)
-    flags, and the action is free iff that is |Γ| for each orbit.
+    Γ_0: the Γ-orbits are the Γ_0-orbits on the flags through v
+    (``poset.orbits``). A flag's stabilizer fixes v too, so its Γ-orbit
+    has |V| × (its Γ_0-orbit size) flags, and the action is free iff that
+    is |Γ| for each orbit.
     """
     order = G.group.order
-    moves = P.moves
     verts = P.ids(0)
     base = list(P.base_of(0).values())
     if len(base) != 1:
         raise ValueError("flag_orbits needs a Wythoff build with one kind of vertex")
     (v,) = base
-    fix = [gi for gi, m in enumerate(moves) if m[v] == v]
+    fix = [gi for gi, m in enumerate(P.moves) if m[v] == v]
     if len(G.group.span(fix)) * len(verts) != order:
         raise ValueError("the generators fixing the base vertex do not generate its stabilizer")
     through = P.chains_up([(v,)])
-    sizes = _orbit_sizes(through, [moves[gi] for gi in fix])
+    maps = [lambda fl, m=P.moves[gi]: tuple(map(m.__getitem__, fl)) for gi in fix]
+    sizes = [len(orbit) for orbit in orbits(through, maps)]
     free = all(len(verts) * s == order for s in sizes)
     return len(sizes), len(verts) * len(through), free
 
@@ -340,16 +320,18 @@ def classify(P: FacePoset, G: TailTriangleGroup) -> Classification:
     return Classification("TwoOrbit", G.group.order, None)
 
 
-def vertex_figure(P: FacePoset, v: Face) -> FacePoset:
-    if v.rank != 0:
+def vertex_figure(P: FacePoset, v: int) -> FacePoset:
+    """The section top/v of the vertex with id ``v``."""
+    if P.rank_of[v] != 0:
         raise ValueError("vertex figure requires a rank-0 face")
-    return P.section(v, P.top())
+    return P.section(v, P.ids(P.top_rank)[0])
 
 
-def facet_section(P: FacePoset, f: Face) -> FacePoset:
-    if f.rank != P.top_rank - 1:
+def facet_section(P: FacePoset, f: int) -> FacePoset:
+    """The section f/bottom of the facet with id ``f``."""
+    if P.rank_of[f] != P.top_rank - 1:
         raise ValueError("facet section requires a top-proper-rank face")
-    return P.section(P.bottom(), f)
+    return P.section(P.ids(P.bottom_rank)[0], f)
 
 
 # ---- isomorphism -------------------------------------------------------------

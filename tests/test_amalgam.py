@@ -35,10 +35,9 @@ from polywythoff.amalgam import (
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.groups import coset_partition, extend_homomorphism
 from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
+from polywythoff.poset import Face, FacePoset
 from polywythoff.ttgroup import parse_diagram
 from polywythoff.wythoff import (
-    Face,
-    FacePoset,
     build_regular,
     export_hasse,
     facet_section,
@@ -444,8 +443,10 @@ def test_ball_nesting(tetoct, tritri):
 
 def test_ball_facet_sections(tetoct):
     b = enumerate_ball(tetoct, 1)
-    base_p = next(f for f in b.poset.faces(3) if f.kind == "P" and f.rep == tetoct.identity_word)
-    base_q = next(f for f in b.poset.faces(3) if f.kind == "Q" and f.rep == tetoct.identity_word)
+    faces, one = b.poset.face_list, tetoct.identity_word
+    base_p, base_q = (
+        next(i for i, f in enumerate(faces) if f.kind == kind and f.rep == one) for kind in "PQ"
+    )
     tet = build_regular(gens("tet.sg"))
     oct_ = build_regular(gens("oct.sg"))
     assert poset_isomorphic(facet_section(b.poset, base_p), tet) is not None

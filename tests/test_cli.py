@@ -4,7 +4,9 @@ import time
 import pytest
 
 from polywythoff import cli, kernels, modred, selftest
+from polywythoff.amalgam import AmalgamContext, enumerate_ball
 from polywythoff.cli import main
+from polywythoff.fixtureio import builtin_fixture
 from polywythoff.kernels import close
 
 
@@ -406,3 +408,43 @@ def test_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value):
     code, out, err = run(capsys, "verify", "--fixture", "tomotope.tt")
     assert code == 2 and err.startswith("input error: ") and "POLYWYTHOFF_CAP" in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "pair",
+    ["tet.sg/oct.sg", "tet.sg/tet.sg", "oct.sg/tet.sg", "oct.sg/oct.sg",
+     "hexagon.sg/hexagon.sg", "triangle.sg/triangle.sg"],
+)
+def test_ball_order_counts_the_enumerated_ball(pair):
+    ctx = AmalgamContext(*(builtin_fixture(name).gens for name in pair.split("/")))
+    for radius in range(5):
+        assert cli._ball_order(ctx, radius) == len(enumerate_ball(ctx, radius).elements)
+
+
+def test_amalgam_ball_past_the_cap_is_refused_before_output(capsys, monkeypatch):
+    # tet/oct: 318 elements at radius 2, 1578 at radius 3
+    monkeypatch.setenv("POLYWYTHOFF_CAP", "1000")
+    argv = ["amalgam", "--p", "tet.sg", "--q", "oct.sg", "--ball"]
+    code, out, _ = run(capsys, *argv, "2")
+    assert code == 0 and "(318 group elements)" in out
+    code, out, err = run(capsys, *argv, "3")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: CapExceeded: ") and "1578" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv, header, body",
+    [
+        (["verify", "--fixture"], "tail-triangle n=1", "alpha0 = ()\nbeta = ()\n"),
+        (["amalgam", "--q", "tet.sg", "--p"], "string-cgroup n=3",
+         "rho0 = ()\nrho1 = ()\nrho2 = ()\n"),
+    ],
+    ids=["verify", "amalgam"],
+)
+def test_fixture_degree_below_one_is_a_bad_header(capsys, tmp_path, argv, header, body, degree):
+    path = tmp_path / "bad.fx"
+    path.write_text(f"{header} degree={degree}\n{body}")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: bad fixture header") and "degree must be >= 1" in err

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from polywythoff.fixtureio import builtin_fixture
 from polywythoff.groups import closure, coset_partition
 from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
+from polywythoff.poset import Face
 from polywythoff.ttgroup import parse_diagram, verify_tail_triangle
-from polywythoff.wythoff import Face, build_polytope
+from polywythoff.wythoff import build_polytope
 
 
 def oracle_cosets(G, H):

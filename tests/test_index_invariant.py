@@ -19,9 +19,10 @@ The ``made`` counter shows that the screen makes one witness per failing
 check and nothing else, and that neither it nor a star build makes the
 group's element tuple. A star build keeps its faces as coset ids and
 prints its representatives from their codes, so through the export it
-makes no element and no ``Face`` at all; asking for a face (to name a
-vertex, the Face-keyed views) makes them then. A section is an id slice of
-its parent and the isomorphism test reads ids, so neither makes any.
+makes no element and no ``Face`` at all; asking for a face (the Face-keyed
+views) makes them then. A section is named by face ids and is an id slice
+of its parent, and the isomorphism test reads ids, so neither makes or
+hashes any.
 """
 
 from collections import Counter
@@ -135,8 +136,9 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
     assert after_closure.calls == Counter()
     assert after_closure.made == Counter()
     # faces are made when asked for, one per face with its representative
+    assert vertex_figure(P, P.ids(0)[0]).f_vector_str() == "(12, 24, 6+8)"
+    assert after_closure.made == Counter()
     v = P.faces(0)[0]
-    assert vertex_figure(P, v).f_vector_str() == "(12, 24, 6+8)"
     assert len(P.up[v]) == 12 and all(e.rank == 1 for e in P.up[v])
     faces = len(P.face_list)
     assert faces == 486 + 2
@@ -150,13 +152,15 @@ def test_star_mod3_build_hashes_and_multiplies_no_element(after_closure):
 def test_sections_and_isomorphism_make_no_face_or_element(after_closure):
     P, Q = build_polytope(star_mod3()), build_polytope(star_mod3())
     assert after_closure.armed
-    v = P.face_list[P.ids(0)[0]]
-    facets = {P.kind_of[i]: P.face_list[i] for i in P.ids(3)}
+    after_closure.calls.clear()
     after_closure.made.clear()
-    assert vertex_figure(P, v).f_vector_str() == "(12, 24, 6+8)"
+    assert vertex_figure(P, P.ids(0)[0]).f_vector_str() == "(12, 24, 6+8)"
+    facets = {P.kind_of[i]: i for i in P.ids(3)}
     got = {kind: facet_section(P, f).f_vector() for kind, f in facets.items()}
     assert got == {"P": (6, 12, 8), "Q": (4, 6, 4)}
     assert after_closure.made == Counter()
+    assert after_closure.calls == Counter()  # no MatModP.__hash__ either
+    assert P._faces is None
     assert poset_isomorphic(P, Q) is not None
     assert Q._faces is None
     assert after_closure.made == Counter()

