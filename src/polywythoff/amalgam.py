@@ -16,6 +16,13 @@ as (side, index into that side's transversal), and all of the arithmetic
 below is lookups in integer tables built once per context; elements only
 come back for printing (``AmalgamWord.kappa``, ``AmalgamWord.taus``).
 
+Words are multiplied on the left (``AmalgamContext._left``): a factor
+element times kappa * tau_1 ... tau_m changes only kappa and tau_1, so
+``normalize`` (read right to left), ``multiply`` and ``inverse`` cost O(1)
+per syllable or letter. Multiplying on the right would carry a K-part
+leftwards through every syllable; only ``ball_elements`` steps that way,
+because its BFS order picks the ball faces' representatives.
+
 The face subgroups Gamma_j (Gamma_{n-1} = K), the facet groups P, Q and
 Pi_j+ are sub-amalgams H = <H_P, H_Q>, on generator subsets that agree
 below n-1; the intersection property of the C-groups P and Q gives
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
 from .groups import closure  # noqa: F401  kept for perfbench/tracing.py, which spans it
 from .ttgroup import is_string_c_group
-from .poset import Face, FacePoset
+from .poset import FacePoset
 
 
 class NotCGroup(ValueError):
@@ -140,12 +147,14 @@ class AmalgamContext:
     - ``_dec[S][x]``: (k, t) with factor element x = k * t;
     - ``_tmul[S][t][x]``: the decomposition of t * x, and ``_tk[S][t][k]``
       that of t * k;
+    - ``_tinvk[S][t][k]``: the decomposition of t^-1 * k;
     - ``_syllable[S][t][k]``: the factor index of k * t;
-    - ``_tinv[S][t]``: the factor index of t^-1;
 
-    and ``_kmul``/``_kinv`` for K. They come from rows of the factor's
-    multiplication table for the K-elements and transversal elements only,
-    each read off the right table with no element products.
+    and ``_kmul``/``_kinv`` for K; ``_kmul[k][x]`` is the index of k * x.
+    ``_letter_index`` gives each generator name as (side, k, t). The tables
+    come from rows of the factor's multiplication table for the K-elements
+    and transversal elements only, each read off the right table with no
+    element products.
     """
 
     def __init__(self, p_gens, q_gens, shared=None):
@@ -176,7 +185,7 @@ class AmalgamContext:
         self._kmul = tuple(tuple(_left_row(K, k)) for k in range(K.order))
         self._kinv = tuple(row.index(0) for row in self._kmul)
         self.towers, self._emb, self._trans, self._dec = {}, {}, {}, {}
-        self._tmul, self._tk, self._syllable, self._tinv = {}, {}, {}, {}
+        self._tmul, self._tk, self._syllable, self._tinvk = {}, {}, {}, {}
         for side, G in (("P", self.P), ("Q", self.Q)):
             towers = _nested_towers(G)
             self.towers[side] = [tuple(G.elements[x] for x in T) for T in towers]
@@ -196,7 +205,13 @@ class AmalgamContext:
             self._tmul[side] = tmul
             self._tk[side] = tuple(tuple(row[x] for x in emb) for row in tmul)
             self._syllable[side] = tuple(tuple(rows[x][y] for x in emb) for y in trans)
-            self._tinv[side] = tuple(rows[y].index(0) for y in trans)
+            tinvk = []
+            for y in trans:  # t^-1 * h is the z with t * z = h
+                back = [0] * G.order
+                for z, h in enumerate(rows[y]):
+                    back[h] = z
+                tinvk.append(tuple(dec[back[x]] for x in emb))
+            self._tinvk[side] = tuple(tinvk)
         keys = [k.key for k in K.elements]
         rank = [0] * K.order
         for r, k in enumerate(sorted(range(K.order), key=keys.__getitem__)):
@@ -213,8 +228,9 @@ class AmalgamContext:
         self._keys = {}
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
-        self._letter_index = {f"a{i}": ("P", RP[i][0]) for i in range(n)}
-        self._letter_index["b"] = ("Q", RQ[n - 1][0])
+        # name -> (side, k, t): the generator is k * t in its factor
+        self._letter_index = {f"a{i}": ("P", *self._dec["P"][RP[i][0]]) for i in range(n)}
+        self._letter_index["b"] = ("Q", *self._dec["Q"][RQ[n - 1][0]])
         self.identity_word = self._word(0, ())
 
     # -------------------------------------------------------- normal forms
@@ -225,7 +241,9 @@ class AmalgamContext:
     def _absorb(self, kappa, taus, side, h):
         """Multiply the word (kappa, taus) on the right by the element of
         index h in factor `side`: merge h into a last syllable on that
-        side, then carry the K-part leftwards through the syllables."""
+        side, then carry the K-part leftwards through the syllables. Only
+        ``ball_elements`` steps to the right: its BFS order picks each ball
+        face's representative."""
         if taus and taus[-1][0] == side:
             carry, tau = self._tmul[side][taus[-1][1]][h]
             taus = taus[:-1]
@@ -246,14 +264,46 @@ class AmalgamContext:
             taus += ((side, tau),)
         return kappa, taus
 
+    def _left(self, side, t, kappa, rev):
+        """Multiply kappa * tau_1 ... tau_m on the left by the nontrivial
+        transversal element t of `side`; rev holds the syllables last
+        first (rev[-1] = tau_1) and is updated in place. Returns the new
+        kappa.
+
+        If tau_1 is on `side`, x = t * kappa * tau_1 is one factor element,
+        x = k' * t', and k' * t' * tau_2 ... tau_m is reduced, without t'
+        when t' = 1 (tau_2 is on the other side). Otherwise t * kappa =
+        k' * t' with t' != 1, as t * kappa is not in K, and k' * t' * tau_1
+        ... tau_m alternates. Either way only kappa and tau_1 change."""
+        if rev and rev[-1][0] == side:
+            kappa, t = self._tmul[side][t][self._syllable[side][rev[-1][1]][kappa]]
+            if t:
+                rev[-1] = (side, t)
+            else:
+                rev.pop()
+        else:
+            kappa, t = self._tk[side][t][kappa]
+            rev.append((side, t))
+        return kappa
+
     def normalize(self, letters) -> AmalgamWord:
-        kappa, taus = 0, ()
+        """The normal form of a product of generator names, read right to
+        left: a letter k * t of factor S (``_letter_index``) acts by
+        ``_left`` with t, then on kappa by k. Every letter is checked
+        first, so the first unknown one in reading order is the one named."""
+        letters, index = tuple(letters), self._letter_index
         for name in letters:
-            if name not in self._letter_index:
+            if name not in index:
                 raise ValueError(f"unknown generator {name!r}")
-            side, h = self._letter_index[name]
-            kappa, taus = self._absorb(kappa, taus, side, h)
-        return self._word(kappa, taus)
+        kmul, left = self._kmul, self._left
+        kappa, rev = 0, []
+        for name in reversed(letters):
+            side, k, t = index[name]
+            if t:
+                kappa = left(side, t, kappa, rev)
+            kappa = kmul[k][kappa]
+        rev.reverse()
+        return self._word(kappa, tuple(rev))
 
     def _check_word(self, w):
         """Indices mean nothing outside their own context, so a word from
@@ -262,31 +312,39 @@ class AmalgamContext:
             raise ValueError("word does not belong to this context")
 
     def multiply(self, w1: AmalgamWord, w2: AmalgamWord) -> AmalgamWord:
+        """w1 * w2: w2 multiplied on the left by w1's syllables, last first
+        (``_left``), then by w1's kappa. O(1) per syllable of w1, plus the
+        copy of w2's syllables."""
         self._check_word(w1), self._check_word(w2)
-        kappa, taus = self._absorb(
-            w1.kappa_index, w1.tau_indices, "P", self._emb["P"][w2.kappa_index]
-        )
-        trans = self._trans
-        for side, t in w2.tau_indices:
-            kappa, taus = self._absorb(kappa, taus, side, trans[side][t])
-        return self._word(kappa, taus)
+        kappa, rev = w2.kappa_index, list(reversed(w2.tau_indices))
+        for side, t in reversed(w1.tau_indices):
+            kappa = self._left(side, t, kappa, rev)
+        rev.reverse()
+        return self._word(self._kmul[w1.kappa_index][kappa], tuple(rev))
 
     def inverse(self, w: AmalgamWord) -> AmalgamWord:
+        """w^-1 = tau_m^-1 ... tau_1^-1 * kappa^-1, built from kappa^-1 by
+        multiplying on the left by tau_1^-1, then tau_2^-1, and so on. The
+        partial word tau_{i-1}^-1 ... kappa^-1 is reduced with its first
+        syllable on the side of tau_{i-1}, the other side from tau_i; so
+        tau_i^-1 * kappa' = k' * t' (``_tinvk``, t' != 1 as tau_i is not
+        in K) prepends the syllable t' and sets kappa to k'."""
         self._check_word(w)
-        kappa, taus = 0, ()
-        tinv = self._tinv
-        for side, t in reversed(w.tau_indices):
-            kappa, taus = self._absorb(kappa, taus, side, tinv[side][t])
-        kinv = self._kinv[w.kappa_index]
-        kappa, taus = self._absorb(kappa, taus, "P", self._emb["P"][kinv])
-        return self._word(kappa, taus)
+        kappa, rev, tinvk = self._kinv[w.kappa_index], [], self._tinvk
+        for side, t in w.tau_indices:
+            kappa, t = tinvk[side][t][kappa]
+            rev.append((side, t))
+        rev.reverse()
+        return self._word(kappa, tuple(rev))
 
     def _inject(self, side, x) -> AmalgamWord:
         kappa, tau = self._dec[side][x]
         return self._word(kappa, ((side, tau),) if tau else ())
 
     def inject(self, side, g) -> AmalgamWord:
-        """Embed an element of a factor group; O(1) table lookup."""
+        """Embed an element of factor "P" or "Q"; O(1) table lookup."""
+        if side not in ("P", "Q"):
+            raise ValueError(f"bad factor side {side!r}")
         return self._inject(side, (self.P if side == "P" else self.Q).index_of(g))
 
     def word_letters(self, w: AmalgamWord):
@@ -367,7 +425,10 @@ class AmalgamContext:
 
     def ball_elements(self, radius: int):
         """All normal forms of transversal length <= radius, BFS order."""
-        gens = [self._letter_index[name] for name in sorted(self._letter_index)]
+        gens = [
+            (side, self._syllable[side][t][k])
+            for side, k, t in map(self._letter_index.get, sorted(self._letter_index))
+        ]
         seen = dict.fromkeys([(0, ())])  # insertion-ordered
         frontier = list(seen)
         while frontier:
@@ -388,55 +449,69 @@ class Ball:
     radius: int
     poset: FacePoset
     elements: tuple
-    # (rank, kind) -> {coset key: face}
+    # (rank, kind) -> {coset key: face id}
     index: dict = field(compare=False, repr=False)
 
     def find_face(self, rank, kind, word):
         """The ball face whose coset contains the given element, if any."""
-        faces = self.index.get((rank, kind))
-        return None if faces is None else faces.get(self.ctx.coset_key(kind, word))
+        ids = self.index.get((rank, kind))
+        i = None if ids is None else ids.get(self.ctx.coset_key(kind, word))
+        return None if i is None else self.poset.face_list[i]
 
 
 def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
     """Partial face poset of the universal polytope: every coset face owning
     a representative of transversal length <= radius, represented by its
-    first ball element in BFS order.
+    first ball element in BFS order, as face ids (``FacePoset.from_ids``).
+    The faces of each (rank, kind) are numbered in ``Face.sort_key`` order,
+    (rank, kind, rep key), and no ``Face`` is made until one is asked for.
 
     A face Gamma_{r-1}*u lies under H*w iff it is Gamma_{r-1}*h*w for an h in
     H, and only the coset (Gamma_{r-1} ∩ H)*h matters. For a facet these are
     the cosets of K (transversal T_P or T_Q). For H = Gamma_r =
     <a_0..a_{r-1}> * Pi_r+, both Pi_r+ and <a_0..a_{r-2}> lie in
     Gamma_{r-1}, so one member of each coset of <a_0..a_{r-2}> in
-    <a_0..a_{r-1}> suffices.
+    <a_0..a_{r-1}> suffices. Each h*w is one left multiplication of the
+    face's rep (``AmalgamContext.multiply``).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     elems = ctx.ball_elements(radius)
     n = ctx.n
     kinds = [(j, f"G_{j}") for j in range(n)] + [(n, "P"), (n, "Q")]
-    index = {}
-    levels = {r: [] for r in range(-1, n + 2)}
+    ranks, kind_of, reps, index = [-1], ["bot"], [None], {}
     for rank, kind in kinds:
-        faces = index[rank, kind] = {}
+        first = {}
         for w in elems:
-            faces.setdefault(ctx.coset_key(kind, w), Face(rank, kind, w))
-        levels[rank].extend(faces.values())
-    bot, top = Face(-1, "bot", None), Face(n + 1, "top", None)
-    levels[-1], levels[n + 1] = [bot], [top]
-    covers = [(bot, v) for v in levels[0]] + [(f, top) for f in levels[n]]
+            first.setdefault(ctx.coset_key(kind, w), w)
+        ids = index[rank, kind] = {}
+        for key, w in sorted(first.items(), key=lambda item: item[1].key):
+            ids[key] = len(reps)
+            ranks.append(rank), kind_of.append(kind), reps.append(w)
+    top = len(reps)
+    ranks.append(n + 1), kind_of.append("top"), reps.append(None)
+    up = [[] for _ in reps]
+    for i, rank in enumerate(ranks):
+        if rank == 0:
+            up[0].append(i)
+        elif rank == n:
+            up[i].append(top)
     for rank, kind in kinds[1:]:
         if kind in ("P", "Q"):
             scan = [ctx._inject(kind, t) for t in ctx._trans[kind]]
         else:
             cid = coset_partition(ctx.P, range(rank - 1))[1]
-            reps = {cid[x]: x for x in ctx.P.span(range(rank))}
-            scan = [ctx._inject("P", x) for x in reps.values()]
+            reps_h = {cid[x]: x for x in ctx.P.span(range(rank))}
+            scan = [ctx._inject("P", x) for x in reps_h.values()]
         low_kind = f"G_{rank - 1}"
         lows = index[rank - 1, low_kind]
-        for high in index[rank, kind].values():
-            found = {lows.get(ctx.coset_key(low_kind, ctx.multiply(h, high.rep))) for h in scan}
-            covers.extend((low, high) for low in found if low is not None)
-    return Ball(ctx, radius, FacePoset(levels, covers), tuple(elems), index)
+        for high in index[rank, kind].values():  # ids ascending: up lists come sorted
+            w = reps[high]
+            for low in {lows.get(ctx.coset_key(low_kind, ctx.multiply(h, w))) for h in scan}:
+                if low is not None:
+                    up[low].append(high)
+    poset = FacePoset.from_ids(None, ranks, kind_of, reps, map(tuple, up))
+    return Ball(ctx, radius, poset, tuple(elems), index)
 
 
 # ------------------------------------------------------------ global facts

@@ -297,7 +297,7 @@ def cmd_amalgam(args):
         f"{sec.ridges_checked} ridges, alternating={sec.alternating}"
     )
     ball = enumerate_ball(ctx, args.ball)
-    counts = [len(ball.poset.faces(r)) for r in range(ctx.n + 1)]
+    counts = [len(ball.poset.ids(r)) for r in range(ctx.n + 1)]
     print(f"ball radius {args.ball}: faces per rank {counts} ({len(ball.elements)} group elements)")
     if args.export_hasse:
         summary = f"ball radius={args.ball} faces={sum(counts)}"

@@ -199,8 +199,11 @@ def verify_strong_connectivity(P: FacePoset) -> bool:
 
     Sections of rank <= 1 are trivially connected and skipped. Checked on
     ``P.pairs(r, s)``: an automorphism maps a section onto an isomorphic
-    one, so the answer is the same along an orbit.
+    one, so the answer is the same along an orbit. A poset without an
+    action is refused at every rank, even one with no section to check
+    (``FacePoset.base_of``).
     """
+    P.base_of(P.bottom_rank)
     for r in range(P.bottom_rank, P.top_rank - 2):
         for s in range(r + 3, P.top_rank + 1):
             for low, high in P.pairs(r, s):

@@ -236,6 +236,39 @@ class ElementOracle:
         return ("K", cid["P"][carry])
 
 
+def face_ball(ctx, radius):
+    """The ball as ``enumerate_ball`` made it before faces became ids:
+    ``Face`` objects keyed by coset key, sorted and numbered by the
+    Face-based front door, covers found by the same transversal scan.
+    Returns the poset and (rank, kind) -> {coset key: Face}."""
+    elems = ctx.ball_elements(radius)
+    n = ctx.n
+    kinds = [(j, f"G_{j}") for j in range(n)] + [(n, "P"), (n, "Q")]
+    index = {}
+    levels = {r: [] for r in range(-1, n + 2)}
+    for rank, kind in kinds:
+        faces = index[rank, kind] = {}
+        for w in elems:
+            faces.setdefault(ctx.coset_key(kind, w), Face(rank, kind, w))
+        levels[rank].extend(faces.values())
+    bot, top = Face(-1, "bot", None), Face(n + 1, "top", None)
+    levels[-1], levels[n + 1] = [bot], [top]
+    covers = [(bot, v) for v in levels[0]] + [(f, top) for f in levels[n]]
+    for rank, kind in kinds[1:]:
+        if kind in ("P", "Q"):
+            scan = [ctx.inject(kind, t) for t in ctx.towers[kind][0]]
+        else:
+            cid = coset_partition(ctx.P, range(rank - 1))[1]
+            reps = {cid[x]: x for x in ctx.P.span(range(rank))}
+            scan = [ctx.inject("P", ctx.P.elements[x]) for x in reps.values()]
+        low_kind = f"G_{rank - 1}"
+        lows = index[rank - 1, low_kind]
+        for high in index[rank, kind].values():
+            found = {lows.get(ctx.coset_key(low_kind, ctx.multiply(h, high.rep))) for h in scan}
+            covers.extend((low, high) for low in found if low is not None)
+    return FacePoset(levels, covers), index
+
+
 def element_towers(G):
     """The nested transversal towers of ``AmalgamContext.towers``, chosen
     on element objects in subgroups of their own: per coset of
@@ -302,6 +335,21 @@ def test_context_rejections():
         AmalgamContext(tet, cube)
     with pytest.raises(ValueError):
         AmalgamContext(tet, gens("oct.sg"), shared=1)
+
+
+def test_normalize_names_the_first_unknown_letter(tetoct):
+    # letters are multiplied right to left, but checked first, left to right
+    for letters, bad in ((["a9", "zz"], "a9"), (["a0", "zz", "a9"], "zz"), (["b", "a3"], "a3")):
+        with pytest.raises(ValueError, match=f"unknown generator '{bad}'"):
+            tetoct.normalize(letters)
+
+
+def test_inject_refuses_an_unknown_side(tetoct):
+    g = tetoct.P.generators[2]
+    assert tetoct.inject("P", g) == tetoct.normalize(["a2"])
+    for side in ("X", "K", "p", None):
+        with pytest.raises(ValueError, match=f"bad factor side {side!r}"):
+            tetoct.inject(side, g)
 
 
 def test_normalize_basics(tetoct):
@@ -747,6 +795,73 @@ def test_index_arithmetic_matches_element_oracle(name, batch):
             assert key == oracle.coset_key(kind, e), kind
     ranked = sorted(range(len(words)), key=lambda i: words[i].key)
     assert ranked == sorted(range(len(words)), key=lambda i: oracle.key(as_elements[i]))
+
+
+long_words = st.lists(st.sampled_from(["a0", "a1", "a2", "b"]), max_size=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["tet.sg/oct.sg", "tet.sg/tet.sg", "star mod 3"]),
+    long_words,
+    long_words,
+    st.integers(0, 30),
+)
+def test_long_word_arithmetic_matches_element_oracle(name, u_letters, v_letters, cut):
+    """Words of up to 30 letters, and products that cancel to the identity
+    or to a short word, so that left multiplication often merges a syllable
+    into the identity and drops it."""
+    ctx, oracle = element_context(name)
+
+    def elements(w):
+        return (w.kappa, w.taus)
+
+    u, v, prefix = (ctx.normalize(x) for x in (u_letters, v_letters, u_letters[:cut]))
+    assert elements(u) == oracle.normalize(u_letters)
+    assert elements(v) == oracle.normalize(v_letters)
+    u_inv, prefix_inv = ctx.inverse(u), ctx.inverse(prefix)
+    assert elements(u_inv) == oracle.inverse(elements(u))
+    assert elements(ctx.multiply(u, v)) == oracle.multiply(elements(u), elements(v))
+    # w * w^-1 * v, grouped both ways
+    assert ctx.multiply(ctx.multiply(u, u_inv), v) == v
+    assert ctx.multiply(u, ctx.multiply(u_inv, v)) == v
+    assert ctx.multiply(u_inv, u) == ctx.identity_word
+    # a word times the inverse of its prefix, on either side
+    assert elements(ctx.multiply(u, prefix_inv)) == oracle.multiply(
+        elements(u), oracle.inverse(elements(prefix))
+    )
+    assert ctx.multiply(prefix_inv, u) == ctx.normalize(u_letters[cut:])
+    assert ctx.multiply(prefix, ctx.normalize(u_letters[cut:])) == u
+
+
+BALL_PAIRS = [
+    ("tet.sg", "oct.sg"),
+    ("tet.sg", "tet.sg"),
+    ("oct.sg", "oct.sg"),
+    ("triangle.sg", "triangle.sg"),
+]
+
+
+@pytest.mark.parametrize("pair", BALL_PAIRS, ids="/".join)
+def test_ball_by_id_matches_face_ball(pair):
+    ctx = AmalgamContext(gens(pair[0]), gens(pair[1]))
+    rng = random.Random(17)
+    names = sorted(ctx.letters)
+    probes = [ctx.identity_word] + [
+        ctx.normalize([rng.choice(names) for _ in range(rng.randint(1, 12))]) for _ in range(40)
+    ]
+    faces = [(j, f"G_{j}") for j in range(ctx.n)] + [(ctx.n, "P"), (ctx.n, "Q")]
+    for radius in range(4):
+        ball = enumerate_ball(ctx, radius)
+        poset, index = face_ball(ctx, radius)
+        assert export_hasse(ball.poset) == export_hasse(poset)
+        assert ball.poset.face_list == poset.face_list
+        for w in probes + list(ball.elements[::7]):
+            for rank, kind in faces:
+                assert ball.find_face(rank, kind, w) == index[rank, kind].get(
+                    ctx.coset_key(kind, w)
+                )
+        assert ball.find_face(ctx.n, "G_0", ctx.identity_word) is None
 
 
 def test_foreign_words_rejected():

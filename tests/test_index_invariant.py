@@ -239,3 +239,22 @@ def test_amalgam_hashes_multiplies_and_inverts_no_element(after_closure, name):
     universal_is_regular(ctx)
     assert after_closure.calls == Counter()
     assert ctx.P._index is None and ctx.Q._index is None
+
+
+@pytest.mark.parametrize("name", ["tet.sg/oct.sg", "star mod 3"])
+def test_ball_makes_no_face_until_face_list_is_read(after_closure, name):
+    """The ball's faces are ids with a rank, a kind and a word each; its
+    export prints the words, and a ``Face`` is made per face only when
+    ``face_list`` (or ``find_face``, which reads it) is asked for."""
+    p_gens, q_gens = amalgam_factors(name)
+    after_closure.reset(closures=2)
+    ctx = AmalgamContext(p_gens, q_gens)
+    ball = enumerate_ball(ctx, 2)
+    assert ball.poset.f_vector() and export_hasse(ball.poset)
+    assert after_closure.made["Face"] == 0
+    assert ball.poset._faces is None
+    faces = ball.poset.face_list
+    assert after_closure.made["Face"] == len(faces)
+    base = ball.index[0, "G_0"][ctx.coset_key("G_0", ctx.identity_word)]
+    assert ball.find_face(0, "G_0", ctx.identity_word) is faces[base]
+    assert after_closure.made["Face"] == len(faces)

@@ -641,6 +641,18 @@ def test_flag_orbits_needs_a_build_action():
             flag_orbits(other, G)
 
 
+def test_low_rank_poset_without_moves_is_refused_by_every_axiom_check():
+    """The edge section of the hexagon has rank 1, so strong connectivity
+    has no section to look at; it still refuses a poset with no action, as
+    the diamond check does."""
+    P = build_polytope(fixture_group("hexagon.tt"))
+    edge = P.section(P.ids(-1)[0], P.ids(1)[0])
+    assert not edge.moves and edge.top_rank - edge.bottom_rank == 2
+    for check in (verify_diamond, verify_strong_connectivity):
+        with pytest.raises(ValueError, match="no action"):
+            check(edge)
+
+
 # ---- sections: id slices against the Face-remap oracle -------------------------
 
 
