@@ -3,7 +3,8 @@ exported Hasse file, for a fixed set of commands.
 
 The digests were taken before subgroups became generator-index keys (the
 tet/tet and triangle/triangle amalgam transcripts before the amalgam
-context moved onto element indices), so a change in any printed order,
+context moved onto element indices, the rank-5 star build before the
+closure kernel's row maps changed), so a change in any printed order,
 count, classification, error message or export shows here. Timing lines (``time[...]``) are dropped before hashing,
 and the export path is replaced by a placeholder.
 """
@@ -15,6 +16,7 @@ import pytest
 from polywythoff.cli import main
 
 STAR = "tail=[3] triangle=(4,inf,2)"
+STAR5 = "tail=[3,3] triangle=(4,inf,2)"
 RANK2 = "tail=[] triangle=(3,4,4)"
 HASSE = "<hasse>"
 
@@ -37,6 +39,11 @@ GOLDEN = {
         ["build", "--modred", STAR, "--lengths", "1,1,2,4", "--prime", "5",
          "--export-hasse", HASSE],
         "e8add6244e95951921c875575f688e89b470bcc1f3e062deffceba1c7c1eb015",
+    ),
+    "build-star5-mod3": (
+        ["build", "--modred", STAR5, "--lengths", "1,1,1,2,4", "--prime", "3",
+         "--export-hasse", HASSE],
+        "80c31087460a7d3039e481af6a90930766dbb08eb213e636cc9a0f4092d86a15",
     ),
     "modred-star-mod3-ringing-3": (
         ["modred", "--diagram", STAR, "--lengths", "1,1,2,4", "--prime", "3",

@@ -5,6 +5,8 @@ the ``two_sections`` size list and the ``flag_orbits`` triple. The values
 were taken before the poset moved to integer face ids, so any change in
 face numbering, cover order or section order shows here. The star mod 5
 row was taken from the element-level build, before faces became coset ids.
+The rank-5 star rows (tail of length two) were taken before the closure
+kernel's row maps changed; they are the only rows with 5 x 5 matrices.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from polywythoff.ttgroup import parse_diagram, verify_tail_triangle
 from polywythoff.wythoff import build_polytope, classify, export_hasse, flag_orbits, two_sections
 
 STAR = "tail=[3] triangle=(4,inf,2)"
+STAR5 = "tail=[3,3] triangle=(4,inf,2)"
 
 # name -> (hasse sha256, summary line, section sizes, flag_orbits)
 GOLDEN = {
@@ -62,6 +65,18 @@ GOLDEN = {
         [4] * 3600,
         (2, 57600, True),
     ),
+    "star5-mod2": (
+        "834703124091ab402602e47b8b9b34a4c06dd9ebcf72521478bca467b2e47887",
+        "fvec = (4, 24, 64, 64, 8+8) flags=3072 orbits=2 class=Regular",
+        [4] * 64,
+        (2, 3072, True),
+    ),
+    "star5-mod3": (  # order 103 680 = |O(5,3)|
+        "06f084973fb975426d9dec05fab21eb229b3f28062d5a7362a25fdcb6ac9bb44",
+        "fvec = (80, 1080, 4320, 4320, 270+864) flags=207360 orbits=2 class=TwoOrbit",
+        [4] * 4320,
+        (2, 207360, True),
+    ),
 }
 
 
@@ -71,6 +86,9 @@ def group(name):
         return build_tail_triangle_modp(spec, ringing=int(name[-1]))
     if name == "star-mod5":  # order 28 800, 22 times star mod 3
         spec = reduce_mod_p(rescale(parse_diagram(STAR), (1, 1, 2, 4)), 5)
+        return build_tail_triangle_modp(spec)
+    if name.startswith("star5-mod"):
+        spec = reduce_mod_p(rescale(parse_diagram(STAR5), (1, 1, 1, 2, 4)), int(name[-1]))
         return build_tail_triangle_modp(spec)
     fx = builtin_fixture(name)
     return verify_tail_triangle(fx.alphas, fx.beta)
