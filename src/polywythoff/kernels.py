@@ -4,11 +4,11 @@ An element is a tuple of points and a generator is a map on points: the
 product of an element e with a generator m is ``tuple(m[x] for x in e)``.
 ``close`` runs the search on that form and fills the right table as it
 goes, where an involution's pair {x, x*g} fills two entries with one
-lookup; ``close_perms`` and ``close_mats`` put permutations and matrices
-into it. The tuples the search finds are the elements' codes, and they
-are what the kernel returns: a group keeps them
-(``groups.FiniteGroup.keys``) and makes an element object from a code only
-when one is asked for.
+lookup and the table's rows grow in blocks; ``close_perms`` and
+``close_mats`` put permutations and matrices into it. The tuples the
+search finds are the elements' codes, and they are what the kernel
+returns: a group keeps them (``groups.FiniteGroup.keys``) and makes an
+element object from a code only when one is asked for.
 
 - A permutation is the tuple of its images, and a generator g is the map
   x -> g(x) on {1..N}: image i of e*g is g(e(i)).
@@ -17,11 +17,13 @@ when one is asked for.
   e*g is (row i of e)*g, a function of that row and g alone, so mapping
   every row through v -> v*g gives e*g exactly. ``RowMap`` is that
   function for one generator, memoized on first use, so each distinct row
-  is multiplied once per generator however many elements hold it. The
-  coding is a bijection from Z_p^dim onto [0, p^dim), so two row-code
-  tuples are equal exactly when the matrices are, and the search meets the
-  same elements in the same order, with the same productions and right
-  table, as one on entries: it does so under any bijective coding.
+  is multiplied once per generator however many elements hold it. A miss
+  writes the code of v*g one base-p digit per column of g, most
+  significant first, with no list of entries in between. The coding is a
+  bijection from Z_p^dim onto [0, p^dim), so two row-code tuples are equal
+  exactly when the matrices are, and the search meets the same elements
+  in the same order, with the same productions and right table, as one on
+  entries: it does so under any bijective coding.
 
 The code of a matrix is also ordered like the matrix. A big-endian code is
 a number written in base p with the row's entries as its digits, most
@@ -34,6 +36,8 @@ chosen on codes, with no element made.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 KERNEL = "pure-python"
 
@@ -52,40 +56,64 @@ def close(maps, identity: tuple, cap: int):
     ``identity`` back, which is exact for permutations and row maps alike.
     For such g, x*g = y gives y*g = x, so the pass for x sets
     ``R[g][y] = x`` as well, and the pass for y skips its lookup: an
-    involution costs |G|/2 lookups instead of |G|. Every row grows by one
-    -1 per new element, so an entry is -1 exactly while it is unknown. The
-    output cannot change. A lookup is skipped only when its result is x, an
-    element found earlier, and a lookup that finds a known element appends
-    nothing. So the elements are appended in the same order, with the same
-    ``prods``, the same ``R`` and the same cap point as when every product
-    is looked up.
+    involution costs |G|/2 lookups instead of |G|. An entry is -1 exactly
+    while it is unknown. The output cannot change. A lookup is skipped only
+    when its result is x, an element found earlier, and a lookup that finds
+    a known element appends nothing. So the elements are appended in the
+    same order, with the same ``prods``, the same ``R`` and the same cap
+    point as when every product is looked up.
+
+    The rows of ``R`` grow in blocks, by half their length but never past
+    ``cap``, and are cut to the order at the end. Growth appends unknown
+    (-1) entries past the last element found, and no pass reads those: the
+    pass for x reads and writes entries x and y, both found elements. So
+    the lookups, the elements, ``prods`` and the entries of ``R`` are those
+    of rows that grow by one entry per element. A row is never longer than
+    ``cap``, so it is full when the order reaches ``cap``: the cap test
+    sits in the growth step and still fails at the first element past
+    ``cap``. Until the cut a row holds at most about half again as many
+    entries as there are elements; the cut copies it to its exact length.
+
+    Element i has one int object, its value in ``index``, and ``prods``
+    and ``R`` hold that object: the search walks ``ids``, those objects in
+    element order, next to ``elements``.
     """
     elements = [identity]
+    ids = [0]
     prods = [(-1, -1)]
     index = {identity: 0}
-    R = [[-1] for _ in maps]
+    size = max(1, min(16, cap))  # the length of every row of R
+    R = [[-1] * size for _ in maps]
     gens = []
     for gi, m in enumerate(maps):
         get = m.__getitem__
         twice = tuple(map(get, tuple(map(get, identity))))
         gens.append((gi, get, R[gi], twice == identity))
-    for i, e in enumerate(elements):  # grows while it is read: a queue
+    n = 1  # the order so far, and the index the next new element takes
+    for i, e in zip(ids, elements):  # both grow while they are read: a queue
         for gi, get, row, involution in gens:
             if row[i] >= 0:
                 continue
             prod = tuple(map(get, e))
-            n = len(elements)
             j = index.setdefault(prod, n)
             if j == n:
-                if n >= cap:
-                    return None
+                if n == size:
+                    if n >= cap:
+                        return None
+                    grow = min(size >> 1, cap - size)
+                    for r in R:
+                        r += [-1] * grow
+                    size += grow
                 elements.append(prod)
+                ids.append(j)
                 prods.append((i, gi))
-                for r in R:
-                    r.append(-1)
+                n += 1
             row[i] = j
             if involution:
                 row[j] = i
+    del gens  # so that each cut frees its row
+    for gi in range(len(R)):
+        R[gi] = R[gi][:n]
     return elements, prods, R
 
 
@@ -104,9 +132,11 @@ class RowMap(dict):
         self.dim, self.p = dim, p
 
     def __missing__(self, code: int) -> int:
-        v = decode_row(code, self.dim, self.p)
-        image = [sum(x * y for x, y in zip(v, col)) % self.p for col in self.cols]
-        self[code] = out = encode_row(image, self.p)
+        v, p = decode_row(code, self.dim, self.p), self.p
+        out = 0
+        for col in self.cols:  # one big-endian digit of the image per column
+            out = out * p + sum(map(mul, v, col)) % p
+        self[code] = out
         return out
 
 

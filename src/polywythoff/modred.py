@@ -179,6 +179,18 @@ class ModPGroupSpec:
 
 
 def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
+    """The reflection system's generators and Gram form mod p, checked.
+
+    Each matrix is reduced once, and the involution and form checks run on
+    the reduced matrices: M*M and M^T W M mod p depend only on M mod p. A
+    matrix with M*M = 1 mod p is invertible mod p, its own inverse, so once
+    every involution check passes, the generators are made with no
+    invertibility test (``MatModP._raw``). A singular matrix fails its
+    involution check, and only then are the matrices made with the test
+    (``MatModP(...)``), in order, so that a singular one raises ``matrix
+    not invertible mod p`` before any involution failure is reported, as
+    when every generator is made first.
+    """
     m = sys_.dim
     check_modulus(m, p)  # before the primality test, any output or closure
     if not is_prime(p):
@@ -192,15 +204,17 @@ def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
         tuple(x.numerator * (den // x.denominator) % p for x in row) for row in sys_.gram
     )
 
-    gens = tuple(
-        MatModP(p, m, tuple(x % p for row in M for x in row)) for M in sys_.matrices
-    )
     mod_p = lambda A: tuple(tuple(x % p for x in row) for row in A)
-    if any(mod_p(_mat_mul(M, M)) != _identity(m) for M in sys_.matrices):
+    reduced = [mod_p(M) for M in sys_.matrices]
+    one = _identity(m)
+    if any(mod_p(_mat_mul(M, M)) != one for M in reduced):
+        for M in reduced:
+            MatModP(p, m, sum(M, ()))
         raise ValueError("reduced generator is not an involution")
-    for M in sys_.matrices:
+    for M in reduced:
         if mod_p(_mat_mul(_transpose(M), _mat_mul(gram_int, M))) != gram_int:
             raise ValueError("reduced form not preserved")
+    gens = tuple(MatModP._raw(p, m, sum(M, ())) for M in reduced)
 
     det = row_reduce([list(row) for row in gram_int], m, p)[1]
     if det == 0:

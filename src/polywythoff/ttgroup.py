@@ -217,27 +217,58 @@ def _subset_pair_ok(G: FiniteGroup, I: frozenset, J: frozenset):
     return G.element(next(x for x in G.span(small) if bad >> x & 1))
 
 
-def _first_failure(G: FiniteGroup, pairs):
-    """The first (I, J) in ``pairs`` that fails ``_subset_pair_ok`` in G.
+def _members(a: int) -> frozenset:
+    """The generator indices of the generator bitmask ``a``."""
+    return frozenset(i for i in range(a.bit_length()) if a >> i & 1)
 
-    Returns (pairs checked, failure as (I, J, offending element) or None).
+
+def _bits(indices) -> int:
+    """The generator bitmask of the generator indices ``indices``."""
+    return sum(1 << i for i in indices)
+
+
+class _MaskReader(dict):
+    """Generator bitmask -> the subgroup's bitmask in G, read from
+    ``G.mask`` on first use."""
+
+    def __init__(self, G: FiniteGroup):
+        super().__init__()
+        self.group = G
+
+    def __missing__(self, a: int) -> int:
+        self[a] = m = self.group.mask(_members(a))
+        return m
+
+
+def _first_failure(G: FiniteGroup, pairs):
+    """The first (I, J) in ``pairs``, pairs of generator bitmasks, that
+    fails <I> cap <J> = <I cap J> in G.
+
+    Returns (pairs checked, failure as (I, J, offending element) or None),
+    with I and J as index sets. Each subset's mask is read from G once per
+    pair list, when the list first meets it, so a pair costs three dict
+    reads and two ANDs of integers: its subgroups meet in <I cap J> when no
+    element lies in both and outside <I cap J>. The failing pair is handed
+    to ``_subset_pair_ok`` for its offending element.
     """
+    masks = _MaskReader(G)
     checked = 0
-    for checked, (I, J) in enumerate(pairs, 1):
-        bad = _subset_pair_ok(G, I, J)
-        if bad is not None:
-            return checked, (I, J, bad)
+    for checked, (a, b) in enumerate(pairs, 1):
+        if masks[a] & masks[b] & ~masks[a & b]:
+            I, J = _members(a), _members(b)
+            return checked, (I, J, _subset_pair_ok(G, I, J))
     return checked, None
 
 
 def _subset_pairs(indices):
-    """Every pair of subsets of ``indices``, smaller subsets first."""
-    indices = tuple(indices)
+    """Every pair of subsets of ``indices``, smaller subsets first, as
+    generator bitmasks. Within one size the subsets keep the order of the
+    bitmask over positions in ``indices``."""
+    bits = [1 << i for i in indices]
     subsets = [
-        frozenset(x for b, x in enumerate(indices) if mask >> b & 1)
-        for mask in range(1 << len(indices))
+        sum(bit for b, bit in enumerate(bits) if mask >> b & 1) for mask in range(1 << len(bits))
     ]
-    subsets.sort(key=len)
+    subsets.sort(key=int.bit_count)
     return itertools.combinations(subsets, 2)
 
 
@@ -308,13 +339,14 @@ def schlafli_type(G: FiniteGroup) -> list:
 
 def _reduced_pairs(alphas: tuple, b: int) -> list:
     """The 2m-1 pairs of the reduced criterion for the tail-triangle group on
-    generator indices ``alphas`` (m of them) and ``b``: Gamma^P with
-    Gamma^Q, then Gamma_i^+ with Gamma^P and with Gamma^Q, i = 0..m-2."""
-    P = frozenset(alphas)
-    Q = frozenset(alphas[:-1] + (b,))
+    generator indices ``alphas`` (m of them) and ``b``, as generator
+    bitmasks: Gamma^P with Gamma^Q, then Gamma_i^+ with Gamma^P and with
+    Gamma^Q, i = 0..m-2."""
+    P = _bits(alphas)
+    Q = _bits(alphas[:-1] + (b,))
     pairs = [(P, Q)]
     for i in range(len(alphas) - 1):
-        plus = frozenset(alphas[i + 1 :] + (b,))
+        plus = _bits(alphas[i + 1 :] + (b,))
         pairs += [(plus, P), (plus, Q)]
     return pairs
 
@@ -326,7 +358,7 @@ def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
     facet subgroups <a0..a_{n-1}> and <a0..a_{n-2},b> are string C-groups
     and Gamma_0 = <a1..a_{n-1},b> is a tail-triangle C-group.
 
-    Everything runs on generator index sets of ``G.group`` through its
+    Everything runs on generator subsets of ``G.group`` through its
     bitmask cache, so no subgroup is enumerated twice. Only intersection
     conditions are left to check, because ``verify_tail_triangle`` already
     made G: its generators are distinct involutions, and every pair the

@@ -11,6 +11,7 @@ element indices by ``G.keys`` sorts them by ``G.elements[i].key``.
 """
 
 import itertools
+import random
 from importlib import resources
 
 import pytest
@@ -219,14 +220,20 @@ def test_identity_generator_matches_oracle():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(2, 4))
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 5))
 def test_row_map_matches_entry_products(data, p, dim):
     entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
     g = data.draw(
         entries.map(lambda e: MatModP(p, dim, e, check=False)).filter(MatModP._invertible)
     ).entries
     m = kernels.RowMap(g, dim, p)
-    for v in itertools.product(range(p), repeat=dim):
+    if p**dim <= 4096:
+        rows = itertools.product(range(p), repeat=dim)
+    else:  # up to 13^5 rows: a seeded sample, with the rows of 0 and p - 1
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = [(0,) * dim, (p - 1,) * dim]
+        rows += [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(2000)]
+    for v in rows:
         vg = [sum(v[k] * g[k * dim + j] for k in range(dim)) % p for j in range(dim)]
         assert m[kernels.encode_row(v, p)] == kernels.encode_row(vg, p)
 
@@ -263,6 +270,33 @@ def test_kernel_cap():
     gens = [g.images for g in builtin_fixture("m66_240a.tt").gens]
     assert kernels.close_perms(gens, 100) is None
     assert kernels.close_perms(gens, 240) is not None
+
+
+@pytest.mark.parametrize("cap, closes", [(1296, True), (1295, False)])
+def test_cap_across_a_block_boundary(cap, closes):
+    # star mod 3 has order 1296; its rows grow 16, 24, 36, ..., 913 and
+    # then stop at the cap, so the last block ends at the cap exactly
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    gens = [g.entries for g in reduce_mod_p(system, 3).generators]
+    out = kernels.close_mats(gens, 4, 3, cap)
+    if closes:
+        assert out == kernels.close_mats(gens, 4, 3, 10**6)
+        assert [len(row) for row in out[2]] == [1296] * 4
+    else:
+        assert out is None
+
+
+def test_one_int_object_per_element_index():
+    # prods and R hold each element index as one object, the one the
+    # search's index holds, not a copy per place it is stored
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    gens = [g.entries for g in reduce_mod_p(system, 5).generators]
+    _, prods, R = kernels.close_mats(gens, 4, 5, 10**6)
+    held = {}
+    values = itertools.chain((parent for parent, _ in prods), *R)
+    large = [x for x in values if x >= 257]  # smaller ints are shared anyway
+    assert len(large) > 4 * 28000
+    assert all(held.setdefault(x, x) is x for x in large)
 
 
 def test_kernel_reported():

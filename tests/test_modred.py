@@ -306,10 +306,15 @@ def test_integer_reduction_matches_oracle_on_hand_built_systems():
     shear = ((1, 1), (0, 1))  # invertible, not an involution
     flip, swap = ((-1, 0), (0, 1)), ((0, 1), (1, 0))
     skew = ((Fraction(1, 2), 0), (0, 1))  # swap does not keep it
+    flat = ((1, 1), (1, 1))  # singular mod every p
+    third = ((1, 1), (1, -2))  # det -3: singular mod 3 only
     for matrices, gram in [
         ((shear, flip), ((2, 0), (0, 2))),
         ((swap, shear), skew),  # both fail: the involutions are checked first
         ((flip, swap), skew),
+        ((flip, flat), ((2, 0), (0, 2))),
+        ((shear, flat), skew),  # invertibility is reported before involutions
+        ((third, flip), skew),
     ]:
         gram = tuple(tuple(map(Fraction, row)) for row in gram)
         sys_ = IntegralReflectionSystem(d, (Fraction(1),) * 2, ((-2, 1), (1, -2)), matrices, gram)
