@@ -138,8 +138,9 @@ def rescale(d: TailTriangleDiagram, squared_lengths) -> IntegralReflectionSystem
 
     sys_ = IntegralReflectionSystem(d, s, tuple(map(tuple, l)), tuple(matrices), gram)
     # explicit raises, not asserts, so that ``python -O`` keeps the checks
+    one = _identity(m)
     for M in sys_.matrices:
-        if _mat_mul(M, M) != _identity(m):
+        if _mat_mul(M, M) != one:
             raise AssertionError("reflection is not an involution")
         if _mat_mul(_transpose(M), _mat_mul(W, M)) != W:
             raise AssertionError("form not preserved")
@@ -157,6 +158,12 @@ def _transpose(M):
 def _mat_mul(A, B):
     cols = _transpose(B)
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+
+
+def _mat_mul_mod(A, B, p):
+    """``_mat_mul(A, B)`` with each entry reduced mod p."""
+    cols = _transpose(B)
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in A)
 
 
 def is_prime(p: int) -> bool:
@@ -204,15 +211,14 @@ def reduce_mod_p(sys_: IntegralReflectionSystem, p: int) -> ModPGroupSpec:
         tuple(x.numerator * (den // x.denominator) % p for x in row) for row in sys_.gram
     )
 
-    mod_p = lambda A: tuple(tuple(x % p for x in row) for row in A)
-    reduced = [mod_p(M) for M in sys_.matrices]
+    reduced = [tuple(tuple(x % p for x in row) for row in M) for M in sys_.matrices]
     one = _identity(m)
-    if any(mod_p(_mat_mul(M, M)) != one for M in reduced):
+    if any(_mat_mul_mod(M, M, p) != one for M in reduced):
         for M in reduced:
             MatModP(p, m, sum(M, ()))
         raise ValueError("reduced generator is not an involution")
     for M in reduced:
-        if mod_p(_mat_mul(_transpose(M), _mat_mul(gram_int, M))) != gram_int:
+        if _mat_mul_mod(_transpose(M), _mat_mul(gram_int, M), p) != gram_int:
             raise ValueError("reduced form not preserved")
     gens = tuple(MatModP._raw(p, m, sum(M, ())) for M in reduced)
 

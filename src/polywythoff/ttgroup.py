@@ -10,6 +10,7 @@ is checked either in full or through the reduced criterion that only needs
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -217,6 +218,7 @@ def _subset_pair_ok(G: FiniteGroup, I: frozenset, J: frozenset):
     return G.element(next(x for x in G.span(small) if bad >> x & 1))
 
 
+@functools.cache
 def _members(a: int) -> frozenset:
     """The generator indices of the generator bitmask ``a``."""
     return frozenset(i for i in range(a.bit_length()) if a >> i & 1)
@@ -228,48 +230,54 @@ def _bits(indices) -> int:
 
 
 class _MaskReader(dict):
-    """Generator bitmask -> the subgroup's bitmask in G, read from
-    ``G.mask`` on first use."""
+    """Generator bitmask -> the bitmask of that subgroup of ``group``, read
+    from ``FiniteGroup.mask`` on first use. A check makes one, so that it
+    reads each subgroup's mask once, however many pairs name it."""
 
-    def __init__(self, G: FiniteGroup):
+    def __init__(self, group: FiniteGroup):
         super().__init__()
-        self.group = G
+        self.group = group
 
     def __missing__(self, a: int) -> int:
         self[a] = m = self.group.mask(_members(a))
         return m
 
 
-def _first_failure(G: FiniteGroup, pairs):
+def _first_failure(masks: _MaskReader, pairs):
     """The first (I, J) in ``pairs``, pairs of generator bitmasks, that
-    fails <I> cap <J> = <I cap J> in G.
+    fails <I> cap <J> = <I cap J> in ``masks.group``.
 
     Returns (pairs checked, failure as (I, J, offending element) or None),
-    with I and J as index sets. Each subset's mask is read from G once per
-    pair list, when the list first meets it, so a pair costs three dict
-    reads and two ANDs of integers: its subgroups meet in <I cap J> when no
-    element lies in both and outside <I cap J>. The failing pair is handed
-    to ``_subset_pair_ok`` for its offending element.
+    with I and J as index sets. A pair costs three reads of ``masks`` and
+    two ANDs of integers: its subgroups meet in <I cap J> when no element
+    lies in both and outside <I cap J>. The failing pair is handed to
+    ``_subset_pair_ok`` for its offending element.
     """
-    masks = _MaskReader(G)
     checked = 0
     for checked, (a, b) in enumerate(pairs, 1):
         if masks[a] & masks[b] & ~masks[a & b]:
             I, J = _members(a), _members(b)
-            return checked, (I, J, _subset_pair_ok(G, I, J))
+            return checked, (I, J, _subset_pair_ok(masks.group, I, J))
     return checked, None
 
 
 def _subset_pairs(indices):
     """Every pair of subsets of ``indices``, smaller subsets first, as
-    generator bitmasks. Within one size the subsets keep the order of the
-    bitmask over positions in ``indices``."""
+    generator bitmasks."""
+    return itertools.combinations(_subsets(indices), 2)
+
+
+@functools.cache
+def _subsets(indices) -> tuple:
+    """The subsets of ``indices`` as generator bitmasks, smaller first, and
+    within one size in the order of the bitmask over positions in
+    ``indices``. Made once per index tuple."""
     bits = [1 << i for i in indices]
     subsets = [
         sum(bit for b, bit in enumerate(bits) if mask >> b & 1) for mask in range(1 << len(bits))
     ]
     subsets.sort(key=int.bit_count)
-    return itertools.combinations(subsets, 2)
+    return tuple(subsets)
 
 
 def _witness(n, failure):
@@ -280,7 +288,7 @@ def _witness(n, failure):
 
 def check_intersection_full(G: TailTriangleGroup) -> IntersectionResult:
     """Eq-style condition over all pairs of generator subsets."""
-    checked, failure = _first_failure(G.group, _subset_pairs(range(G.n + 1)))
+    checked, failure = _first_failure(_MaskReader(G.group), _subset_pairs(range(G.n + 1)))
     if failure is not None:
         return IntersectionResult(False, "full", checked, _witness(G.n, failure))
     return IntersectionResult(True, "full", checked)
@@ -312,7 +320,7 @@ def is_string_c_group(gens) -> StringGroupResult:
                     False, f"generators {i},{j} do not commute", None, None
                 )
     G = closure(gens)
-    _, failure = _first_failure(G, _subset_pairs(range(r)))
+    _, failure = _first_failure(_MaskReader(G), _subset_pairs(range(r)))
     if failure is not None:
         I, J, _ = failure
         return StringGroupResult(
@@ -337,7 +345,8 @@ def schlafli_type(G: FiniteGroup) -> list:
     return [pair_order(G, i, i + 1) for i in range(len(G.generators) - 1)]
 
 
-def _reduced_pairs(alphas: tuple, b: int) -> list:
+@functools.cache
+def _reduced_pairs(alphas: tuple, b: int) -> tuple:
     """The 2m-1 pairs of the reduced criterion for the tail-triangle group on
     generator indices ``alphas`` (m of them) and ``b``, as generator
     bitmasks: Gamma^P with Gamma^Q, then Gamma_i^+ with Gamma^P and with
@@ -348,7 +357,7 @@ def _reduced_pairs(alphas: tuple, b: int) -> list:
     for i in range(len(alphas) - 1):
         plus = _bits(alphas[i + 1 :] + (b,))
         pairs += [(plus, P), (plus, Q)]
-    return pairs
+    return tuple(pairs)
 
 
 def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
@@ -374,7 +383,8 @@ def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
     """
     n = G.n
     alphas = tuple(range(n))
-    fails = lambda pairs: _first_failure(G.group, pairs)[1] is not None
+    masks = _MaskReader(G.group)
+    fails = lambda pairs: _first_failure(masks, pairs)[1] is not None
 
     def fail_pre(msg):
         return IntersectionResult(False, "reduced", 0, None, msg)
@@ -386,7 +396,7 @@ def check_intersection_reduced(G: TailTriangleGroup) -> IntersectionResult:
             return fail_pre("facet subgroup <a0..a_{n-2},b> is not a string C-group")
         if any(fails(_reduced_pairs(alphas[k:], n)) for k in range(n - 1, 0, -1)):
             return fail_pre("Gamma_0 = <a1..a_{n-1},b> is not a C-group")
-    checked, failure = _first_failure(G.group, _reduced_pairs(alphas, n))
+    checked, failure = _first_failure(masks, _reduced_pairs(alphas, n))
     if failure is not None:
         return IntersectionResult(False, "reduced", checked, _witness(n, failure))
     return IntersectionResult(True, "reduced", checked)

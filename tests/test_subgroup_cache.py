@@ -262,17 +262,18 @@ def test_bitmask_checks_match_element_oracle(monkeypatch):
 
 
 def test_pair_screen_matches_element_sets_on_every_pair():
-    # ``_first_failure`` decides each pair on masks it reads once per pair
-    # list and calls ``_subset_pair_ok`` only for the failing one, so the
-    # oracle above checks the witnesses; here every pair of every group of
-    # the corpus is decided alone and compared with fresh element sets
+    # ``_first_failure`` decides each pair on masks it reads once per check
+    # and calls ``_subset_pair_ok`` only for the failing one, so the oracle
+    # above checks the witnesses; here every pair of every group of the
+    # corpus is decided alone and compared with fresh element sets
     outcomes = set()
     for G in bitmask_corpus():
         r = G.n + 1
         sets = {frozenset(S): frozenset(fresh_sub(G.gens, S).elements) for S in subsets(r)}
+        masks = ttgroup._MaskReader(G.group)
         for a, b in ttgroup._subset_pairs(range(r)):
             I, J = ttgroup._members(a), ttgroup._members(b)
-            checked, failure = ttgroup._first_failure(G.group, [(a, b)])
+            checked, failure = ttgroup._first_failure(masks, [(a, b)])
             fails = sets[I] & sets[J] != sets[I & J]
             assert checked == 1 and (failure is not None) == fails, (str(G.diagram), I, J)
             assert failure is None or failure[:2] == (I, J)

@@ -123,6 +123,20 @@ def test_sc2_fail_witnessed_and_checkers_agree():
     assert elem in frozenset(G.group.elements) and not elem.is_identity()
 
 
+@pytest.mark.parametrize("indices", [range(1), range(3), range(5), (0, 1, 3), (1, 2, 4, 5)])
+def test_subset_pairs_keep_the_index_set_order(indices):
+    # the order of the full check's pairs, as it was written on index sets:
+    # subsets by size, each size in bitmask order over positions, then
+    # every pair of them; it fixes conditions_checked and the witness
+    subsets = [
+        frozenset(x for b, x in enumerate(indices) if mask >> b & 1)
+        for mask in range(1 << len(indices))
+    ]
+    subsets.sort(key=len)
+    got = [tuple(map(ttgroup._members, pair)) for pair in ttgroup._subset_pairs(indices)]
+    assert got == list(itertools.combinations(subsets, 2))
+
+
 @pytest.mark.parametrize(
     "name", ["tomotope.tt", "m66_240a.tt", "b3_digon.tt", "d4.tt", "hexagon.tt", "sc2_fail.tt"]
 )
