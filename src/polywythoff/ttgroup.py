@@ -272,9 +272,9 @@ def _subsets(indices) -> tuple:
     """The subsets of ``indices`` as generator bitmasks, smaller first, and
     within one size in the order of the bitmask over positions in
     ``indices``. Made once per index tuple."""
-    bits = [1 << i for i in indices]
     subsets = [
-        sum(bit for b, bit in enumerate(bits) if mask >> b & 1) for mask in range(1 << len(bits))
+        _bits(x for b, x in enumerate(indices) if mask >> b & 1)
+        for mask in range(1 << len(indices))
     ]
     subsets.sort(key=int.bit_count)
     return tuple(subsets)
