@@ -246,21 +246,21 @@ def cmd_modred(args):
     return 0
 
 
-def _ball_order(ctx, radius):
-    """The number of elements of ``enumerate_ball(ctx, radius)``, without
-    enumerating them. An element of P *_K Q has one normal form k·t_1…t_m,
-    k in K and the t_i nontrivial transversal elements taken alternately
-    from T_P and T_Q (Serre, *Trees*, §1.2), and the ball holds those with
-    m <= radius. With i = |T_P| - 1 and j = |T_Q| - 1 there are
-    |K|·(i·j·i… + j·i·j…) of them for each m >= 1, m factors in each
-    product."""
+def _ball_counts(ctx, radius):
+    """N_m, the number of elements of ``enumerate_ball(ctx, radius)`` with m
+    syllables, for m = 0..radius, without enumerating them. An element of
+    P *_K Q has one normal form k·t_1…t_m, k in K and the t_i nontrivial
+    transversal elements taken alternately from T_P and T_Q (Serre,
+    *Trees*, §1.2), and the ball holds those with m <= radius. With
+    i = |T_P| - 1 and j = |T_Q| - 1 there are |K|·(i·j·i… + j·i·j…) of
+    them for each m >= 1, m factors in each product."""
     i, j = len(ctx.towers["P"][0]) - 1, len(ctx.towers["Q"][0]) - 1
-    total, from_p, from_q = 1, 1, 1
+    counts, from_p, from_q = [ctx.K.order], 1, 1
     for m in range(radius):
         from_p *= j if m % 2 else i
         from_q *= i if m % 2 else j
-        total += from_p + from_q
-    return ctx.K.order * total
+        counts.append(ctx.K.order * (from_p + from_q))
+    return counts
 
 
 def cmd_amalgam(args):
@@ -279,11 +279,16 @@ def cmd_amalgam(args):
     except (NotCGroup, FacetMismatch) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
-    # an unknown letter, or a ball past the element cap, is refused before any output
+    # an unknown letter, or a ball past the cap, is refused before any output;
+    # the ball keeps normal forms, so its memory grows with the syllables
     w = None if args.normalize is None else ctx.normalize(args.normalize.split())
-    count, cap = _ball_order(ctx, args.ball), closure_cap()
+    counts, cap = _ball_counts(ctx, args.ball), closure_cap()
+    count, syllables = sum(counts), sum(m * n for m, n in enumerate(counts))
     if count > cap:
         raise CapExceeded(f"ball radius {args.ball} holds {count} elements, over the cap {cap}")
+    if count + syllables > cap:
+        msg = f"{count} elements with {syllables} syllables, over the cap {cap}"
+        raise CapExceeded(f"ball radius {args.ball} holds {msg}")
     print(f"factors: P order {ctx.P.order}, Q order {ctx.Q.order}, shared K order {ctx.K.order}")
     print(f"transversals: |T_P| = {len(ctx.towers['P'][0])}, |T_Q| = {len(ctx.towers['Q'][0])}")
     cls = universal_is_regular(ctx)

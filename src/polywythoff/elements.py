@@ -38,10 +38,6 @@ class Perm:
         object.__setattr__(p, "images", images)
         return p
 
-    @classmethod
-    def identity(cls, degree: int) -> "Perm":
-        return cls._raw(tuple(range(1, degree + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -177,6 +173,10 @@ class MatModP:
     __slots__ = ("p", "dim", "entries")
 
     def __init__(self, p: int, dim: int, entries: Iterable[int], check: bool = True):
+        if p < 2:
+            raise ValueError(f"modulus must be >= 2, not {p}")
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, not {dim}")
         entries = tuple(e % p for e in entries)
         if len(entries) != dim * dim:
             raise ValueError("entry count does not match dimension")
@@ -193,11 +193,6 @@ class MatModP:
         object.__setattr__(m, "dim", dim)
         object.__setattr__(m, "entries", entries)
         return m
-
-    @classmethod
-    def identity(cls, p: int, dim: int) -> "MatModP":
-        ent = tuple(1 if i == j else 0 for i in range(dim) for j in range(dim))
-        return cls._raw(p, dim, ent)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatModP is immutable")
@@ -284,15 +279,6 @@ def parse_matmodp(text: str) -> MatModP:
     p, dim = int(m.group(1)), int(m.group(2))
     entries = [int(t) for t in m.group(3).split()]
     return MatModP(p, dim, entries)
-
-
-def identity_like(g):
-    """Identity element of the same kind/degree/modulus as g."""
-    if isinstance(g, Perm):
-        return Perm.identity(g.degree)
-    if isinstance(g, MatModP):
-        return MatModP.identity(g.p, g.dim)
-    raise KindMismatch(f"unknown element kind: {type(g)!r}")
 
 
 def same_kind(a, b) -> bool:

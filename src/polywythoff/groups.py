@@ -12,7 +12,10 @@ generate it, its key. Element products are made only in the closure.
 
 After the closure a group is its indices and tables, and its elements are
 the kernel's codes (``FiniteGroup.keys``): image tuples for permutations,
-row-code tuples for matrices. Codes sort like element keys
+row-code tuples for matrices. ``element_kind`` chooses the kind once, and
+nothing else here branches on the element class: its object gives the
+identity's code and the generator maps for the kernel, and turns elements
+into codes and codes into elements and text. Codes sort like element keys
 (``kernels``), so canonical representatives are chosen on codes. An
 element object is made only when one is asked for: ``FiniteGroup.element``
 makes one, and ``FiniteGroup.elements`` makes and keeps them all.
@@ -24,7 +27,7 @@ from __future__ import annotations
 import os
 
 from . import kernels
-from .elements import KindMismatch, MatModP, Perm, identity_like, same_kind
+from .elements import KindMismatch, MatModP, Perm, same_kind
 
 DEFAULT_CAP = 10_000_000
 
@@ -54,21 +57,21 @@ def closure_cap(cap: int | None = None) -> int:
 class FiniteGroup:
     """A concrete finite group given by generators, fully enumerated.
 
-    ``keys[i]`` is the code of element i and ``make`` turns a code into an
-    element object; ``make`` must hold no reference to the group.
+    ``keys[i]`` is the code of element i, and ``kind`` (``element_kind``)
+    turns codes into elements and text; ``kind`` must hold no reference
+    to the group.
     """
 
-    def __init__(self, generators, keys, prods, right, make):
+    def __init__(self, generators, keys, prods, right, kind):
         self.generators = tuple(generators)
         self.keys = tuple(keys)  # element codes, in element order
         self.prods = tuple(prods)  # (parent_index, generator_index) per element
-        self.identity = identity_like(self.generators[0])
-        self._make = make
+        self.kind = kind
+        self.identity = kind.make(kind.identity)
         self._elements: tuple | None = None  # made on first use
         self._index: dict | None = None  # code -> index, built on first lookup
         self._words: tuple | None = None
         self._key_order: list | None = None
-        self._text = None  # code -> text, made on first use
         self._right = tuple(right)
         self._masks: dict[frozenset, int] = {}
         self._tree_checked = False
@@ -79,15 +82,13 @@ class FiniteGroup:
 
     def element(self, i: int):
         """Element i as an object, made from its code."""
-        return self._make(self.keys[i])
+        return self.kind.make(self.keys[i])
 
     def text(self, i: int) -> str:
-        """``str(self.element(i))``, formatted from the code of element i. A
-        matrix is printed from its row codes through one memo of row texts,
+        """``str(self.element(i))``, formatted from the code of element i by
+        the kind (``element_kind``): a matrix is printed from its row codes,
         so no matrix is made; a permutation is printed by ``Perm``."""
-        if self._text is None:
-            self._text = _texter(self.identity)
-        return self._text(self.keys[i])
+        return self.kind.text(self.keys[i])
 
     def key_order(self) -> list[int]:
         """The element indices sorted by code, which is key order
@@ -101,7 +102,7 @@ class FiniteGroup:
     def elements(self) -> tuple:
         """Every element as an object, in element order, made on first use."""
         if self._elements is None:
-            self._elements = tuple(map(self._make, self.keys))
+            self._elements = tuple(map(self.kind.make, self.keys))
         return self._elements
 
     def _lookup(self) -> dict:
@@ -113,7 +114,7 @@ class FiniteGroup:
         """The index of element g, looked up by its code."""
         if not same_kind(self.identity, g):
             raise KeyError(g)
-        return self._lookup()[_element_code(g)]
+        return self._lookup()[self.kind.code(g)]
 
     def sub(self, indices) -> "FiniteGroup":
         """The subgroup generated by the generators at ``indices`` as a group
@@ -132,16 +133,16 @@ class FiniteGroup:
         elements and productions, and its own right table in the same loop,
         with no element product. Its involution test is exact here too:
         ``R[i][R[i][0]] == 0`` iff generator i squares to 1. The subgroup
-        holds the group's codes and makes its elements the same way.
+        holds the group's codes and shares its kind.
         """
         key = tuple(sorted(set(indices)))
         if key == tuple(range(len(self.generators))):
             return self
         if not key:
-            return FiniteGroup([self.identity], self.keys[:1], [(-1, -1)], [[0]], self._make)
+            return FiniteGroup([self.identity], self.keys[:1], [(-1, -1)], [[0]], self.kind)
         elements, prods, R = kernels.close([self._right[i] for i in key], (0,), self.order)
         keys = [self.keys[x] for (x,) in elements]
-        return FiniteGroup([self.generators[i] for i in key], keys, prods, R, self._make)
+        return FiniteGroup([self.generators[i] for i in key], keys, prods, R, self.kind)
 
     def span(self, indices) -> list[int]:
         """The indices of the elements of ``sub(indices)``, in its element
@@ -223,46 +224,6 @@ class FiniteGroup:
         return table
 
 
-def _element_code(g) -> tuple:
-    """The kernel's code of an element: its image tuple, or its row codes."""
-    if isinstance(g, MatModP):
-        return kernels.encode_matrix(g.entries, g.dim, g.p)
-    return g.images
-
-
-def _maker(first):
-    """The code -> element map for elements of the kind of ``first``. A
-    matrix decodes its rows through one memo (``kernels.RowDecoder``),
-    shared by every element it makes."""
-    if isinstance(first, Perm):
-        return Perm._raw
-    p, dim = first.p, first.dim
-    entries = kernels.RowDecoder(dim, p).entries
-    return lambda code: MatModP._raw(p, dim, entries(code))
-
-
-class _RowText(dict):
-    """Row code -> the row's entries as text, filled on first use."""
-
-    def __init__(self, dim: int, p: int):
-        super().__init__()
-        self.dim, self.p = dim, p
-
-    def __missing__(self, code: int) -> str:
-        self[code] = text = " ".join(map(str, kernels.decode_row(code, self.dim, self.p)))
-        return text
-
-
-def _texter(first):
-    """The code -> text map for elements of the kind of ``first``: ``str`` of
-    the element the code makes. ``MatModP.__str__`` joins the row-major
-    entries with spaces, which is the row texts joined with spaces."""
-    if isinstance(first, Perm):
-        return lambda code: str(Perm._raw(code))
-    head, rows = f"mod {first.p} dim {first.dim} [", _RowText(first.dim, first.p)
-    return lambda code: head + " ".join(map(rows.__getitem__, code)) + "]"
-
-
 def check_modulus(dim: int, p: int) -> None:
     """Reject moduli with dim*(p-1)^2 >= 2^63. The closure's arithmetic is
     exact at any modulus; the bound makes huge moduli, whose groups could
@@ -273,29 +234,85 @@ def check_modulus(dim: int, p: int) -> None:
         )
 
 
-def closure(generators, cap: int | None = None) -> FiniteGroup:
-    """Breadth-first closure of the generators, deterministic element order,
-    with the right table (``kernels.close``)."""
-    generators = tuple(generators)
+class _Perms:
+    """Permutations of {1..N} as the kernel takes them (``kernels``): an
+    element is its image tuple, and a generator g is the map x -> g(x),
+    padded at 0 so that it is indexed by points."""
+
+    def __init__(self, degree: int):
+        self.identity = tuple(range(1, degree + 1))
+
+    def map(self, g) -> tuple:
+        return (0,) + g.images
+
+    def code(self, g) -> tuple:
+        return g.images
+
+    def make(self, code) -> Perm:
+        return Perm._raw(code)
+
+    def text(self, code) -> str:
+        return str(Perm._raw(code))
+
+
+class _Matrices(dict):
+    """dim x dim matrices mod p as the kernel takes them (``kernels``): an
+    element is its tuple of row codes, and a generator g is its row map
+    v -> v*g (``kernels.RowMap``). The dict is the memo of decoded rows, row
+    code -> (entries, text), shared by ``make`` and ``text``; ``str`` of a
+    matrix is the texts of its rows joined with spaces."""
+
+    def __init__(self, dim: int, p: int):
+        super().__init__()
+        check_modulus(dim, p)
+        self.dim, self.p = dim, p
+        self.identity = tuple(p ** (dim - 1 - i) for i in range(dim))  # row i is e_i
+
+    def __missing__(self, row: int) -> tuple:
+        entries = kernels.decode_row(row, self.dim, self.p)
+        self[row] = got = entries, " ".join(map(str, entries))
+        return got
+
+    def map(self, g) -> kernels.RowMap:
+        return kernels.RowMap(g.entries, self.dim, self.p)
+
+    def code(self, g) -> tuple:
+        return kernels.encode_matrix(g.entries, self.dim, self.p)
+
+    def make(self, code) -> MatModP:
+        return MatModP._raw(self.p, self.dim, sum([self[row][0] for row in code], ()))
+
+    def text(self, code) -> str:
+        return f"mod {self.p} dim {self.dim} [{' '.join([self[row][1] for row in code])}]"
+
+
+def element_kind(generators):
+    """The kind of the generators: ``_Perms`` or ``_Matrices``. Raises
+    ValueError on no generators or a modulus too large (``check_modulus``),
+    and KindMismatch on generators of mixed or unknown kind."""
     if not generators:
         raise ValueError("empty generator list")
     first = generators[0]
     if not all(same_kind(first, g) for g in generators[1:]):
         raise KindMismatch("generators of mixed kind")
-    cap = closure_cap(cap)
     if isinstance(first, Perm):
-        raw = kernels.close_perms([g.images for g in generators], cap)
-    elif isinstance(first, MatModP):
-        check_modulus(first.dim, first.p)
-        raw = kernels.close_mats(
-            [g.entries for g in generators], first.dim, first.p, cap
-        )
-    else:
-        raise KindMismatch(f"unknown element kind: {type(first)!r}")
+        return _Perms(first.degree)
+    if isinstance(first, MatModP):
+        return _Matrices(first.dim, first.p)
+    raise KindMismatch(f"unknown element kind: {type(first)!r}")
+
+
+def closure(generators, cap: int | None = None) -> FiniteGroup:
+    """Breadth-first closure of the generators, deterministic element order,
+    with the right table (``kernels.close``)."""
+    generators = tuple(generators)
+    kind = element_kind(generators)
+    cap = closure_cap(cap)
+    raw = kernels.close([kind.map(g) for g in generators], kind.identity, cap)
     if raw is None:
         raise CapExceeded(f"closure exceeded cap of {cap} elements")
     keys, prods, R = raw
-    return FiniteGroup(generators, keys, prods, R, _maker(first))
+    return FiniteGroup(generators, keys, prods, R, kind)
 
 
 def coset_partition(G: FiniteGroup, key):

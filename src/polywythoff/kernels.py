@@ -4,11 +4,12 @@ An element is a tuple of points and a generator is a map on points: the
 product of an element e with a generator m is ``tuple(m[x] for x in e)``.
 ``close`` runs the search on that form and fills the right table as it
 goes, where an involution's pair {x, x*g} fills two entries with one
-lookup and the table's rows grow in blocks; ``close_perms`` and
-``close_mats`` put permutations and matrices into it. The tuples the
-search finds are the elements' codes, and they are what the kernel
-returns: a group keeps them (``groups.FiniteGroup.keys``) and makes an
-element object from a code only when one is asked for.
+lookup and the table's rows grow in blocks. The tuples the search finds
+are the elements' codes, and they are what the kernel returns: a group
+keeps them (``groups.FiniteGroup.keys``) and makes an element object from
+a code only when one is asked for. ``groups.element_kind`` is the one
+place that puts elements into this form, for the closure and for the
+generator checks before it, and takes codes back out of it.
 
 - A permutation is the tuple of its images, and a generator g is the map
   x -> g(x) on {1..N}: image i of e*g is g(e(i)).
@@ -117,12 +118,6 @@ def close(maps, identity: tuple, cap: int):
     return elements, prods, R
 
 
-def close_perms(gens, cap: int):
-    """``close`` on permutations given as image tuples on {1..N}."""
-    identity = tuple(range(1, len(gens[0]) + 1))
-    return close([(0,) + tuple(g) for g in gens], identity, cap)
-
-
 class RowMap(dict):
     """Row code -> row code of v*g mod p for one matrix g, filled on first use."""
 
@@ -158,27 +153,3 @@ def decode_row(code: int, dim: int, p: int) -> tuple:
 def encode_matrix(entries, dim: int, p: int) -> tuple:
     """The code of a matrix given as a row-major entry tuple: its row codes."""
     return tuple(encode_row(entries[i : i + dim], p) for i in range(0, dim * dim, dim))
-
-
-class RowDecoder(dict):
-    """Row code -> entry tuple for dim and p, filled on first use, so a row
-    held by many elements is decoded once."""
-
-    def __init__(self, dim: int, p: int):
-        super().__init__()
-        self.dim, self.p = dim, p
-
-    def __missing__(self, code: int) -> tuple:
-        self[code] = row = decode_row(code, self.dim, self.p)
-        return row
-
-    def entries(self, code: tuple) -> tuple:
-        """The row-major entry tuple of a matrix code."""
-        return sum(map(self.__getitem__, code), ())
-
-
-def close_mats(gens, dim: int, p: int, cap: int):
-    """``close`` on dim x dim matrices mod p given as row-major entry tuples;
-    the elements come back as their codes, tuples of row codes."""
-    identity = tuple(p ** (dim - 1 - i) for i in range(dim))  # row i is e_i
-    return close([RowMap(g, dim, p) for g in gens], identity, cap)

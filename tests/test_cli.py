@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -416,9 +417,11 @@ def test_cap_env_must_be_a_positive_integer(capsys, monkeypatch, value):
      "hexagon.sg/hexagon.sg", "triangle.sg/triangle.sg"],
 )
 def test_ball_order_counts_the_enumerated_ball(pair):
+    # the closed form's count of elements with m syllables, for each m
     ctx = AmalgamContext(*(builtin_fixture(name).gens for name in pair.split("/")))
     for radius in range(5):
-        assert cli._ball_order(ctx, radius) == len(enumerate_ball(ctx, radius).elements)
+        syllables = Counter(len(w.tau_indices) for w in enumerate_ball(ctx, radius).elements)
+        assert cli._ball_counts(ctx, radius) == [syllables[m] for m in range(radius + 1)]
 
 
 def test_amalgam_ball_past_the_cap_is_refused_before_output(capsys, monkeypatch):
@@ -430,6 +433,25 @@ def test_amalgam_ball_past_the_cap_is_refused_before_output(capsys, monkeypatch)
     code, out, err = run(capsys, *argv, "3")
     assert code == 1 and out == ""
     assert err.startswith("verification failure: CapExceeded: ") and "1578" in err
+
+
+DIGON = "string-cgroup n=2 degree=4\nrho0 = (1,2)\nrho1 = (3,4)\n"
+
+
+def test_amalgam_ball_past_the_cap_in_syllables_is_refused_before_output(
+    capsys, monkeypatch, tmp_path
+):
+    # digons on both sides: 2 + 4R elements and 2 + 6R + 2R^2 elements
+    # plus syllables, so few elements hold many syllables
+    path = tmp_path / "digon.sg"
+    path.write_text(DIGON)
+    monkeypatch.setenv("POLYWYTHOFF_CAP", "1000")
+    argv = ["amalgam", "--p", str(path), "--q", str(path), "--ball"]
+    code, out, _ = run(capsys, *argv, "20")  # 922 = 82 elements + 840 syllables
+    assert code == 0 and "(82 group elements)" in out
+    code, out, err = run(capsys, *argv, "21")  # 1010 = 86 elements + 924 syllables
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: CapExceeded: ") and "924 syllables" in err
 
 
 @pytest.mark.parametrize("degree", ["0", "-5"])

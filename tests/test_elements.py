@@ -25,7 +25,7 @@ def test_perm_parse_print_roundtrip():
 def test_perm_inverse_and_identity():
     g = parse_perm("(1,4,2)(3,5)", 5)
     assert (g * g.inverse()).is_identity()
-    assert Perm.identity(5) * g == g
+    assert Perm(range(1, 6)) * g == g
 
 
 def test_perm_validation():
@@ -44,7 +44,7 @@ def test_matmodp_arithmetic():
     m2 = m * m
     assert m2.entries == (1, 2, 0, 1)
     assert (m * m.inverse()).is_identity()
-    assert MatModP.identity(5, 2) * m == m
+    assert MatModP(5, 2, [1, 0, 0, 1]) * m == m
 
 
 def test_matmodp_singular_rejected():
@@ -60,3 +60,17 @@ def test_matmodp_parse_print_roundtrip():
 def test_matmodp_kind_mismatch():
     with pytest.raises(KindMismatch):
         MatModP(3, 2, [1, 0, 0, 1]) * MatModP(5, 2, [1, 0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (lambda: parse_matmodp("mod 0 dim 1 [1]"), "modulus must be >= 2, not 0"),
+        (lambda: MatModP(1, 1, [0]), "modulus must be >= 2, not 1"),
+        (lambda: MatModP(3, 0, []), "dimension must be >= 1, not 0"),
+    ],
+)
+def test_matmodp_rejects_a_modulus_below_two_and_a_dimension_below_one(make, bad):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == bad

@@ -87,8 +87,8 @@ def test_inverse_exactly_when_the_det_is_nonzero(case):
     m = len(M)
     g = MatModP(p, m, [x for row in M for x in row], check=False)
     if cofactor_det(M, p):
-        assert g * g.inverse() == MatModP.identity(p, m)
-        assert g.inverse() * g == MatModP.identity(p, m)
+        assert (g * g.inverse()).is_identity()
+        assert (g.inverse() * g).is_identity()
     else:
         try:
             g.inverse()

@@ -8,10 +8,12 @@ from polywythoff.groups import (
     CapExceeded,
     closure,
     coset_partition,
+    element_kind,
     element_order,
     extend_homomorphism,
 )
-from polywythoff.ttgroup import verify_tail_triangle
+from polywythoff.modred import reduce_mod_p, rescale
+from polywythoff.ttgroup import parse_diagram, verify_tail_triangle
 from polywythoff.wythoff import classify
 
 # tomotope generators (degree 12)
@@ -115,7 +117,7 @@ def test_right_table_and_multiplier(gens):
 
 def test_element_order():
     rho = tomotope_gens()
-    assert element_order(Perm.identity(12)) == 1
+    assert element_order(Perm(range(1, 13))) == 1
     assert element_order(rho[2] * rho[3]) == 2
     assert element_order(rho[1] * rho[3]) == 4
     with pytest.raises(CapExceeded):
@@ -180,7 +182,7 @@ def test_classify_homomorphism_matches_element_oracle(name):
 
 
 def test_trivial_group():
-    t = closure([Perm.identity(4)])
+    t = closure([Perm(range(1, 5))])
     assert t.order == 1 and t.elements[t.index_of(t.identity)] == t.identity
 
 
@@ -199,3 +201,27 @@ def test_closure_rejects_huge_moduli_up_front():
     assert closure([_reflection(FITS)]).order == 2
     with pytest.raises(ValueError, match="too large"):
         closure([_reflection(TOO_LARGE)])
+
+
+def kind_corpus():
+    """The fixtures, the star at p = 2, 3 and 5, and the rank-5 star at
+    p = 3, as generator lists."""
+    corpus = [pytest.param(builtin_fixture(name).gens, id=name) for name in builtin_fixture_names()]
+    star = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    corpus += [pytest.param(reduce_mod_p(star, p).generators, id=f"star mod {p}") for p in (2, 3, 5)]
+    star5 = rescale(parse_diagram("tail=[3,3] triangle=(4,inf,2)"), (1, 1, 1, 2, 4))
+    return corpus + [pytest.param(reduce_mod_p(star5, 3).generators, id="rank-5 star mod 3")]
+
+
+@pytest.mark.parametrize("gens", kind_corpus())
+def test_kind_codes_make_and_print_every_element(gens):
+    """``make`` inverts ``code``, and ``text`` prints what ``make`` makes: on
+    the generators and their products, made by element arithmetic, and on
+    every element of the group."""
+    kind = element_kind(gens)
+    made = list(gens) + [g * h for g in gens for h in gens]
+    assert all(kind.make(kind.code(g)) == g for g in made)
+    assert kind.make(kind.identity).is_identity()
+    for code in closure(gens).keys:
+        g = kind.make(code)
+        assert kind.code(g) == code and kind.text(code) == str(g)

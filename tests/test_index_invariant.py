@@ -8,10 +8,12 @@ builds its element -> index dict. The same holds for the amalgam once both
 factors are closed: its context, word arithmetic, coset keys, ridge walk,
 ball and classification. The counters below start when ``ttgroup.closure``
 returns (the second one for an amalgam). Before it, ``verify_tail_triangle``
-and ``is_string_c_group`` make only a bounded number of products to check
-their generators, and every pair order is read from the right table
-(``ttgroup.pair_order``); ``test_star_verify_makes_eight_products`` pins
-that count.
+and ``is_string_c_group`` check their generators on codes, through the
+kernel's generator maps (``groups.element_kind``), and every pair order is
+read from the right table (``ttgroup.pair_order``). So a passing
+verification makes no element product at all, before or after the
+closure: the star tests at p = 3, 5 and 7 and the screen catalogue test
+count every ``__mul__`` call.
 
 Elements stay the kernel's codes after the closure, too: an element object
 is made (``MatModP._raw``, ``Perm._raw``) only to be printed or returned.
@@ -25,7 +27,9 @@ of its parent, and the isomorphism test reads ids, so neither makes or
 hashes any.
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,7 @@ from polywythoff.fixtureio import builtin_fixture
 from polywythoff.modred import build_tail_triangle_modp, reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import (
+    TailTriangleDiagram,
     check_intersection_full,
     check_intersection_reduced,
     parse_diagram,
@@ -59,6 +64,8 @@ from polywythoff.wythoff import (
     verify_strong_connectivity,
     vertex_figure,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class AfterClosure:
@@ -166,24 +173,44 @@ def test_sections_and_isomorphism_make_no_face_or_element(after_closure):
     assert after_closure.made == Counter()
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_star_verify_makes_eight_products(after_closure, monkeypatch, p):
-    """Four squarings for the involution checks, and a0 a2, a2 a0, a0 b and
-    b a0 for the two forced commutations, whatever the pair orders (the
-    infinite label reduces to p); none once the group is closed."""
-    spec = reduce_mod_p(rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4)), p)
+def count_products(monkeypatch):
+    """Counts every ``Perm.__mul__`` and ``MatModP.__mul__`` call, before and
+    after the closure."""
     products = Counter()
-    multiply = MatModP.__mul__
+    for cls in (MatModP, Perm):
 
-    def counted(self, other):
-        products["MatModP.__mul__"] += 1
-        return multiply(self, other)
+        def counted(self, other, _original=cls.__mul__, _name=f"{cls.__name__}.__mul__"):
+            products[_name] += 1
+            return _original(self, other)
 
-    monkeypatch.setattr(MatModP, "__mul__", counted)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    return products
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_star_verify_makes_no_element_product(after_closure, monkeypatch, p):
+    """The generator checks read the generators' codes and the pair orders
+    are read from the right table, so verifying makes no element product,
+    whatever the pair orders (the infinite label reduces to p)."""
+    spec = reduce_mod_p(rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4)), p)
+    products = count_products(monkeypatch)
     G = verify_tail_triangle(spec.generators[:3], spec.generators[3])
     assert after_closure.armed and G.diagram.triangle == (4, p, 2)
-    assert products == Counter({"MatModP.__mul__": 8})
+    assert products == Counter()
     assert after_closure.calls == Counter()
+
+
+def test_quotient_screen_corpus_verifies_with_no_element_product(monkeypatch):
+    """Every quotient of the benchmark's screen catalogue passes
+    ``verify_tail_triangle`` with its reference order and no product."""
+    catalogue = json.loads((ROOT / "perfbench" / "refs.json").read_text())["quotient-screen"]
+    products = count_products(monkeypatch)
+    for e in catalogue:
+        d = TailTriangleDiagram(e["n"], tuple(e["tail"]), tuple(e["triangle"]))
+        spec = reduce_mod_p(rescale(d, tuple(e["lengths"])), e["p"])
+        G = verify_tail_triangle(spec.generators[: d.n], spec.generators[d.n], cap=10_000)
+        assert (G.group.order, str(G.diagram)) == (e["ref"]["order"], e["ref"]["diagram"])
+    assert len(catalogue) > 200 and products == Counter()
 
 
 def test_quotient_screen_hashes_and_multiplies_no_element(after_closure):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from polywythoff import kernels
 from polywythoff.elements import MatModP, Perm
 from polywythoff.fixtureio import builtin_fixture
-from polywythoff.groups import closure
+from polywythoff.groups import closure, element_kind
 from polywythoff.modred import reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import parse_diagram
@@ -70,17 +70,23 @@ def oracle_close_mats(gens, dim, p, cap):
     return oracle_close(gens, multiply, identity, cap)
 
 
+def kernel_close(gens, cap):
+    """``kernels.close`` on element objects, put into the kernel's form by
+    their kind (``groups.element_kind``)."""
+    kind = element_kind(gens)
+    return kernels.close([kind.map(g) for g in gens], kind.identity, cap)
+
+
 def check_kernel(gens, cap=CAP):
     """Run the kernel and the oracle on element objects ``gens``."""
     first = gens[0]
+    got = kernel_close(gens, cap)
     if isinstance(first, Perm):
-        got = kernels.close_perms([g.images for g in gens], cap)
         want = oracle_close_perms([g.images for g in gens], cap)
         decode = lambda code: code
         make = Perm._raw
     else:
         dim, p = first.dim, first.p
-        got = kernels.close_mats([g.entries for g in gens], dim, p, cap)
         want = oracle_close_mats([g.entries for g in gens], dim, p, cap)
         decode = lambda code: sum((kernels.decode_row(c, dim, p) for c in code), ())
         make = lambda entries: MatModP._raw(p, dim, entries)
@@ -189,14 +195,14 @@ def counted_products(maps, identity, cap=10**6):
 def test_involution_pairs_take_one_product(p, products):
     # |G|/2 products per involution, plus 2 for the involution test
     system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
-    gens = [g.entries for g in reduce_mod_p(system, p).generators]
-    maps = [kernels.RowMap(g, 4, p) for g in gens]
+    gens = reduce_mod_p(system, p).generators
+    maps = [kernels.RowMap(g.entries, 4, p) for g in gens]
     identity = tuple(p ** (3 - i) for i in range(4))
     out, counts = counted_products(maps, identity)
     order = len(out[0])
     assert counts == [order // 2 + 2] * 4
     assert sum(counts) == products
-    assert out == kernels.close_mats(gens, 4, p, 10**6)
+    assert out == kernel_close(gens, 10**6)
 
 
 def test_non_involution_takes_a_product_per_element():
@@ -267,9 +273,9 @@ def test_code_order_is_key_order():
 
 
 def test_kernel_cap():
-    gens = [g.images for g in builtin_fixture("m66_240a.tt").gens]
-    assert kernels.close_perms(gens, 100) is None
-    assert kernels.close_perms(gens, 240) is not None
+    gens = builtin_fixture("m66_240a.tt").gens
+    assert kernel_close(gens, 100) is None
+    assert kernel_close(gens, 240) is not None
 
 
 @pytest.mark.parametrize("cap, closes", [(1296, True), (1295, False)])
@@ -277,10 +283,10 @@ def test_cap_across_a_block_boundary(cap, closes):
     # star mod 3 has order 1296; its rows grow 16, 24, 36, ..., 913 and
     # then stop at the cap, so the last block ends at the cap exactly
     system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
-    gens = [g.entries for g in reduce_mod_p(system, 3).generators]
-    out = kernels.close_mats(gens, 4, 3, cap)
+    gens = reduce_mod_p(system, 3).generators
+    out = kernel_close(gens, cap)
     if closes:
-        assert out == kernels.close_mats(gens, 4, 3, 10**6)
+        assert out == kernel_close(gens, 10**6)
         assert [len(row) for row in out[2]] == [1296] * 4
     else:
         assert out is None
@@ -290,8 +296,7 @@ def test_one_int_object_per_element_index():
     # prods and R hold each element index as one object, the one the
     # search's index holds, not a copy per place it is stored
     system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
-    gens = [g.entries for g in reduce_mod_p(system, 5).generators]
-    _, prods, R = kernels.close_mats(gens, 4, 5, 10**6)
+    _, prods, R = kernel_close(reduce_mod_p(system, 5).generators, 10**6)
     held = {}
     values = itertools.chain((parent for parent, _ in prods), *R)
     large = [x for x in values if x >= 257]  # smaller ints are shared anyway

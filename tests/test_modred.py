@@ -238,7 +238,7 @@ def oracle_reduce(sys_, p):
         raise ValueError("squared-length denominators collide with p")
     gram_int = tuple(tuple(int(x * den) % p for x in row) for row in sys_.gram)
     gens = tuple(MatModP(p, m, [x for row in M for x in row]) for M in sys_.matrices)
-    ident = MatModP.identity(p, m)
+    ident = MatModP(p, m, [int(i == j) for i in range(m) for j in range(m)])
     for M in gens:
         if M * M != ident:
             raise ValueError("reduced generator is not an involution")

@@ -13,6 +13,11 @@ Every field of a dataclass defined in the package must likewise be read as
 an attribute (``spec.det_mod_p``) somewhere in the package, the benchmark
 scripts or the tests, or sit in ``ALLOWED_FIELDS``: a result that nothing
 reads is work that nobody needs.
+
+Every name that a module of the package imports must be read in that
+module, or sit in ``ALLOWED_IMPORTS``: an import left behind by a refactor
+is dead too. ``__init__`` imports to re-export, and ``from __future__``
+imports are directives, so neither counts.
 """
 
 import ast
@@ -34,6 +39,10 @@ ALLOWED = {
 
 ALLOWED_FIELDS = {
     "amalgam.Ball.radius": "held with the rest of amalgam.py until ROADMAP item 1",
+}
+
+ALLOWED_IMPORTS = {
+    "amalgam.closure": "spanned by perfbench/tracing.py, held in amalgam.py until ROADMAP item 1",
 }
 
 
@@ -140,6 +149,35 @@ def unread_fields():
                         where = f"{path.relative_to(ROOT)}:{item.lineno}"
                         out.append((where, f"{path.stem}.{cls.name}.{item.target.id}"))
     return out
+
+
+def unread_imports():
+    """(location, module.name) of each name that a module of the package
+    imports and never reads."""
+    out = []
+    for path, tree in _sources(sorted(PACKAGE.rglob("*.py"))).items():
+        if path.name == "__init__.py":
+            continue
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        out.append((f"{path.relative_to(ROOT)}:{node.lineno}", f"{path.stem}.{name}"))
+    return out
+
+
+def test_every_import_is_read_or_allowed():
+    found = unread_imports()
+    assert [(where, name) for where, name in found if name not in ALLOWED_IMPORTS] == []
+    assert set(ALLOWED_IMPORTS) - {name for _, name in found} == set()
 
 
 def test_every_dataclass_field_is_read_or_allowed():

@@ -16,9 +16,9 @@ from importlib import resources
 import pytest
 
 from polywythoff import kernels, ttgroup
-from polywythoff.elements import identity_like, parse_perm
+from polywythoff.elements import parse_perm
 from polywythoff.fixtureio import builtin_fixture
-from polywythoff.groups import closure, element_order
+from polywythoff.groups import closure, element_kind, element_order
 from polywythoff.kernels import close
 from polywythoff.modred import reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
@@ -45,8 +45,10 @@ def subsets(r):
 
 
 def fresh_sub(gens, S):
-    """<gens[i] : i in S>, closed afresh."""
-    return closure([gens[i] for i in sorted(S)] or [identity_like(gens[0])])
+    """<gens[i] : i in S>, closed afresh; the empty S gives the identity of
+    the generators' kind, made from its code."""
+    kind = element_kind(gens)
+    return closure([gens[i] for i in sorted(S)] or [kind.make(kind.identity)])
 
 
 def oracle_string_c_group(gens) -> bool:

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from polywythoff import ttgroup
-from polywythoff.elements import parse_perm
+from polywythoff.elements import KindMismatch, parse_perm
 from polywythoff.fixtureio import (
     builtin_fixture,
     builtin_fixture_names,
     parse_fixture,
 )
 from polywythoff.groups import closure, element_order
+from polywythoff.modred import reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
 from polywythoff.ttgroup import (
     INF,
@@ -19,6 +20,7 @@ from polywythoff.ttgroup import (
     TailTriangleDiagram,
     check_intersection_full,
     check_intersection_reduced,
+    gen_name,
     is_string_c_group,
     pair_order,
     parse_diagram,
@@ -102,6 +104,136 @@ def test_repeated_string_generator_does_not_commute(monkeypatch):
     a, b = parse_perm("(1,2)", 3), parse_perm("(2,3)", 3)
     res = is_string_c_group([a, b, a])
     assert not res and res.reason == "generators 0,2 do not commute"
+
+
+class Closed(Exception):
+    """Raised in place of the closure: every generator check passed."""
+
+
+def refuse_closure(*args, **kwargs):
+    raise Closed
+
+
+def oracle_verify_checks(alphas, beta):
+    """The generator checks of ``verify_tail_triangle`` as they were written
+    on element products; raises Closed where the closure would run."""
+    alphas = tuple(alphas)
+    n = len(alphas)
+    gens = alphas + (beta,)
+    for i, g in enumerate(gens):
+        if g.is_identity() or not (g * g).is_identity():
+            raise NotInvolution(gen_name(i, n))
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            if gens[i] == gens[j]:
+                raise ValueError(f"generators {gen_name(i, n)} and {gen_name(j, n)} coincide")
+    for i in range(n + 1):
+        for j in range(i + 2, n + 1):
+            a, b = gens[i], gens[j]
+            if (j < n or i <= n - 3) and a * b != b * a:
+                raise CommutationViolation(gen_name(i, n), gen_name(j, n), element_order(a * b))
+    raise Closed
+
+
+def oracle_string_reason(gens):
+    """SC1 of ``is_string_c_group`` as it was written on element products:
+    the reason it fails, or None where the closure would run."""
+    r = len(gens)
+    for i, g in enumerate(gens):
+        if g.is_identity() or not (g * g).is_identity():
+            return f"generator {i} not an involution"
+    for i in range(r):
+        for j in range(i + 2, r):
+            a, b = gens[i], gens[j]
+            if a == b or a * b != b * a:
+                return f"generators {i},{j} do not commute"
+    return None
+
+
+def raised(f, *args):
+    """(type, message) of what f(*args) raises."""
+    with pytest.raises(Exception) as exc:
+        f(*args)
+    return type(exc.value), str(exc.value)
+
+
+def hand_built_failures(alphas, beta):
+    """Four failing inputs from the valid rank-3 ones (a0, a1, a2), b: an
+    identity generator, a non-involution, two coinciding generators, and
+    a label-2 pair a0, a1 a0 a1 that does not commute (a0 a1 has order 3)."""
+    a0, a1, a2 = alphas
+    one = a0 * a0
+    return {
+        NotInvolution: [((a0, one, a2), beta), ((a0, a1, a2), a0 * a1)],
+        ValueError: [((a0, a1, a0), beta)],
+        CommutationViolation: [((a0, a1, a1 * a0 * a1), beta)],
+    }
+
+
+def star_mod3_generators():
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    return reduce_mod_p(system, 3).generators
+
+
+def generator_check_corpus():
+    """(alphas, beta) inputs of both kinds: every fixture split into alphas
+    and a last generator, every random quotient, and the hand-built
+    failures on the tomotope and on the star mod 3."""
+    cases = []
+    for name in builtin_fixture_names():
+        gens = builtin_fixture(name).gens
+        cases.append((gens[:-1], gens[-1]))
+    cases += [(Q.alphas, Q.beta) for Q in random_quotients(primes=(2, 3))]
+    tomotope = builtin_fixture("tomotope.tt")
+    for gens in (tomotope.gens, star_mod3_generators()):
+        for failing in hand_built_failures(gens[:3], gens[3]).values():
+            cases += failing
+    return cases
+
+
+def test_generator_checks_match_the_element_oracle(monkeypatch):
+    """The checks on codes give the element oracle's verdict, exception type
+    and message, for ``verify_tail_triangle`` and for ``is_string_c_group``
+    on each input's generators and on its alphas."""
+    cases = generator_check_corpus()
+    monkeypatch.setattr(ttgroup, "closure", refuse_closure)
+    verdicts = set()
+    for alphas, beta in cases:
+        want = raised(oracle_verify_checks, alphas, beta)
+        assert raised(verify_tail_triangle, alphas, beta) == want
+        verdicts.add(want[0])
+        for gens in (tuple(alphas) + (beta,), tuple(alphas)):
+            reason = oracle_string_reason(gens)
+            if reason is None:
+                with pytest.raises(Closed):
+                    is_string_c_group(gens)
+            else:
+                res = is_string_c_group(gens)
+                assert (res.ok, res.reason, res.group) == (False, reason, None)
+    assert verdicts == {Closed, NotInvolution, ValueError, CommutationViolation}
+
+
+@pytest.mark.parametrize("kind", ["permutations", "matrices"])
+def test_hand_built_failures_are_what_they_say(kind):
+    gens = builtin_fixture("tomotope.tt").gens if kind == "permutations" else star_mod3_generators()
+    for error, inputs in hand_built_failures(gens[:3], gens[3]).items():
+        for alphas, beta in inputs:
+            assert raised(oracle_verify_checks, alphas, beta)[0] is error
+
+
+def test_mixed_kind_generators_raise_before_any_check(monkeypatch):
+    """Generators of mixed kind raise KindMismatch before any check or
+    closure: a permutation with a matrix, two degrees, two moduli."""
+    monkeypatch.setattr(ttgroup, "closure", no_closure)
+    swap, cycle = parse_perm("(1,2)", 4), parse_perm("(1,2,3)", 3)
+    star = star_mod3_generators()
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    mod5 = reduce_mod_p(system, 5).generators
+    for alphas, beta in [((swap,), star[0]), ((cycle,), swap), (star[:3], mod5[3])]:
+        with pytest.raises(KindMismatch, match="^generators of mixed kind$"):
+            verify_tail_triangle(alphas, beta)
+        with pytest.raises(KindMismatch, match="^generators of mixed kind$"):
+            is_string_c_group(tuple(alphas) + (beta,))
 
 
 def test_tomotope_intersection_both_checkers():
