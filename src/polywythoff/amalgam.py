@@ -16,12 +16,15 @@ as (side, index into that side's transversal), and all of the arithmetic
 below is lookups in integer tables built once per context; elements only
 come back for printing (``AmalgamWord.kappa``, ``AmalgamWord.taus``).
 
-Words are multiplied on the left (``AmalgamContext._left``): a factor
-element times kappa * tau_1 ... tau_m changes only kappa and tau_1, so
-``normalize`` (read right to left), ``multiply`` and ``inverse`` cost O(1)
-per syllable or letter. Multiplying on the right would carry a K-part
-leftwards through every syllable; only ``ball_elements`` steps that way,
-because its BFS order picks the ball faces' representatives.
+Words are multiplied on the left (``AmalgamContext._left``, the one place
+that holds the rule): a factor element times kappa * tau_1 ... tau_m
+changes only kappa and tau_1, so ``normalize`` (read right to left),
+``multiply`` and ``inverse`` cost O(1) per syllable or letter, in one loop
+over the letters or syllables with no call per step. Multiplying on the
+right would carry a K-part leftwards through every syllable; only
+``ball_elements`` steps that way, because its BFS order picks the ball
+faces' representatives. Words (``AmalgamWord``) are immutable slot objects,
+equal and hashed on their indices.
 
 The face subgroups Gamma_j (Gamma_{n-1} = K), the facet groups P, Q and
 Pi_j+ are sub-amalgams H = <H_P, H_Q>, on generator subsets that agree
@@ -31,11 +34,17 @@ followed by syllables alternately in H_P \\ H_K and H_Q \\ H_K, all outside K,
 and the normal form of w yields a canonical key of the right coset H*w
 (``AmalgamContext.coset_key``).  Membership and the faces of the
 bounded-radius ball of the universal semiregular polytope are key lookups.
+The key is read by one walk per kind, built once from that kind's coset
+tables (``AmalgamContext._key_walk``): one table lookup per syllable it
+absorbs. ``enumerate_ball`` calls the walks on its own words, and keys each
+cover probe h*w from the new head and w's remaining syllables, since h
+changes only kappa and tau_1; it builds no word per probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .groups import FiniteGroup, coset_partition, extend_homomorphism
 from .groups import closure  # noqa: F401  kept for perfbench/tracing.py, which spans it
@@ -63,16 +72,37 @@ class WordAlphabet:
     rank: tuple
 
 
-@dataclass(frozen=True)
 class AmalgamWord:
     """Reduced decomposition on element indices: kappa_index indexes K (on
     the P side), tau_indices holds alternating (side, transversal index)
     pairs, never 0, the identity's index. ``kappa`` and ``taus`` read the
-    same word as elements."""
+    same word as elements. Immutable; equal and hashed on (kappa_index,
+    tau_indices) only. The fields are filled through their slot
+    descriptors, a third of a frozen dataclass's cost to build."""
 
-    kappa_index: int
-    tau_indices: tuple
-    alphabet: WordAlphabet = field(compare=False, repr=False)
+    __slots__ = ("kappa_index", "tau_indices", "alphabet")
+
+    def __init__(self, kappa_index: int, tau_indices: tuple, alphabet: WordAlphabet):
+        _set_kappa_index(self, kappa_index)
+        _set_tau_indices(self, tau_indices)
+        _set_alphabet(self, alphabet)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AmalgamWord is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AmalgamWord is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AmalgamWord:
+            return NotImplemented
+        return self.kappa_index == other.kappa_index and self.tau_indices == other.tau_indices
+
+    def __hash__(self):
+        return hash((self.kappa_index, self.tau_indices))
+
+    def __repr__(self):
+        return f"AmalgamWord(kappa_index={self.kappa_index!r}, tau_indices={self.tau_indices!r})"
 
     @property
     def kappa(self):
@@ -103,6 +133,25 @@ class AmalgamWord:
     def __str__(self):
         parts = [str(self.kappa)] + [f"{s}:{t}" for s, t in self.taus]
         return " . ".join(parts)
+
+
+_set_kappa_index = AmalgamWord.kappa_index.__set__
+_set_tau_indices = AmalgamWord.tau_indices.__set__
+_set_alphabet = AmalgamWord.alphabet.__set__
+
+
+def _walker(step, kcid):
+    """``AmalgamContext.coset_key``'s walk on a word's indices, over the
+    per-kind tables of ``AmalgamContext._key_walk``."""
+
+    def walk(carry, taus):
+        for i, (side, t) in enumerate(taus):
+            carry = step[side][t][carry]
+            if carry < 0:
+                return (side, ~carry, taus[i + 1:])
+        return ("K", kcid[carry])
+
+    return walk
 
 
 def _nested_towers(G: FiniteGroup):
@@ -151,10 +200,11 @@ class AmalgamContext:
     - ``_syllable[S][t][k]``: the factor index of k * t;
 
     and ``_kmul``/``_kinv`` for K; ``_kmul[k][x]`` is the index of k * x.
-    ``_letter_index`` gives each generator name as (side, k, t). The tables
-    come from rows of the factor's multiplication table for the K-elements
-    and transversal elements only, each read off the right table with no
-    element products.
+    ``_generators`` gives each generator name as (side, factor index), and
+    ``_letter_index`` as one factor of ``_left``. The tables come from rows
+    of the factor's multiplication table for the K-elements and transversal
+    elements only, each read off the right table with no element products.
+    ``_walks`` caches the key walk of each coset kind once used.
     """
 
     def __init__(self, p_gens, q_gens, shared=None):
@@ -220,23 +270,28 @@ class AmalgamContext:
             K.elements, {s: self.towers[s][0] for s in "PQ"}, tuple(rank)
         )
         # generator indices (I_P, I_Q) of each sub-amalgam: "G_j" = Gamma_j,
-        # "P", "Q" and "Pi_j+"; _keys holds their key data once used
+        # "P", "Q" and "Pi_j+"; _walks holds their key walks once used
         full = tuple(range(n))
         self._kinds = {f"G_{j}": (full[:j] + full[j + 1:],) * 2 for j in full}
         self._kinds.update(P=(full, full[:-1]), Q=(full[:-1], full))
         self._kinds.update({f"Pi_{j}+": (full[j + 1:],) * 2 for j in range(-1, n - 1)})
-        self._keys = {}
+        self._walks = {}
         self.letters = {f"a{i}": ("P", p_gens[i]) for i in range(n)}
         self.letters["b"] = ("Q", q_gens[n - 1])
-        # name -> (side, k, t): the generator is k * t in its factor
-        self._letter_index = {f"a{i}": ("P", *self._dec["P"][RP[i][0]]) for i in range(n)}
-        self._letter_index["b"] = ("Q", *self._dec["Q"][RQ[n - 1][0]])
-        self.identity_word = self._word(0, ())
+        # name -> (side, index of the generator in that factor)
+        self._generators = {f"a{i}": ("P", RP[i][0]) for i in range(n)}
+        self._generators["b"] = ("Q", RQ[n - 1][0])
+        # name -> one factor of _left: ("K", k) for a generator in K, else
+        # (side, t), as a_{n-1} and b lie in their transversals (T_{n-1} =
+        # (1, g_{n-1}) and the towers are nested)
+        self._letter_index = {}
+        for name, (side, x) in self._generators.items():
+            k, t = self._dec[side][x]
+            assert not (k and t), "a generator outside K and its transversal"
+            self._letter_index[name] = (side, t) if t else ("K", k)
+        self.identity_word = AmalgamWord(0, (), self._alphabet)
 
     # -------------------------------------------------------- normal forms
-
-    def _word(self, kappa, taus):
-        return AmalgamWord(kappa, taus, self._alphabet)
 
     def _absorb(self, kappa, taus, side, h):
         """Multiply the word (kappa, taus) on the right by the element of
@@ -264,46 +319,49 @@ class AmalgamContext:
             taus += ((side, tau),)
         return kappa, taus
 
-    def _left(self, side, t, kappa, rev):
-        """Multiply kappa * tau_1 ... tau_m on the left by the nontrivial
-        transversal element t of `side`; rev holds the syllables last
-        first (rev[-1] = tau_1) and is updated in place. Returns the new
-        kappa.
+    def _left(self, factors, kappa, rev):
+        """Multiply kappa * tau_1 ... tau_m on the left by each of `factors`
+        in turn: ("K", k) for K-element k, or (side, t) for the nontrivial
+        transversal element t of `side`, as in a word's tau_indices. rev
+        holds the syllables last first (rev[-1] = tau_1) and is updated in
+        place. Returns the new kappa.
 
         If tau_1 is on `side`, x = t * kappa * tau_1 is one factor element,
         x = k' * t', and k' * t' * tau_2 ... tau_m is reduced, without t'
         when t' = 1 (tau_2 is on the other side). Otherwise t * kappa =
         k' * t' with t' != 1, as t * kappa is not in K, and k' * t' * tau_1
         ... tau_m alternates. Either way only kappa and tau_1 change."""
-        if rev and rev[-1][0] == side:
-            kappa, t = self._tmul[side][t][self._syllable[side][rev[-1][1]][kappa]]
-            if t:
-                rev[-1] = (side, t)
+        kmul, tmul, tk, syllable = self._kmul, self._tmul, self._tk, self._syllable
+        first = rev[-1] if rev else None
+        for side, t in factors:
+            if side == "K":
+                kappa = kmul[t][kappa]
+            elif first is not None and first[0] == side:
+                kappa, t = tmul[side][t][syllable[side][first[1]][kappa]]
+                if t:
+                    first = rev[-1] = (side, t)
+                else:
+                    rev.pop()
+                    first = rev[-1] if rev else None
             else:
-                rev.pop()
-        else:
-            kappa, t = self._tk[side][t][kappa]
-            rev.append((side, t))
+                kappa, t = tk[side][t][kappa]
+                first = (side, t)
+                rev.append(first)
         return kappa
 
     def normalize(self, letters) -> AmalgamWord:
         """The normal form of a product of generator names, read right to
-        left: a letter k * t of factor S (``_letter_index``) acts by
-        ``_left`` with t, then on kappa by k. Every letter is checked
-        first, so the first unknown one in reading order is the one named."""
-        letters, index = tuple(letters), self._letter_index
-        for name in letters:
-            if name not in index:
-                raise ValueError(f"unknown generator {name!r}")
-        kmul, left = self._kmul, self._left
-        kappa, rev = 0, []
-        for name in reversed(letters):
-            side, k, t = index[name]
-            if t:
-                kappa = left(side, t, kappa, rev)
-            kappa = kmul[k][kappa]
+        left: each letter is one factor of ``_left`` (``_letter_index``).
+        An unknown letter stops the reading, and then the first unknown one
+        in reading order is the one named."""
+        letters, rev = tuple(letters), []
+        try:
+            kappa = self._left(map(self._letter_index.__getitem__, reversed(letters)), 0, rev)
+        except KeyError:
+            name = next(x for x in letters if x not in self._letter_index)
+            raise ValueError(f"unknown generator {name!r}") from None
         rev.reverse()
-        return self._word(kappa, tuple(rev))
+        return AmalgamWord(kappa, tuple(rev), self._alphabet)
 
     def _check_word(self, w):
         """Indices mean nothing outside their own context, so a word from
@@ -312,15 +370,14 @@ class AmalgamContext:
             raise ValueError("word does not belong to this context")
 
     def multiply(self, w1: AmalgamWord, w2: AmalgamWord) -> AmalgamWord:
-        """w1 * w2: w2 multiplied on the left by w1's syllables, last first
-        (``_left``), then by w1's kappa. O(1) per syllable of w1, plus the
+        """w1 * w2: w2 multiplied on the left by w1's syllables, last first,
+        then by w1's kappa (``_left``). O(1) per syllable of w1, plus the
         copy of w2's syllables."""
         self._check_word(w1), self._check_word(w2)
-        kappa, rev = w2.kappa_index, list(reversed(w2.tau_indices))
-        for side, t in reversed(w1.tau_indices):
-            kappa = self._left(side, t, kappa, rev)
+        rev = list(reversed(w2.tau_indices))
+        kappa = self._left(reversed(w1.tau_indices), w2.kappa_index, rev)
         rev.reverse()
-        return self._word(self._kmul[w1.kappa_index][kappa], tuple(rev))
+        return AmalgamWord(self._kmul[w1.kappa_index][kappa], tuple(rev), self._alphabet)
 
     def inverse(self, w: AmalgamWord) -> AmalgamWord:
         """w^-1 = tau_m^-1 ... tau_1^-1 * kappa^-1, built from kappa^-1 by
@@ -335,11 +392,11 @@ class AmalgamContext:
             kappa, t = tinvk[side][t][kappa]
             rev.append((side, t))
         rev.reverse()
-        return self._word(kappa, tuple(rev))
+        return AmalgamWord(kappa, tuple(rev), self._alphabet)
 
     def _inject(self, side, x) -> AmalgamWord:
         kappa, tau = self._dec[side][x]
-        return self._word(kappa, ((side, tau),) if tau else ())
+        return AmalgamWord(kappa, ((side, tau),) if tau else (), self._alphabet)
 
     def inject(self, side, g) -> AmalgamWord:
         """Embed an element of factor "P" or "Q"; O(1) table lookup."""
@@ -347,37 +404,55 @@ class AmalgamContext:
             raise ValueError(f"bad factor side {side!r}")
         return self._inject(side, (self.P if side == "P" else self.Q).index_of(g))
 
+    @cached_property
+    def _spellings(self):
+        """Generator names of each K-element's word ("K") and of each
+        transversal element's word in its factor ("P", "Q"), made on the
+        first ``word_letters`` call."""
+        names = {s: [f"a{i}" for i in range(self.n)] for s in "PQ"}
+        names["Q"][-1] = "b"
+        out = {"K": tuple(tuple(names["P"][i] for i in w) for w in self.K.words())}
+        for side, G in (("P", self.P), ("Q", self.Q)):
+            words = G.words()
+            out[side] = tuple(tuple(names[side][i] for i in words[x]) for x in self._trans[side])
+        return out
+
     def word_letters(self, w: AmalgamWord):
         """Serialize a word as generator names (a0 ... a_{n-1}, b)."""
         self._check_word(w)
-        out = [f"a{i}" for i in self.K.words()[w.kappa_index]]
+        spelled = self._spellings
+        out = spelled["K"][w.kappa_index]
         for side, t in w.tau_indices:
-            G = self.P if side == "P" else self.Q
-            for gi in G.words()[self._trans[side][t]]:
-                out.append("b" if side == "Q" and gi == self.n - 1 else f"a{gi}")
-        return tuple(out)
+            out += spelled[side][t]
+        return out
 
     # ---------------------------------------------------------- coset keys
 
-    def _key_data(self, kind):
-        """Per side S, cid[S][x] = H_S-coset of factor element x and
-        land[S][c] = least K-index in coset c (-1 if none); kcid[k] =
-        H_P-coset of K-element k, which names its H_K-coset."""
-        data = self._keys.get(kind)
-        if data is None:
+    def _key_walk(self, kind):
+        """The walk of ``coset_key`` for one kind, built on first use and
+        cached: walk(kappa_index, tau_indices) is the key of H*w. Per side
+        S, step[S][t][c] is the least K-index in the H_S-coset of c * t
+        (t a transversal index, c a K-index), or ~(that coset's index) when
+        the coset misses K; kcid[k] is the H_P-coset of K-element k, which
+        names its H_K-coset."""
+        walk = self._walks.get(kind)
+        if walk is None:
             if kind not in self._kinds:
                 raise ValueError(f"bad coset kind {kind!r}")
-            cid, land = {}, {}
+            step = {}
             for side, G, idx in zip("PQ", (self.P, self.Q), self._kinds[kind]):
-                reps, c = coset_partition(G, idx)
-                hit = [-1] * len(reps)
-                for k, x in enumerate(self._emb[side]):
-                    if hit[c[x]] < 0:
-                        hit[c[x]] = k
-                cid[side], land[side] = tuple(c), tuple(hit)
-            kcid = tuple(cid["P"][x] for x in self._emb["P"])
-            data = self._keys[kind] = (cid, land, kcid)
-        return data
+                reps, cid = coset_partition(G, idx)
+                emb = self._emb[side]
+                land = [~c for c in range(len(reps))]
+                for k in range(len(emb) - 1, -1, -1):
+                    land[cid[emb[k]]] = k
+                step[side] = tuple(
+                    tuple(land[cid[x]] for x in row) for row in self._syllable[side]
+                )
+                if side == "P":
+                    kcid = tuple(cid[x] for x in emb)
+            walk = self._walks[kind] = _walker(step, kcid)
+        return walk
 
     def coset_key(self, kind: str, w: AmalgamWord):
         """Key of the right coset H*w, H the sub-amalgam "G_j", "P", "Q" or
@@ -392,17 +467,10 @@ class AmalgamContext:
         syllable (in H_S \\ H_K) into x when left-multiplying r, and that
         product misses K. So the shortest elements of H*r are exactly
         H_S*r, and their normal forms give back S, H_S*x and the taus.
+        The walk itself is ``_key_walk``'s, one per kind.
         """
         self._check_word(w)
-        cid, land, kcid = self._key_data(kind)
-        syllable = self._syllable
-        carry = w.kappa_index
-        for i, (side, tau) in enumerate(w.tau_indices):
-            c = cid[side][syllable[side][tau][carry]]
-            carry = land[side][c]
-            if carry < 0:
-                return (side, c, w.tau_indices[i + 1:])
-        return ("K", kcid[carry])
+        return self._key_walk(kind)(w.kappa_index, w.tau_indices)
 
     def _in(self, kind, w):
         return self.coset_key(kind, w) == self.coset_key(kind, self.identity_word)
@@ -425,10 +493,7 @@ class AmalgamContext:
 
     def ball_elements(self, radius: int):
         """All normal forms of transversal length <= radius, BFS order."""
-        gens = [
-            (side, self._syllable[side][t][k])
-            for side, k, t in map(self._letter_index.get, sorted(self._letter_index))
-        ]
+        gens = [self._generators[name] for name in sorted(self._generators)]
         seen = dict.fromkeys([(0, ())])  # insertion-ordered
         frontier = list(seen)
         while frontier:
@@ -440,7 +505,7 @@ class AmalgamContext:
                         seen[w] = None
                         nxt.append(w)
             frontier = nxt
-        return [self._word(kappa, taus) for kappa, taus in seen]
+        return [AmalgamWord(kappa, taus, self._alphabet) for kappa, taus in seen]
 
 
 @dataclass(frozen=True)
@@ -465,14 +530,26 @@ def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
     first ball element in BFS order, as face ids (``FacePoset.from_ids``).
     The faces of each (rank, kind) are numbered in ``Face.sort_key`` order,
     (rank, kind, rep key), and no ``Face`` is made until one is asked for.
+    Each element's key is one call of its kind's walk
+    (``AmalgamContext._key_walk``) on the word's indices.
 
     A face Gamma_{r-1}*u lies under H*w iff it is Gamma_{r-1}*h*w for an h in
     H, and only the coset (Gamma_{r-1} ∩ H)*h matters. For a facet these are
     the cosets of K (transversal T_P or T_Q). For H = Gamma_r =
     <a_0..a_{r-1}> * Pi_r+, both Pi_r+ and <a_0..a_{r-2}> lie in
     Gamma_{r-1}, so one member of each coset of <a_0..a_{r-2}> in
-    <a_0..a_{r-1}> suffices. Each h*w is one left multiplication of the
-    face's rep (``AmalgamContext.multiply``).
+    <a_0..a_{r-1}> suffices.
+
+    Each probe h*w is keyed without building it as a word. Write h = k * t
+    in factor S (k in K, t in T_S, possibly 1) and w = kappa * tau_1 ...
+    tau_m; left multiplication changes only kappa and tau_1
+    (``AmalgamContext._left``). Let x = kappa * tau_1 and rest = tau_2 ...
+    tau_m if tau_1 lies on S, else x = kappa and rest = tau_1 ... tau_m,
+    with x read in S. Then t * x = k' * t' and h*w = (k k') * t' * rest,
+    without t' when t' = 1, and this is reduced: t' and tau_2 lie on
+    different sides, and t * kappa is in K only when t = 1. So the key of
+    h*w is the walk over the new head, carry k k' and syllable t', then
+    the rest; x and rest are found once per face.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -481,9 +558,9 @@ def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
     kinds = [(j, f"G_{j}") for j in range(n)] + [(n, "P"), (n, "Q")]
     ranks, kind_of, reps, index = [-1], ["bot"], [None], {}
     for rank, kind in kinds:
-        first = {}
+        walk, first = ctx._key_walk(kind), {}
         for w in elems:
-            first.setdefault(ctx.coset_key(kind, w), w)
+            first.setdefault(walk(w.kappa_index, w.tau_indices), w)
         ids = index[rank, kind] = {}
         for key, w in sorted(first.items(), key=lambda item: item[1].key):
             ids[key] = len(reps)
@@ -496,18 +573,29 @@ def enumerate_ball(ctx: AmalgamContext, radius: int) -> Ball:
             up[0].append(i)
         elif rank == n:
             up[i].append(top)
+    kmul = ctx._kmul
     for rank, kind in kinds[1:]:
-        if kind in ("P", "Q"):
-            scan = [ctx._inject(kind, t) for t in ctx._trans[kind]]
+        if kind in ("P", "Q"):  # h = t, the transversal of K in the facet
+            side, probes = kind, [(0, t) for t in range(len(ctx._trans[kind]))]
         else:
+            side = "P"
             cid = coset_partition(ctx.P, range(rank - 1))[1]
             reps_h = {cid[x]: x for x in ctx.P.span(range(rank))}
-            scan = [ctx._inject("P", x) for x in reps_h.values()]
+            probes = [ctx._dec["P"][x] for x in reps_h.values()]
+        tmul, syllable, emb = ctx._tmul[side], ctx._syllable[side], ctx._emb[side]
         low_kind = f"G_{rank - 1}"
-        lows = index[rank - 1, low_kind]
+        lows, walk = index[rank - 1, low_kind], ctx._key_walk(low_kind)
         for high in index[rank, kind].values():  # ids ascending: up lists come sorted
-            w = reps[high]
-            for low in {lows.get(ctx.coset_key(low_kind, ctx.multiply(h, w))) for h in scan}:
+            kappa, taus = reps[high].kappa_index, reps[high].tau_indices
+            if taus and taus[0][0] == side:
+                x, rest = syllable[taus[0][1]][kappa], taus[1:]
+            else:
+                x, rest = emb[kappa], taus
+            found = set()
+            for k, t in probes:
+                head, t = tmul[t][x]
+                found.add(lows.get(walk(kmul[k][head], ((side, t),) + rest if t else rest)))
+            for low in found:
                 if low is not None:
                     up[low].append(high)
     poset = FacePoset.from_ids(None, ranks, kind_of, reps, map(tuple, up))

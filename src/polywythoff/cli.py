@@ -246,20 +246,29 @@ def cmd_modred(args):
     return 0
 
 
-def _ball_counts(ctx, radius):
+def _ball_counts(ctx, radius, cap=None):
     """N_m, the number of elements of ``enumerate_ball(ctx, radius)`` with m
     syllables, for m = 0..radius, without enumerating them. An element of
     P *_K Q has one normal form k·t_1…t_m, k in K and the t_i nontrivial
     transversal elements taken alternately from T_P and T_Q (Serre,
     *Trees*, §1.2), and the ball holds those with m <= radius. With
     i = |T_P| - 1 and j = |T_Q| - 1 there are |K|·(i·j·i… + j·i·j…) of
-    them for each m >= 1, m factors in each product."""
+    them for each m >= 1, m factors in each product.
+
+    Given a cap, the list stops once the elements plus their syllables,
+    the sum of (m + 1)·N_m, pass it. As i, j >= 1, N_m >= 2 for m >= 1, so
+    that takes at most about the square root of the cap in steps, and the
+    integers stay near the cap, however large the radius."""
     i, j = len(ctx.towers["P"][0]) - 1, len(ctx.towers["Q"][0]) - 1
     counts, from_p, from_q = [ctx.K.order], 1, 1
+    held = ctx.K.order
     for m in range(radius):
+        if cap is not None and held > cap:
+            break
         from_p *= j if m % 2 else i
         from_q *= i if m % 2 else j
         counts.append(ctx.K.order * (from_p + from_q))
+        held += (m + 2) * counts[-1]
     return counts
 
 
@@ -282,13 +291,18 @@ def cmd_amalgam(args):
     # an unknown letter, or a ball past the cap, is refused before any output;
     # the ball keeps normal forms, so its memory grows with the syllables
     w = None if args.normalize is None else ctx.normalize(args.normalize.split())
-    counts, cap = _ball_counts(ctx, args.ball), closure_cap()
+    cap = closure_cap()
+    counts = _ball_counts(ctx, args.ball, cap)
     count, syllables = sum(counts), sum(m * n for m, n in enumerate(counts))
+    whole = len(counts) > args.ball  # else the sum stopped past the cap
     if count > cap:
-        raise CapExceeded(f"ball radius {args.ball} holds {count} elements, over the cap {cap}")
+        held = count if whole else f"more than {cap}"
+        raise CapExceeded(f"ball radius {args.ball} holds {held} elements, over the cap {cap}")
     if count + syllables > cap:
-        msg = f"{count} elements with {syllables} syllables, over the cap {cap}"
-        raise CapExceeded(f"ball radius {args.ball} holds {msg}")
+        held = f"{count} elements with {syllables} syllables" if whole else (
+            f"more than {cap} elements and syllables"
+        )
+        raise CapExceeded(f"ball radius {args.ball} holds {held}, over the cap {cap}")
     print(f"factors: P order {ctx.P.order}, Q order {ctx.Q.order}, shared K order {ctx.K.order}")
     print(f"transversals: |T_P| = {len(ctx.towers['P'][0])}, |T_Q| = {len(ctx.towers['Q'][0])}")
     cls = universal_is_regular(ctx)

@@ -704,6 +704,48 @@ def test_ball_radius_three_regular():
     check_radius_three(("tet.sg", "tet.sg"))
 
 
+# Radius-5 balls: element counts and Hasse digests, taken before the coset
+# keys were read by one walk per kind and the cover probes stopped building
+# words. The tet/oct ball takes under a second.
+RADIUS_FIVE = {
+    ("tet.sg", "oct.sg"): (
+        [2207, 6615, 5555, 5556], 33330,
+        "2159ef2607408f23ba431aae21eacb140280e93f45226aff0f0844ac4152b0a1",
+    ),
+    ("tet.sg", "tet.sg"): (
+        [245, 729, 727, 728], 4362,
+        "014d2cbab055e7eb0ba325a6644f64c26574db6e6b7b874e308ef39303b8b6d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", RADIUS_FIVE, ids="/".join)
+def test_ball_radius_five(pair):
+    ctx, _ = context(pair)
+    faces, elements, digest = RADIUS_FIVE[pair]
+    ball = enumerate_ball(ctx, 5)
+    assert [len(ball.poset.faces(r)) for r in range(4)] == faces
+    assert len(ball.elements) == elements
+    assert hashlib.sha256(export_hasse(ball.poset).encode()).hexdigest() == digest
+
+
+def test_ball_makes_no_word_product_and_no_public_key(tetoct, monkeypatch):
+    # enumerate_ball reads its keys by each kind's walk on its own words and
+    # probes covers without building h * w as a word
+    calls = []
+    for name in ("multiply", "coset_key", "_check_word"):
+        method = getattr(AmalgamContext, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(AmalgamContext, name, counted)
+    ball = enumerate_ball(tetoct, 2)
+    assert len(ball.elements) == 318
+    assert calls == []
+
+
 # (letters, str of the normal form, word_letters) in tet/oct, pinned before
 # the normal-form arithmetic moved onto element indices
 GOLDEN_WORDS = [
@@ -736,6 +778,62 @@ def test_golden_words(tetoct, letters, printed, serial):
     w = tetoct.normalize(letters.split())
     assert str(w) == printed
     assert " ".join(tetoct.word_letters(w)) == serial
+
+
+# AmalgamWord.key of the first golden words, pinned with the contract below
+GOLDEN_KEYS = [
+    (0, (), 4, ()),
+    (2, ("P", "Q"), 0, (1, 5)),
+    (2, ("P", "Q"), 2, (1, 5)),
+    (0, (), 0, ()),
+]
+
+
+def test_word_contract(tetoct):
+    """What callers rely on: equality and hash on (kappa_index, tau_indices)
+    only, usable as dict keys, immutable fields, unchanged str and key, and
+    indices that mean nothing in another context."""
+    words = [tetoct.normalize(letters.split()) for letters, _, _ in GOLDEN_WORDS]
+    for w, (letters, printed, _) in zip(words, GOLDEN_WORDS):
+        again = tetoct.normalize(letters.split())
+        assert again is not w and again == w and hash(again) == hash(w)
+        assert not (again != w)
+        assert str(w) == printed
+        assert w.kappa_index == again.kappa_index and w.tau_indices == again.tau_indices
+    assert [w.key for w in words[:len(GOLDEN_KEYS)]] == GOLDEN_KEYS
+    distinct = {(w.kappa_index, w.tau_indices) for w in words}
+    table = {w: i for i, w in enumerate(words)}
+    assert len(table) == len(distinct)
+    for w in words:
+        assert words[table[w]] == w
+    for u in words:
+        for v in words:
+            same = (u.kappa_index, u.tau_indices) == (v.kappa_index, v.tau_indices)
+            assert (u == v) == same and (u != v) == (not same)
+    assert words[0] != (words[0].kappa_index, words[0].tau_indices)
+    w = words[1]
+    for field_name in ("kappa_index", "tau_indices", "alphabet", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, field_name, 0)
+    for field_name in ("kappa_index", "tau_indices", "alphabet"):
+        with pytest.raises(AttributeError):
+            delattr(w, field_name)
+    assert str(w) == GOLDEN_WORDS[1][1] and w.key == GOLDEN_KEYS[1]
+    # the same indices from another context are refused, though they fit
+    tettet, _ = context(("tet.sg", "tet.sg"))
+    foreign = tettet.normalize(["a2", "b"])
+    own = next(
+        x for x in tetoct.ball_elements(2)
+        if (x.kappa_index, x.tau_indices) == (foreign.kappa_index, foreign.tau_indices)
+    )
+    tetoct.multiply(own, own)
+    for call in (
+        lambda: tetoct.multiply(own, foreign),
+        lambda: tetoct.coset_key("P", foreign),
+        lambda: tetoct.word_letters(foreign),
+    ):
+        with pytest.raises(ValueError, match="context"):
+            call()
 
 
 def star_mod3_context():

@@ -8,6 +8,7 @@ from polywythoff import cli, kernels, modred, selftest
 from polywythoff.amalgam import AmalgamContext, enumerate_ball
 from polywythoff.cli import main
 from polywythoff.fixtureio import builtin_fixture
+from polywythoff.groups import closure_cap
 from polywythoff.kernels import close
 
 
@@ -452,6 +453,50 @@ def test_amalgam_ball_past_the_cap_in_syllables_is_refused_before_output(
     code, out, err = run(capsys, *argv, "21")  # 1010 = 86 elements + 924 syllables
     assert code == 1 and out == ""
     assert err.startswith("verification failure: CapExceeded: ") and "924 syllables" in err
+
+
+def test_amalgam_huge_ball_is_refused_past_the_cap(capsys, monkeypatch):
+    # 20000 syllables: exact counts would run to thousands of digits
+    monkeypatch.delenv("POLYWYTHOFF_CAP", raising=False)
+    cap = closure_cap()
+    code, out, err = run(capsys, "amalgam", "--p", "tet.sg", "--q", "oct.sg", "--ball", "20000")
+    assert code == 1 and out == ""
+    assert err == (
+        f"verification failure: CapExceeded: ball radius 20000 holds more than {cap} "
+        f"elements and syllables, over the cap {cap}\n"
+    )
+
+
+@pytest.mark.parametrize("radius", ["1000000", str(10**12)])
+def test_amalgam_digon_ball_at_a_huge_radius_is_refused_at_once(
+    capsys, monkeypatch, tmp_path, radius
+):
+    # 2 + 4R elements: the element count passes the cap only at R ~ cap / 4,
+    # the syllables at R ~ sqrt(cap / 2), where the sum stops
+    path = tmp_path / "digon.sg"
+    path.write_text(DIGON)
+    monkeypatch.delenv("POLYWYTHOFF_CAP", raising=False)
+    cap = closure_cap()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "amalgam", "--p", str(path), "--q", str(path), "--ball", radius)
+    assert time.perf_counter() - t0 < 0.25
+    assert code == 1 and out == ""
+    assert err == (
+        f"verification failure: CapExceeded: ball radius {radius} holds more than {cap} "
+        f"elements and syllables, over the cap {cap}\n"
+    )
+
+
+def test_ball_counts_stop_once_past_the_cap():
+    ctx = AmalgamContext(builtin_fixture("tet.sg").gens, builtin_fixture("oct.sg").gens)
+    whole = cli._ball_counts(ctx, 12)
+    for cap in (5, 66, 1000, 10**5):
+        counts = cli._ball_counts(ctx, 12, cap)
+        assert counts == whole[:len(counts)]
+        held = [sum((m + 1) * n for m, n in enumerate(counts[:r])) for r in range(1, len(counts) + 1)]
+        # every prefix but the whole list is within the cap
+        assert all(h <= cap for h in held[:-1])
+        assert held[-1] > cap or counts == whole
 
 
 @pytest.mark.parametrize("degree", ["0", "-5"])
