@@ -3,8 +3,9 @@
 Both kinds are immutable, hashable and totally ordered by their serialized
 form (image tuple / flattened entry tuple), which is what makes canonical
 coset representatives well defined. ``row_reduce`` is the one elimination
-mod p: it inverts matrices here and gives ``modred`` the discriminant and
-the radical of a reduced form.
+mod p: it tests matrices for invertibility here and gives ``modred`` the
+discriminant and the radical of a reduced form. No element is inverted in
+the program; the tests invert elements for their oracles.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ class Perm:
             raise KindMismatch("degree mismatch")
         o = other.images
         return Perm._raw(tuple(o[i - 1] for i in self.images))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Perm._raw(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(img == i + 1 for i, img in enumerate(self.images))
@@ -218,20 +213,6 @@ class MatModP:
         d = self.dim
         rows = [list(self.entries[i : i + d]) for i in range(0, d * d, d)]
         return row_reduce(rows, d, self.p)[0] == d
-
-    def inverse(self) -> "MatModP":
-        """Row-reduce [M | I]: M is invertible iff it has rank d, and then the
-        right half is M^-1."""
-        d, p = self.dim, self.p
-        aug = [
-            list(self.entries[i * d : (i + 1) * d])
-            + [1 if i == j else 0 for j in range(d)]
-            for i in range(d)
-        ]
-        if row_reduce(aug, d, p)[0] < d:
-            raise ValueError(f"matrix singular mod {p}")
-        ent = tuple(aug[i][d + j] for i in range(d) for j in range(d))
-        return MatModP._raw(p, d, ent)
 
     def is_identity(self) -> bool:
         d = self.dim

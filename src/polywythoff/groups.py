@@ -302,13 +302,21 @@ def element_kind(generators):
     raise KindMismatch(f"unknown element kind: {type(first)!r}")
 
 
-def closure(generators, cap: int | None = None) -> FiniteGroup:
+def closure(generators, cap: int | None = None, *, kind=None, maps=None) -> FiniteGroup:
     """Breadth-first closure of the generators, deterministic element order,
-    with the right table (``kernels.close``)."""
+    with the right table (``kernels.close``).
+
+    ``kind`` and ``maps``, when given, are ``element_kind(generators)`` and
+    ``kind.map`` of each generator, as a caller's generator checks made
+    them: the closure runs on those maps, so a row the checks multiplied
+    is not multiplied again. A map holds only true products, so the closure
+    is the same as on fresh maps."""
     generators = tuple(generators)
-    kind = element_kind(generators)
+    if kind is None:
+        kind = element_kind(generators)
+        maps = [kind.map(g) for g in generators]
     cap = closure_cap(cap)
-    raw = kernels.close([kind.map(g) for g in generators], kind.identity, cap)
+    raw = kernels.close(maps, kind.identity, cap)
     if raw is None:
         raise CapExceeded(f"closure exceeded cap of {cap} elements")
     keys, prods, R = raw

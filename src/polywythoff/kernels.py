@@ -18,9 +18,16 @@ generator checks before it, and takes codes back out of it.
   e*g is (row i of e)*g, a function of that row and g alone, so mapping
   every row through v -> v*g gives e*g exactly. ``RowMap`` is that
   function for one generator, memoized on first use, so each distinct row
-  is multiplied once per generator however many elements hold it. A miss
+  is multiplied once per generator however many elements hold it. A
+  verification makes one map per generator, for its generator checks and
+  its closure alike (``groups.closure`` takes the checks' maps). A miss
   writes the code of v*g one base-p digit per column of g, most
-  significant first, with no list of entries in between. The coding is a
+  significant first, with no list of entries in between. When g*g = 1 a
+  miss also stores v*g -> v, as ``close`` fills an involution's pair of
+  entries with one lookup: (v*g)*g = v*(g*g) = v, so the entry is a true
+  product and each pair {v, v*g} costs one product. A map holds only true
+  products, so the search cannot tell it from one that multiplies every
+  row it is asked for. The coding is a
   bijection from Z_p^dim onto [0, p^dim), so two row-code tuples are equal
   exactly when the matrices are, and the search meets the same elements
   in the same order, with the same productions and right table, as one on
@@ -119,12 +126,27 @@ def close(maps, identity: tuple, cap: int):
 
 
 class RowMap(dict):
-    """Row code -> row code of v*g mod p for one matrix g, filled on first use."""
+    """Row code -> row code of v*g mod p for one matrix g, filled on first use.
+
+    ``involution`` says whether g*g = 1. Row i of g*g is (row i of g)*g, so
+    the test maps g's rows through the map, as ``close`` maps the
+    identity's rows twice, and it stores those rows' images, which are
+    true products. Then e_i -> row i of g is stored too, with no product:
+    e_i*g is row i of g. When g is an involution, a miss v -> v*g also
+    stores v*g -> v, which is exact because (v*g)*g = v*(g*g) = v: each
+    pair {v, v*g} costs one product. After the test the memo holds both
+    directions of every pair it has, {e_i, row i of g} included.
+    """
 
     def __init__(self, entries, dim: int, p: int):
         super().__init__()
         self.cols = [entries[j::dim] for j in range(dim)]
         self.dim, self.p = dim, p
+        self.involution = False  # no pairing until the test below is done
+        rows = [encode_row(entries[i : i + dim], p) for i in range(0, dim * dim, dim)]
+        one = [p ** (dim - 1 - i) for i in range(dim)]  # the codes of e_0..e_{dim-1}
+        self.involution = [self[row] for row in rows] == one
+        self.update(zip(one, rows))
 
     def __missing__(self, code: int) -> int:
         v, p = decode_row(code, self.dim, self.p), self.p
@@ -132,6 +154,8 @@ class RowMap(dict):
         for col in self.cols:  # one big-endian digit of the image per column
             out = out * p + sum(map(mul, v, col)) % p
         self[code] = out
+        if self.involution:
+            self[out] = code
         return out
 
 

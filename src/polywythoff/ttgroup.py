@@ -159,14 +159,16 @@ class TailTriangleGroup:
 
 
 def _generator_codes(gens):
-    """The codes of the identity and of each generator, and ``times(c, j)``,
-    the code of c * gens[j] through the closure's own generator maps
-    (``groups.element_kind``). Codes are equal exactly when the elements
-    are, so the checks make no element product."""
+    """The kind of the generators (``groups.element_kind``), the closure's
+    generator maps, the code of each generator, and ``times(c, j)``, the
+    code of c * gens[j] through those maps. Codes are equal exactly when the
+    elements are, so the checks make no element product, and the caller
+    hands the kind and the maps to ``closure``, which reuses every product
+    the checks made."""
     kind = element_kind(gens)
     maps = [kind.map(g) for g in gens]
     times = lambda c, j: tuple(map(maps[j].__getitem__, c))
-    return kind.identity, [kind.code(g) for g in gens], times
+    return kind, maps, [kind.code(g) for g in gens], times
 
 
 def verify_tail_triangle(alphas, beta, cap=None) -> TailTriangleGroup:
@@ -174,11 +176,13 @@ def verify_tail_triangle(alphas, beta, cap=None) -> TailTriangleGroup:
     labels from its right table (``pair_order``). Before the closure the
     checks read codes (``_generator_codes``), and a pair labelled 2 is
     checked by ab = ba, which for distinct involutions says ab has order 2;
-    its order is measured only for the error message."""
+    its order is measured only for the error message. The closure runs on
+    the checks' generator maps."""
     alphas = tuple(alphas)
     n = len(alphas)
     gens = alphas + (beta,)
-    one, codes, times = _generator_codes(gens)
+    kind, maps, codes, times = _generator_codes(gens)
+    one = kind.identity
     for i, c in enumerate(codes):
         if c == one or times(c, i) != one:
             raise NotInvolution(gen_name(i, n))
@@ -195,7 +199,7 @@ def verify_tail_triangle(alphas, beta, cap=None) -> TailTriangleGroup:
                 order = element_order(gens[i] * gens[j], cap=cap)
                 raise CommutationViolation(gen_name(i, n), gen_name(j, n), order)
 
-    G = closure(gens, cap=cap)
+    G = closure(gens, cap=cap, kind=kind, maps=maps)
     o = lambda i, j: pair_order(G, i, j)
     if n == 1:
         diagram = TailTriangleDiagram(1, (), (None, None, o(0, 1)))
@@ -318,10 +322,12 @@ class StringGroupResult:
 
 
 def is_string_c_group(gens) -> StringGroupResult:
-    """SC1 (string commutation, on codes) + SC2 (intersection condition)."""
+    """SC1 (string commutation, on codes) + SC2 (intersection condition).
+    The closure runs on the checks' generator maps."""
     gens = tuple(gens)
     r = len(gens)
-    one, codes, times = _generator_codes(gens)
+    kind, maps, codes, times = _generator_codes(gens)
+    one = kind.identity
     for i, c in enumerate(codes):
         if c == one or times(c, i) != one:
             return StringGroupResult(False, f"generator {i} not an involution", None, None)
@@ -332,7 +338,7 @@ def is_string_c_group(gens) -> StringGroupResult:
                 return StringGroupResult(
                     False, f"generators {i},{j} do not commute", None, None
                 )
-    G = closure(gens)
+    G = closure(gens, kind=kind, maps=maps)
     _, failure = _first_failure(_MaskReader(G), _subset_pairs(range(r)))
     if failure is not None:
         I, J, _ = failure

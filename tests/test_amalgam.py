@@ -43,6 +43,7 @@ from polywythoff.wythoff import (
     facet_section,
     poset_isomorphic,
 )
+from inverses import inverse
 
 
 class TowerOracle:
@@ -57,7 +58,7 @@ class TowerOracle:
         head_k = [frozenset(ctx.P.sub(range(j)).elements) for j in range(n)]
         # inverses of <a_0..a_{j-1}> as words, per j
         self.head_words = tuple(
-            tuple(ctx.inject("P", a.inverse()) for a in sorted(head, key=lambda e: e.key))
+            tuple(ctx.inject("P", inverse(a)) for a in sorted(head, key=lambda e: e.key))
             for head in head_k
         )
 
@@ -90,10 +91,10 @@ class TowerOracle:
         if high_kind in ("P", "Q"):
             if low_rank == ctx.n - 1:  # K * Facet = Facet
                 return self.in_facet(z, high_kind)
-            scan = (ctx.inject(high_kind, g.inverse())
+            scan = (ctx.inject(high_kind, inverse(g))
                     for g in (ctx.P if high_kind == "P" else ctx.Q).elements)
         elif high_rank == ctx.n - 1:
-            scan = (ctx.inject("P", g.inverse()) for g in ctx.K.elements)
+            scan = (ctx.inject("P", inverse(g)) for g in ctx.K.elements)
         else:
             # Gamma_j * Gamma_k = Gamma_j * <a_0..a_{k-1}> since Pi_k+ <= Gamma_j
             scan = self.head_words[high_rank]
@@ -207,8 +208,8 @@ class ElementOracle:
     def inverse(self, w):
         word = (self.ctx.K.identity, ())
         for side, t in reversed(w[1]):
-            word = self.absorb(*word, side, t.inverse())
-        return self.absorb(*word, "P", w[0].inverse())
+            word = self.absorb(*word, side, inverse(t))
+        return self.absorb(*word, "P", inverse(w[0]))
 
     @staticmethod
     def key(w):
@@ -277,7 +278,7 @@ def element_towers(G):
     n = len(G.generators)
     last = G.generators[n - 1]
     towers = [None] * n
-    towers[n - 1] = (last.inverse() * last, last)  # (identity, g_{n-1})
+    towers[n - 1] = (inverse(last) * last, last)  # (identity, g_{n-1})
     for j in range(n - 2, -1, -1):
         Gj = G.sub(range(j, n))  # its generators g_j..g_{n-1} are 0..n-1-j
         reps, cid = coset_partition(Gj, range(n - 1 - j))

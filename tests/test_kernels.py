@@ -24,7 +24,8 @@ from polywythoff.fixtureio import builtin_fixture
 from polywythoff.groups import closure, element_kind
 from polywythoff.modred import reduce_mod_p, rescale
 from polywythoff.selftest import random_quotients
-from polywythoff.ttgroup import parse_diagram
+from polywythoff.ttgroup import parse_diagram, verify_tail_triangle
+from inverses import inverse
 
 CAP = 3000
 
@@ -132,7 +133,7 @@ def mat_gens(draw):
     # monomial matrices conjugated by one invertible matrix: small groups
     # with dense entries
     a = draw(invertible)
-    return [a.inverse() * _monomial(draw, p, dim) * a for _ in range(count)]
+    return [inverse(a) * _monomial(draw, p, dim) * a for _ in range(count)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,6 +243,87 @@ def test_row_map_matches_entry_products(data, p, dim):
     for v in rows:
         vg = [sum(v[k] * g[k * dim + j] for k in range(dim)) % p for j in range(dim)]
         assert m[kernels.encode_row(v, p)] == kernels.encode_row(vg, p)
+
+
+def _image_code(v, g, dim, p):
+    """The code of the row v*g, from entries."""
+    return kernels.encode_row(
+        [sum(v[k] * g[k * dim + j] for k in range(dim)) % p for j in range(dim)], p
+    )
+
+
+def _some_rows(data, dim, p):
+    if p**dim <= 625:
+        return list(itertools.product(range(p), repeat=dim))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    return [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(300)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(2, 4))
+def test_row_map_pairs_an_involutions_rows(data, p, dim):
+    # any row d with entry -1 at d gives an involution 1 + e_d (x) u, u[d] = -2
+    d = data.draw(st.integers(0, dim - 1))
+    row = data.draw(st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim))
+    row[d] = p - 1
+    g = tuple(row[j] if i == d else int(i == j) for i in range(dim) for j in range(dim))
+    m = kernels.RowMap(g, dim, p)
+    assert m.involution
+    for v in _some_rows(data, dim, p):
+        assert m[kernels.encode_row(v, p)] == _image_code(v, g, dim, p)
+    # every stored v -> v*g has v*g -> v stored beside it, read with no lookup
+    assert all(dict.get(m, w) == v for v, w in m.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(2, 4))
+def test_row_map_of_a_non_involution_stores_only_its_lookups(data, p, dim):
+    entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
+    g = data.draw(
+        entries.map(lambda e: MatModP(p, dim, e, check=False))
+        .filter(MatModP._invertible)
+        .filter(lambda a: not (a * a).is_identity())
+    ).entries
+    m = kernels.RowMap(g, dim, p)
+    assert not m.involution
+    # the test mapped g's rows; e_i -> row i of g is stored with no product
+    rows = {kernels.encode_row(g[i : i + dim], p) for i in range(0, dim * dim, dim)}
+    stored = rows | {p ** (dim - 1 - i) for i in range(dim)}
+    assert set(m) == stored
+    for v in _some_rows(data, dim, p):
+        code = kernels.encode_row(v, p)
+        assert m[code] == _image_code(v, g, dim, p)
+        stored.add(code)
+        assert set(m) == stored
+
+
+def test_identity_row_map_is_an_involution():
+    m = kernels.RowMap((1, 0, 0, 0, 1, 0, 0, 0, 1), 3, 5)
+    assert m.involution and m[17] == 17 and len(m) == 4  # e_0, e_1, e_2 and 17
+
+
+@pytest.mark.parametrize("p, misses", [(3, 144), (5, 875)])
+def test_verification_multiplies_each_row_pair_once(monkeypatch, p, misses):
+    # the generator checks and the closure share one row map per generator,
+    # and a reflection's map takes one product per pair {v, v*g}
+    maps = {}
+    missing = kernels.RowMap.__missing__
+
+    def counting(self, code):
+        maps.setdefault(id(self), [self, 0])[1] += 1
+        return missing(self, code)
+
+    monkeypatch.setattr(kernels.RowMap, "__missing__", counting)
+    system = rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
+    gens = reduce_mod_p(system, p).generators
+    G = verify_tail_triangle(list(gens[:3]), gens[3])
+    assert G.group.order == {3: 1296, 5: 28800}[p]
+    assert len(maps) == 4
+    assert sum(count for _, count in maps.values()) == misses
+    for m, count in maps.values():
+        assert m.involution
+        assert all(dict.get(m, w) == v for v, w in m.items())
+        assert count <= len({frozenset(pair) for pair in m.items()})
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,8 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywythoff.elements import MatModP
 from polywythoff import modred
@@ -42,6 +44,7 @@ from polywythoff.wythoff import (
     poset_isomorphic,
     vertex_figure,
 )
+from inverses import inverse
 
 # the star diagram: tail branch 3, triangle branches 4 and inf, open bottom
 STAR = parse_diagram("tail=[3] triangle=(4,inf,2)")
@@ -70,6 +73,8 @@ def star_spec(p):
         ("tail=[] triangle=(6,4,2)", True),  # open circuit, lone labels fine
         ("tail=[] triangle=(4,6,3)", False),  # circuit: one 4 and one 6
         ("tail=[3] triangle=(inf,inf,inf)", True),  # inf everywhere
+        ("tail=[] triangle=(4,4,4)", False),  # circuit with three 4s
+        ("tail=[] triangle=(6,6,6)", False),  # circuit with three 6s
     ],
 )
 def test_crystallographic_table(text, ok):
@@ -80,7 +85,9 @@ def test_crystallographic_reason_strings():
     r = is_crystallographic(parse_diagram("tail=[] triangle=(5,3,2)"))
     assert not r and "5" in r.reason
     r = is_crystallographic(parse_diagram("tail=[] triangle=(4,3,3)"))
-    assert not r and "one 4" in r.reason
+    assert not r and r.reason == "triangle circuit has exactly one 4-label"
+    r = is_crystallographic(parse_diagram("tail=[3] triangle=(6,6,6)"))
+    assert not r and r.reason == "triangle circuit has three 6-labels"
 
 
 # ------------------------------------------------------------------ rescale
@@ -129,14 +136,15 @@ import sys
 from polywythoff import modred
 from polywythoff.ttgroup import parse_diagram
 print(sys.flags.optimize)
-modred._identity = lambda m: ()
+modred._changed_rows = lambda M, p: dict.fromkeys(range(len(M)), [1] * len(M))
 modred.rescale(parse_diagram("tail=[3] triangle=(4,inf,2)"), (1, 1, 2, 4))
 """
 
 
 def test_rescale_checks_survive_python_O():
-    # a broken identity makes the involution check fail; under -O a bare
-    # assert would be gone and rescale would return a system
+    # changed rows that are all ones make the involution check fail (row r
+    # of M*M - 1 would be 1 + the sum of row r of M times a row of ones);
+    # under -O a bare assert would be gone and rescale would return a system
     src = str(Path(modred.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run(
@@ -265,22 +273,29 @@ def outcome(fn, *args):
 
 
 LABEL_SET_DIAGRAMS = [
-    d
+    TailTriangleDiagram(n, tail, tri)
     for n in (2, 3)
     for tail in itertools.product((3, 4, 6), repeat=n - 2)
     for tri in itertools.product((3, 4, 6), (3, 4, 6), (2, 3, 4, 6))
-    if is_crystallographic(d := TailTriangleDiagram(n, tail, tri))
 ]
+CRYSTALLOGRAPHIC = [d for d in LABEL_SET_DIAGRAMS if is_crystallographic(d)]
 
 
 @pytest.mark.parametrize("d", LABEL_SET_DIAGRAMS, ids=str)
 def test_integer_reduction_matches_rational_oracle(d):
-    # the diagrams of selftest.random_quotients, every length tuple that
-    # search_lengths tries there, then halved and thirded
+    # the diagrams selftest.random_quotients draws, every length tuple that
+    # search_lengths tries there, then halved and thirded. The oracle has no
+    # crystallographic test: where rescale refuses a circuit up front, the
+    # oracle finds no integral system for any of these lengths.
+    cryst = is_crystallographic(d)
     for combo in itertools.product((1, 2, 3), repeat=d.n + 1):
         for scale in (1, Fraction(1, 2), Fraction(1, 3)):
             lengths = tuple(x * scale for x in combo)
             sys_ = outcome(rescale, d, lengths)
+            if not cryst:
+                assert sys_ == (ValueError, f"not crystallographic: {cryst.reason}", None)
+                assert outcome(oracle_rescale, d, lengths)[0] is NonIntegralSystem
+                continue
             assert sys_ == outcome(oracle_rescale, d, lengths)
             if not isinstance(sys_, IntegralReflectionSystem):
                 assert sys_[0] is NonIntegralSystem
@@ -293,7 +308,7 @@ def test_integer_reduction_matches_rational_oracle(d):
 
 def test_integer_reduction_oracle_covers_every_outcome():
     got = set()
-    for d in LABEL_SET_DIAGRAMS[::5]:
+    for d in CRYSTALLOGRAPHIC[::5]:
         for lengths in search_lengths(d, (1, 2, 3)):
             for scale, p in itertools.product((1, Fraction(1, 2), Fraction(1, 3)), (2, 3, 5, 7)):
                 spec = outcome(reduce_mod_p, rescale(d, tuple(x * scale for x in lengths)), p)
@@ -321,6 +336,99 @@ def test_integer_reduction_matches_oracle_on_hand_built_systems():
         for p in (3, 5):
             got = outcome(reduce_mod_p, sys_, p)
             assert got == outcome(oracle_reduce, sys_, p) and isinstance(got, tuple)
+
+
+# ------------------------------------------- reflection checks on changed rows
+
+
+def full_checks(M, W, p):
+    """(M*M = 1, M^T W M = W) from the three full products, over Z when p is
+    0 and mod p otherwise: the checks as rescale and reduce_mod_p made them
+    before they read only the changed rows."""
+    red = (lambda X: tuple(tuple(x % p for x in row) for row in X)) if p else tuple
+    square = red(_mat_mul(M, M))
+    form = red(_mat_mul(_transpose(M), _mat_mul(W, M)))
+    return square == red(_identity(len(M))), form == red(W)
+
+
+@st.composite
+def checked_pairs(draw):
+    """(M, W, p): square integer matrices of dim 2-5 whose changed rows D
+    number 0, 1, 2 or all, over Z (p = 0) or mod p in {2, 3, 5, 7}. Half
+    are products of reflections that keep a symmetric W, some with one
+    entry nudged: reflections that commute make an involution, others
+    need not. The rest have random changed rows, often singular, and a W
+    that need not be symmetric."""
+    m = draw(st.integers(2, 5))
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    D = draw(st.sampled_from(sorted({0, 1, min(2, m), m})).flatmap(
+        lambda k: st.permutations(range(m)).map(lambda order: order[:k])
+    ))
+    entry = st.integers(-3, 3)
+    W = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    M = [[int(i == j) for j in range(m)] for i in range(m)]
+    if draw(st.booleans()):
+        W = [[W[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+        commuting = draw(st.booleans())
+        for a in D:
+            for b in D:
+                if a == b or commuting:
+                    W[a][b] = 2 if a == b else 0
+        for d in D:  # 1 - e_d (x) W[d]: row d changes; W[d][d] = 2 makes it keep W
+            R = [[int(i == j) - (W[d][j] if i == d else 0) for j in range(m)] for i in range(m)]
+            M = [list(row) for row in _mat_mul(M, R)]
+        if draw(st.booleans()):
+            M[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] += draw(
+                st.sampled_from([-1, 1, p or 1])
+            )
+    else:
+        for d in D:
+            M[d] = [draw(entry) for _ in range(m)]
+    if p:
+        M = [[x % p for x in row] for row in M]
+        W = [[x % p for x in row] for row in W]
+    return tuple(map(tuple, M)), tuple(map(tuple, W)), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(checked_pairs())
+def test_changed_row_checks_match_full_products(case):
+    M, W, p = case
+    assert modred._reflection_checks(M, W, p) == full_checks(M, W, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_changed_row_checks_match_full_products_on_every_2x2(p):
+    # every M and every W, so non-symmetric forms that M keeps are met too
+    square = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(p), repeat=4)]
+    verdicts = set()
+    for M in square:
+        for W in square:
+            got = modred._reflection_checks(M, W, p)
+            assert got == full_checks(M, W, p)
+            verdicts.add(got)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_changed_row_checks_see_every_verdict():
+    # the four verdicts over Z, and mod p on matrices given unreduced
+    flip = ((-1, 0), (0, 1))
+    assert modred._reflection_checks(flip, ((2, 0), (0, 1))) == (True, True)
+    assert modred._reflection_checks(flip, ((2, 1), (1, 1))) == (True, False)
+    assert modred._reflection_checks(((1, 1), (0, 1)), ((2, 0), (0, 2))) == (False, False)
+    assert modred._reflection_checks(((2, 0), (0, 1)), ((0, 0), (0, 1))) == (False, True)
+    assert modred._reflection_checks(((1, 0), (0, 1)), ((1, 2), (3, 4)), 5) == (True, True)
+    # -2 = 1 mod 3: the identity mod 3, not an involution over Z
+    assert modred._reflection_checks(((-2, 0), (0, 1)), ((1, 0), (0, 1)), 3)[0]
+    assert not modred._reflection_checks(((-2, 0), (0, 1)), ((1, 0), (0, 1)))[0]
+
+
+def test_rescale_checks_read_only_changed_rows():
+    # every generator of a rescaled system is a reflection: it changes one row
+    for d in CRYSTALLOGRAPHIC[::7]:
+        for lengths in search_lengths(d, (1, 2, 3)):
+            for i, M in enumerate(rescale(d, lengths).matrices):
+                assert list(modred._changed_rows(M, 0)) == [i]
 
 
 # ------------------------------------------------------------------- reduce
@@ -494,7 +602,7 @@ def test_g3_translation_subgroup():
     T = [g for g in G3.elements if trivial_mod_rad(g)]
     assert len(T) == 27 and G3.order // len(T) == 48
     Tset = set(T)
-    assert all(g.inverse() * t * g in Tset for t in T for g in G3.generators)
+    assert all(inverse(g) * t * g in Tset for t in T for g in G3.generators)
     assert all(a * b == b * a for a in T for b in T)
 
 

@@ -18,6 +18,14 @@ Every name that a module of the package imports must be read in that
 module, or sit in ``ALLOWED_IMPORTS``: an import left behind by a refactor
 is dead too. ``__init__`` imports to re-export, and ``from __future__``
 imports are directives, so neither counts.
+
+A method counts as used when any attribute of its name is read, so a
+method that nothing calls passes while a method of the same name on
+another class is read: ``Perm.inverse`` and ``MatModP.inverse`` passed
+through ``AmalgamContext.inverse``. So every method name defined on more
+than one class sits in ``SHARED_METHODS``, with each class that defines it
+and a production function that reads the name for that class, and a new
+shared name fails until it is listed.
 """
 
 import ast
@@ -43,6 +51,42 @@ ALLOWED_FIELDS = {
 
 ALLOWED_IMPORTS = {
     "amalgam.closure": "spanned by perfbench/tracing.py, held in amalgam.py until ROADMAP item 1",
+}
+
+# method name -> {defining class: a function of the package that reads the
+# name on an instance (or the class) of it}
+SHARED_METHODS = {
+    "_raw": {
+        "elements.Perm": "groups._Perms.make",
+        "elements.MatModP": "groups._Matrices.make",
+    },
+    "code": {
+        "groups._Perms": "ttgroup._generator_codes",
+        "groups._Matrices": "ttgroup._generator_codes",
+    },
+    "is_identity": {
+        "elements.Perm": "groups.element_order",
+        "elements.MatModP": "groups.element_order",
+    },
+    "key": {
+        "elements.Perm": "amalgam._nested_towers",
+        "elements.MatModP": "amalgam._nested_towers",
+        "amalgam.AmalgamWord": "amalgam.enumerate_ball",
+    },
+    "make": {
+        "groups._Perms": "groups.FiniteGroup.element",
+        "groups._Matrices": "groups.FiniteGroup.element",
+    },
+    "map": {
+        "groups._Perms": "groups.closure",
+        "groups._Matrices": "groups.closure",
+    },
+    "text": {
+        "groups.FiniteGroup": "poset.FacePoset.rep_texts",
+        "groups._Perms": "groups.FiniteGroup.text",
+        "groups._Matrices": "groups.FiniteGroup.text",
+        "report.RunReport": "cli.cmd_build",
+    },
 }
 
 
@@ -191,3 +235,34 @@ def test_every_function_and_method_is_used_or_allowed():
     assert [(where, name) for where, name in found if name not in ALLOWED] == []
     # an entry that something reads again leaves the list
     assert set(ALLOWED) - {name for _, name in found} == set()
+
+
+def shared_methods():
+    """Method name -> the set of classes ("module.Class") of the package
+    that define it, for each non-dunder name defined on more than one."""
+    defined = {}
+    for path, tree in _sources(sorted(PACKAGE.rglob("*.py"))).items():
+        for qualified, name, _, is_method in _definitions(path, tree):
+            if is_method and not (name.startswith("__") and name.endswith("__")):
+                defined.setdefault(name, set()).add(qualified.rsplit(".", 1)[0])
+    return {name: owners for name, owners in defined.items() if len(owners) > 1}
+
+
+def reads_attribute(function, attr):
+    """Whether the package function or method ``function`` ("module.name" or
+    "module.Class.name") reads an attribute named ``attr``."""
+    path = PACKAGE / f"{function.split('.', 1)[0]}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (node,) = [n for q, _, n, _ in _definitions(path, tree) if q == function]
+    return any(
+        isinstance(x, ast.Attribute) and x.attr == attr and isinstance(x.ctx, ast.Load)
+        for x in ast.walk(node)
+    )
+
+
+def test_every_shared_method_name_is_listed_with_its_readers():
+    listed = {name: set(owners) for name, owners in SHARED_METHODS.items()}
+    assert listed == shared_methods()
+    for name, owners in SHARED_METHODS.items():
+        for reader in owners.values():
+            assert reads_attribute(reader, name), (name, reader)
